@@ -380,16 +380,14 @@ def cmd_cv(args) -> int:
 
     if args.data is not None:
         full = _load_dataset(args, args.data, add_intercept=False)
-        holdouts = {}
 
         def pair_for_repeat(r):
             train, test = train_test_split(full, args.test_fraction,
                                            seed=grid.seed + r, center_split=False)
             if args.validation_fraction is not None:
-                train, val = train_test_split(train, args.validation_fraction,
-                                              seed=grid.seed + r, center_split=False)
-                holdouts[r] = test
-                test = val
+                # the held-out test split goes unused: the flag only selects
+                train, test = train_test_split(train, args.validation_fraction,
+                                               seed=grid.seed + r, center_split=False)
             return _centered_pair(train, test)
     else:
         if args.validation_fraction is not None:
@@ -653,7 +651,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="held-out fraction per repeat (with --data)")
     cv.add_argument("--validation-fraction", type=float, default=None,
                     help="carve a validation split out of the training side and "
-                         "select on it instead of the test split (with --data)")
+                         "select on it instead of the test split (with --data); "
+                         "the grid then reports validation errors only, and the "
+                         "held-out test split is not scored")
     cv.add_argument("--d", type=int, default=None, help="synthetic feature count")
     cv.add_argument("--n-train", type=int, default=None)
     cv.add_argument("--k", type=int, default=None, help="nonzeros in the ground truth")

@@ -9,11 +9,17 @@ negative log-likelihood over the dataset is
 which is evaluated through ``logaddexp`` so that margins up to +-1e4 stay
 finite.  The gradient Lipschitz constant is bounded by ||X||^2 / 4 with
 ||X|| the spectral norm of the feature matrix.
+
+The public functions check their inputs and then call the private kernels
+below, which the solver calls directly: ``_margins_loss`` makes the one
+pass ``z = X @ theta`` of a point and takes the loss from it, and
+``_gradient_from_margins`` turns the same ``z`` into the gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,14 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Feature matrix (N x d), binary labels, and centering bookkeeping.
 
     ``center`` is the vector already subtracted from the raw features
     (zeros when ``centered`` is false).  When ``has_intercept`` is true the
     last column is a constant-1 column that centering must leave alone.
-    Instances are treated as immutable once constructed.
+    Instances are immutable: the fields cannot be reassigned and the
+    feature and label arrays are read-only views, because ``spectral_norm``
+    caches its result on the instance.  Derived datasets (``center``,
+    splits, ...) are new instances with an empty cache.
     """
 
     features: np.ndarray
@@ -44,6 +53,8 @@ class Dataset:
     centered: bool = False
     center: np.ndarray | None = None
     has_intercept: bool = False
+    # spectral_norm results keyed by tolerance
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
@@ -57,18 +68,21 @@ class Dataset:
                 f"labels must be 1-d with one entry per sample, got shape {y.shape} "
                 f"for {X.shape[0]} samples"
             )
-        y = y.astype(int)
+        # check the raw values: casting first would turn 0.5 into 0
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must take values in {0, 1}")
+        y = y.astype(int)
         c = self.center
         c = np.zeros(X.shape[1]) if c is None else np.asarray(c, dtype=float)
         if c.shape != (X.shape[1],) or not np.all(np.isfinite(c)):
             raise ValueError("center must be a finite length-d vector")
-        self.features = X
-        self.labels = y
-        self.center = c
-        self.centered = bool(self.centered)
-        self.has_intercept = bool(self.has_intercept)
+        X, y, c = X.view(), y.view(), c.view()
+        for array in (X, y, c):
+            array.flags.writeable = False
+        for name, value in (("features", X), ("labels", y), ("center", c),
+                            ("centered", bool(self.centered)),
+                            ("has_intercept", bool(self.has_intercept))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_samples(self) -> int:
@@ -79,11 +93,37 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(a))
+    d = 1.0 + e
+    return np.where(a >= 0, 1.0 / d, e / d)
+
+
+def _margins_loss(X, neg_signs, theta):
+    """The one pass over X for a point: margins z = X @ theta and the loss.
+
+    ``neg_signs`` is 1 - 2*y, so each term is log(1 + exp(-s_i * z_i)).
+    """
+    z = X @ theta
+    return z, float(np.logaddexp(0.0, neg_signs * z).sum())
+
+
+def _gradient_from_margins(X, labels, z) -> np.ndarray:
+    """Loss gradient X^T (sigmoid(z) - y) from the margins of a point."""
+    return X.T @ (_sigmoid(z) - labels)
+
+
+def _kernels(data: Dataset):
+    """Unchecked ``(evaluate, gradient)`` for data: ``evaluate(theta)`` returns
+    ``(z, loss)`` and ``gradient(z)`` the loss gradient at the same point."""
+    labels = data.labels.astype(float)
+    return (partial(_margins_loss, data.features, 1.0 - 2.0 * labels),
+            partial(_gradient_from_margins, data.features, labels))
+
+
 def sigmoid(t):
     """Numerically stable logistic function, elementwise."""
-    a = np.asarray(t, dtype=float)
-    e = np.exp(-np.abs(a))
-    out = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _sigmoid(np.asarray(t, dtype=float))
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -98,17 +138,14 @@ def _check_theta(theta, data: Dataset) -> np.ndarray:
 
 def loss(theta, data: Dataset) -> float:
     """Negative log-likelihood of the dataset under theta."""
-    theta = _check_theta(theta, data)
-    z = data.features @ theta
-    signs = 2.0 * data.labels - 1.0
-    return float(np.sum(np.logaddexp(0.0, -signs * z)))
+    evaluate, _ = _kernels(data)
+    return evaluate(_check_theta(theta, data))[1]
 
 
 def loss_gradient(theta, data: Dataset) -> np.ndarray:
     """Gradient of the loss: X^T (sigmoid(X theta) - y)."""
-    theta = _check_theta(theta, data)
-    z = data.features @ theta
-    return data.features.T @ (sigmoid(z) - data.labels)
+    _, gradient = _kernels(data)
+    return gradient(data.features @ _check_theta(theta, data))
 
 
 def spectral_norm(data: Dataset, tol: float = 1e-10) -> float:
@@ -116,9 +153,17 @@ def spectral_norm(data: Dataset, tol: float = 1e-10) -> float:
 
     The start vector comes from a fixed seed, so repeated calls agree
     bitwise.  Iteration stops once successive estimates agree to relative
-    tolerance ``tol`` (capped at 10000 sweeps).
+    tolerance ``tol`` (capped at 10000 sweeps).  The result is cached on
+    the dataset per ``tol``, so the iteration runs once per dataset.
     """
-    X = data.features
+    norms = data._norms
+    # concurrent callers may both fill an entry; they store the same value
+    if tol not in norms:
+        norms[tol] = _power_iteration(data.features, tol)
+    return norms[tol]
+
+
+def _power_iteration(X: np.ndarray, tol: float) -> float:
     if not X.any():
         return 0.0
     rng = np.random.default_rng(0)

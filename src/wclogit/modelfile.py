@@ -11,13 +11,21 @@ Line-oriented ``key value`` text with a leading format-version line, e.g.
     theta 1.25 0.0 -0.75
 
 Floats are written with ``repr`` so loading reproduces them exactly.
+Loading rejects a malformed file with :class:`~wclogit.data.DataError`:
+a bad header, a missing field, an unparsable or non-finite number, or a
+``kind``/``stepsize_rule`` outside the values the library writes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import DataError
+from .penalty import MCP
+from .solver import BACKTRACKING, CONSTANT
 
 MAGIC = "wclogit-model"
 FORMAT_VERSION = 1
@@ -67,19 +75,38 @@ def _parse_bool(token: str, key: str) -> bool:
         return True
     if token == "false":
         return False
-    raise ValueError(f"model file field {key!r} must be true or false, got {token!r}")
+    raise DataError(f"model file field {key!r} must be true or false, got {token!r}")
+
+
+def _parse_number(token: str, key: str, kind=float):
+    try:
+        value = kind(token)
+    except ValueError:
+        raise DataError(f"model file field {key!r} is not a valid {kind.__name__}: "
+                        f"{token!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"model file field {key!r} must be finite, got {token!r}")
+    return value
+
+
+def _parse_choice(token: str, key: str, allowed: tuple) -> str:
+    if token not in allowed:
+        raise DataError(f"model file field {key!r} must be one of {list(allowed)}, "
+                        f"got {token!r}")
+    return token
 
 
 def load_model(path) -> ModelFile:
+    """Read a model file; a malformed file raises :class:`DataError`."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty model file")
+        raise DataError(f"{path}: empty model file")
     head = lines[0].split()
     if len(head) != 2 or head[0] != MAGIC:
-        raise ValueError(f"{path}: not a {MAGIC} file")
-    if int(head[1]) != FORMAT_VERSION:
-        raise ValueError(
+        raise DataError(f"{path}: not a {MAGIC} file")
+    if head[1] != str(FORMAT_VERSION):
+        raise DataError(
             f"{path}: unsupported model format version {head[1]} (expected {FORMAT_VERSION})"
         )
     fields = {}
@@ -91,23 +118,27 @@ def load_model(path) -> ModelFile:
                 "final_objective", "center", "theta"]
     missing = [k for k in required if k not in fields]
     if missing:
-        raise ValueError(f"{path}: model file is missing fields {missing}")
-    dim = int(fields["dimension"])
-    theta = np.array([float(t) for t in fields["theta"].split()])
-    centervec = np.array([float(t) for t in fields["center"].split()])
-    if theta.size != dim or centervec.size != dim:
-        raise ValueError(f"{path}: vector lengths disagree with dimension {dim}")
-    return ModelFile(
-        theta=theta,
-        beta=float(fields["beta"]),
-        zeta=float(fields["zeta"]),
-        kind=fields["kind"],
-        centered=_parse_bool(fields["centered"], "centered"),
-        center=centervec,
-        has_intercept=_parse_bool(fields["has_intercept"], "has_intercept"),
-        stepsize_rule=fields["stepsize_rule"],
-        accelerate=_parse_bool(fields["accelerate"], "accelerate"),
-        iterations=int(fields["iterations"]),
-        converged=_parse_bool(fields["converged"], "converged"),
-        final_objective=float(fields["final_objective"]),
-    )
+        raise DataError(f"{path}: model file is missing fields {missing}")
+    try:
+        dim = _parse_number(fields["dimension"], "dimension", int)
+        theta = np.array([_parse_number(t, "theta") for t in fields["theta"].split()])
+        centervec = np.array([_parse_number(t, "center") for t in fields["center"].split()])
+        if theta.size != dim or centervec.size != dim:
+            raise DataError(f"vector lengths disagree with dimension {dim}")
+        return ModelFile(
+            theta=theta,
+            beta=_parse_number(fields["beta"], "beta"),
+            zeta=_parse_number(fields["zeta"], "zeta"),
+            kind=_parse_choice(fields["kind"], "kind", (MCP,)),
+            centered=_parse_bool(fields["centered"], "centered"),
+            center=centervec,
+            has_intercept=_parse_bool(fields["has_intercept"], "has_intercept"),
+            stepsize_rule=_parse_choice(fields["stepsize_rule"], "stepsize_rule",
+                                        (CONSTANT, BACKTRACKING)),
+            accelerate=_parse_bool(fields["accelerate"], "accelerate"),
+            iterations=_parse_number(fields["iterations"], "iterations", int),
+            converged=_parse_bool(fields["converged"], "converged"),
+            final_objective=_parse_number(fields["final_objective"], "final_objective"),
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

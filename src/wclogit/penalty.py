@@ -18,10 +18,14 @@ strong-convexity condition ``w*zeta < 1/2`` holds:
     prox(v) = 0                              for |v| <  w
     prox(v) = (v - w*sign(v)) / (1 - 2*w*zeta)  for w <= |v| <= 1/(2*zeta)
     prox(v) = v                              for |v| >  1/(2*zeta)
+
+The public functions check their inputs (finite values, a well-posed prox
+weight) and then call the private kernels, which the solver calls directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,29 +86,56 @@ def _as_float_array(t):
     return a
 
 
+def _penalty_values(a, spec: PenaltySpec):
+    a = np.abs(a)
+    inner = a - spec.zeta * a * a
+    if spec.zeta > 0:
+        return np.where(a <= spec.plateau_start, inner, spec.plateau_value)
+    return inner
+
+
+def _penalty_sum(theta, spec: PenaltySpec) -> float:
+    return float(_penalty_values(theta, spec).sum())
+
+
+def _prox(v, w: float, spec: PenaltySpec):
+    a = np.abs(v)
+    shrunk = (v - w * np.sign(v)) / (1.0 - 2.0 * w * spec.zeta)
+    return np.where(a < w, 0.0, np.where(a <= spec.plateau_start, shrunk, v))
+
+
+def _one_sided(a, smooth):
+    """(left, right) derivatives: ``smooth`` away from 0, -1 and +1 at the kink."""
+    kink = a == 0.0
+    return np.where(kink, -1.0, smooth), np.where(kink, 1.0, smooth)
+
+
+def _slope(a, spec: PenaltySpec):
+    return np.where(np.abs(a) <= spec.plateau_start, np.sign(a) - 2.0 * spec.zeta * a, 0.0)
+
+
+def _convexified_derivatives(a, spec: PenaltySpec):
+    # at the kink 2*zeta*a is zero, so -1 and +1 need no correction
+    return _one_sided(a, _slope(a, spec) + 2.0 * spec.zeta * a)
+
+
 def _maybe_scalar(out, like):
     return float(out) if np.ndim(like) == 0 else out
 
 
 def penalty_value(t, spec: PenaltySpec):
     """Evaluate F elementwise."""
-    a = np.abs(_as_float_array(t))
-    inner = a - spec.zeta * a * a
-    if spec.zeta > 0:
-        out = np.where(a <= spec.plateau_start, inner, spec.plateau_value)
-    else:
-        out = inner
-    return _maybe_scalar(out, t)
+    return _maybe_scalar(_penalty_values(_as_float_array(t), spec), t)
 
 
 def penalty_total(theta, spec: PenaltySpec) -> float:
     """Separable penalty J(theta) = sum_i F(theta_i)."""
-    return float(np.sum(penalty_value(np.asarray(theta, dtype=float), spec)))
+    return _penalty_sum(_as_float_array(theta), spec)
 
 
 def _check_weight(weight: float, spec: PenaltySpec) -> float:
     weight = float(weight)
-    if not np.isfinite(weight) or weight <= 0:
+    if not math.isfinite(weight) or weight <= 0:
         raise ValueError(f"prox weight must be a finite positive real, got {weight}")
     if weight * spec.zeta >= 0.5:
         raise ValueError(
@@ -119,10 +150,7 @@ def prox_vector(v, weight: float, spec: PenaltySpec):
     """Elementwise minimizer of  w*F(u) + (u - v)^2 / 2  (firm shrinkage)."""
     w = _check_weight(weight, spec)
     v = _as_float_array(v)
-    a = np.abs(v)
-    shrunk = (v - w * np.sign(v)) / (1.0 - 2.0 * w * spec.zeta)
-    out = np.where(a < w, 0.0, np.where(a <= spec.plateau_start, shrunk, v))
-    return _maybe_scalar(out, v)
+    return _maybe_scalar(_prox(v, w, spec), v)
 
 
 def prox_scalar(v: float, weight: float, spec: PenaltySpec) -> float:
@@ -131,20 +159,14 @@ def prox_scalar(v: float, weight: float, spec: PenaltySpec) -> float:
 
 def penalty_derivatives(t, spec: PenaltySpec):
     """One-sided derivatives (left, right) of F; they differ only at 0."""
-    a = np.asarray(_as_float_array(t))
-    slope = np.where(np.abs(a) <= spec.plateau_start, np.sign(a) - 2.0 * spec.zeta * a, 0.0)
-    left = np.where(a == 0.0, -1.0, slope)
-    right = np.where(a == 0.0, 1.0, slope)
+    a = _as_float_array(t)
+    left, right = _one_sided(a, _slope(a, spec))
     return _maybe_scalar(left, t), _maybe_scalar(right, t)
 
 
 def convexified_derivatives(t, spec: PenaltySpec):
     """One-sided derivatives (left, right) of H(t) = F(t) + zeta*t^2."""
-    a = np.asarray(_as_float_array(t))
-    fl, fr = penalty_derivatives(a, spec)
-    corr = 2.0 * spec.zeta * a
-    left = np.asarray(fl) + corr
-    right = np.asarray(fr) + corr
+    left, right = _convexified_derivatives(_as_float_array(t), spec)
     return _maybe_scalar(left, t), _maybe_scalar(right, t)
 
 

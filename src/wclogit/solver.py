@@ -2,23 +2,38 @@
 
 Each update is
 
-    theta_{k+1} = prox_{alpha_k * beta * J}(theta_k - alpha_k * grad(theta_k))
+    theta_{k+1} = prox_{alpha_k * beta * J}(y_k - alpha_k * grad(y_k))
 
-with either a constant stepsize admissible under
+from the base point y_k = theta_k (plain descent) or, with momentum, the
+extrapolated point of the t-sequence of Beck & Teboulle (FISTA, SIAM J.
+Imaging Sci. 2009):
+
+    t_1 = 1,   t_{k+1} = (1 + sqrt(1 + 4*t_k^2)) / 2,
+    y_{k+1} = theta_{k+1} + ((t_k - 1)/t_{k+1}) * (theta_{k+1} - theta_k),
+
+so the first momentum coefficient is 0.  The stepsize is either constant,
+admissible under
 
     1/alpha > max(2*beta*zeta, ||X||^2 / 8 + beta*zeta)
 
-or a backtracked stepsize alpha_k = eta^{n_k} * alpha_{k-1} where n_k is
-the smallest count of reductions for which the candidate satisfies the
-quadratic upper bound
+(with momentum the default is also capped at 4/||X||^2), or backtracked:
+alpha_k = eta^{n_k} * alpha_{k-1} where n_k is the smallest count of
+reductions for which the candidate satisfies the quadratic upper bound
 
-    loss(cand) <= loss(theta_k) + (cand - theta_k) @ grad(theta_k)
-                  + ||cand - theta_k||^2 / (2*alpha_k).
+    loss(cand) <= loss(y_k) + (cand - y_k) @ grad(y_k)
+                  + ||cand - y_k||^2 / (2*alpha_k).
 
-Both rules keep each subproblem strongly convex (alpha*beta*zeta < 1/2),
-make the objective non-increasing, and drive the steps and the criticality
-residual to zero.  An optional momentum schedule restarts the classic
-t-sequence extrapolation on top of the same prox step.
+Both rules keep each subproblem strongly convex (alpha*beta*zeta < 1/2);
+without momentum they make the objective non-increasing and drive the
+steps and the criticality residual to zero.
+
+One engine, :func:`fit`, runs every combination of stepsize rule and
+momentum.  It checks its inputs once at entry and then calls the unchecked
+kernels of ``model`` and ``penalty``: each point it evaluates (iterate,
+base point, backtracking candidate) costs one pass z = X @ point, which
+gives both the loss and the gradient X^T (sigmoid(z) - y), and the
+accepted point's loss and gradient carry over to the next step and to its
+trace row.  ||X|| comes from the per-dataset cache of ``spectral_norm``.
 
 Iterations stop once the objective change falls to ``eps_tol`` or
 ``max_iters`` is reached.  Every iteration can be recorded as a trace row
@@ -28,13 +43,22 @@ Iterations stop once the objective change falls to ``eps_tol`` or
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dataset, loss, loss_gradient, spectral_norm
-from .penalty import PenaltySpec, convexified_derivatives, penalty_total, prox_vector
+from .model import Dataset, _kernels, loss, loss_gradient, spectral_norm
+from .penalty import (
+    PenaltySpec,
+    _as_float_array,
+    _check_weight,
+    _convexified_derivatives,
+    _penalty_sum,
+    _prox,
+    prox_vector,
+)
 
 CONSTANT = "constant"
 BACKTRACKING = "backtracking"
@@ -141,15 +165,20 @@ def criticality_residual(theta, beta: float, spec: PenaltySpec, data: Dataset) -
     ||beta*g - 2*beta*zeta*theta + grad(theta)||_2, computed coordinatewise."""
     beta = _check_beta(beta, spec)
     g = loss_gradient(theta, data)
-    return _residual_from_gradient(np.asarray(theta, dtype=float), g, beta, spec)
+    return _residual(_as_float_array(theta), g, beta, spec)
 
 
-def _residual_from_gradient(theta, grad, beta, spec) -> float:
-    lo, hi = convexified_derivatives(theta, spec)
+def _residual(theta, grad, beta, spec) -> float:
+    lo, hi = _convexified_derivatives(theta, spec)
     target = 2.0 * spec.zeta * theta - grad / beta
     # per coordinate the minimizing subgradient clamps the target into [lo, hi]
     violation = np.maximum(0.0, np.maximum(lo - target, target - hi))
-    return float(beta * np.linalg.norm(violation))
+    return beta * _norm(violation)
+
+
+def _norm(v) -> float:
+    """Euclidean norm, the value np.linalg.norm gives for a real vector."""
+    return math.sqrt(v @ v)
 
 
 def _check_beta(beta, spec: PenaltySpec) -> float:
@@ -159,32 +188,33 @@ def _check_beta(beta, spec: PenaltySpec) -> float:
     return beta
 
 
-def _objective(theta, data, beta, spec) -> float:
-    return loss(theta, data) + beta * penalty_total(theta, spec)
-
-
 def _default_alpha0(beta: float, spec: PenaltySpec) -> float:
     if spec.zeta > 0:
         return 0.49 / (beta * spec.zeta)
     return 1.0
 
 
-def _backtrack(theta, grad, loss_theta, alpha, eta, beta, spec, data):
+def _prox_step(point, grad, alpha, beta, spec):
+    """prox_{alpha*beta*J}(point - alpha*grad), its weight checked on every call."""
+    return _prox(point - alpha * grad, _check_weight(alpha * beta, spec), spec)
+
+
+def _backtrack(point, grad, point_loss, alpha, eta, beta, spec, evaluate):
     """Shrink alpha until the quadratic upper bound accepts the prox step.
 
-    Returns (alpha, candidate, candidate_loss).  The acceptance test gets a
-    small additive slack so that cancellation noise near a fixed point
-    cannot force spurious reductions.
+    Returns (alpha, candidate, candidate margins z, candidate loss).  The
+    acceptance test gets a small additive slack so that cancellation noise
+    near a fixed point cannot force spurious reductions.
     """
-    slack = 1e-12 * (1.0 + abs(loss_theta))
+    slack = 1e-12 * (1.0 + abs(point_loss))
     for _ in range(_MAX_BACKTRACK_REDUCTIONS + 1):
-        cand = prox_vector(theta - alpha * grad, alpha * beta, spec)
-        diff = cand - theta
-        cand_loss = loss(cand, data)
-        bound = loss_theta + float(diff @ grad) + float(diff @ diff) / (2.0 * alpha)
+        cand = _prox_step(point, grad, alpha, beta, spec)
+        diff = cand - point
+        z, cand_loss = evaluate(cand)
+        bound = point_loss + float(diff @ grad) + float(diff @ diff) / (2.0 * alpha)
         # an overflowed bound certifies nothing, so it cannot accept the step
-        if np.isfinite(bound) and np.isfinite(cand_loss) and cand_loss <= bound + slack:
-            return alpha, cand, cand_loss
+        if math.isfinite(bound) and math.isfinite(cand_loss) and cand_loss <= bound + slack:
+            return alpha, cand, z, cand_loss
         alpha *= eta
     raise NumericalError(
         f"backtracking did not accept a stepsize after {_MAX_BACKTRACK_REDUCTIONS} "
@@ -196,11 +226,11 @@ def backtrack_stepsize(theta_prev, alpha_prev: float, config: SolverConfig,
                        beta: float, spec: PenaltySpec, data: Dataset):
     """One backtracked update from theta_prev; returns (alpha_k, theta_k)."""
     beta = _check_beta(beta, spec)
-    theta_prev = np.asarray(theta_prev, dtype=float)
+    theta_prev = _as_float_array(theta_prev)
     grad = loss_gradient(theta_prev, data)
-    alpha, cand, _ = _backtrack(
-        theta_prev, grad, loss(theta_prev, data), float(alpha_prev), config.eta, beta, spec, data
-    )
+    evaluate, _ = _kernels(data)
+    alpha, cand, _, _ = _backtrack(theta_prev, grad, loss(theta_prev, data), float(alpha_prev),
+                                   config.eta, beta, spec, evaluate)
     return alpha, cand
 
 
@@ -250,113 +280,71 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
         theta0=None) -> FitResult:
     """Run the proximal gradient iteration until the objective stalls.
 
-    ``beta`` may be None to use ``spec.beta``.  With ``config.accelerate``
-    the momentum schedule of :func:`accelerated_fit` runs instead.
+    ``beta`` may be None to use ``spec.beta``.  ``config.accelerate`` adds
+    the momentum schedule; the objective, the trace and the returned point
+    are then those of the prox outputs, not of the extrapolated base points.
     """
-    if config.accelerate:
-        return accelerated_fit(data, beta, spec, config, theta0)
     beta = _check_beta(beta, spec)
     theta = _prepare_theta0(theta0, data)
-    alpha = _initial_alpha(config, beta, spec, data)
+    momentum = config.accelerate
+    alpha = _initial_alpha(config, beta, spec, data, accelerated=momentum)
+    backtracking = config.stepsize_rule == BACKTRACKING
+    record = config.record_trace
+    evaluate, gradient = _kernels(data)
 
-    grad = loss_gradient(theta, data)
-    loss_val = loss(theta, data)
-    obj = loss_val + beta * penalty_total(theta, spec)
+    z, loss_val = evaluate(theta)
+    grad = gradient(z)
+    obj = loss_val + beta * _penalty_sum(theta, spec)
     _require_finite(obj)
-    trace = []
-    if config.record_trace:
-        trace.append(TraceRow(obj, 0.0, _residual_from_gradient(theta, grad, beta, spec), 0.0))
+    trace = [TraceRow(obj, 0.0, _residual(theta, grad, beta, spec), 0.0)] if record else []
 
+    # the point the next step starts from, with its loss and gradient
+    base, base_loss, base_grad = theta, loss_val, grad
+    t = 1.0
     iterations = 0
     converged = False
     for _ in range(config.max_iters):
-        if config.stepsize_rule == BACKTRACKING:
-            alpha, theta_new, loss_new = _backtrack(
-                theta, grad, loss_val, alpha, config.eta, beta, spec, data
-            )
+        if backtracking:
+            alpha, new, z, loss_new = _backtrack(base, base_grad, base_loss, alpha,
+                                                 config.eta, beta, spec, evaluate)
         else:
-            theta_new = prox_vector(theta - alpha * grad, alpha * beta, spec)
-            loss_new = loss(theta_new, data)
-        obj_new = loss_new + beta * penalty_total(theta_new, spec)
+            new = _prox_step(base, base_grad, alpha, beta, spec)
+            z, loss_new = evaluate(new)
+        obj_new = loss_new + beta * _penalty_sum(new, spec)
         _require_finite(obj_new)
-        grad_new = loss_gradient(theta_new, data)
         iterations += 1
-        if config.record_trace:
-            trace.append(TraceRow(
-                obj_new,
-                float(np.linalg.norm(theta_new - theta)),
-                _residual_from_gradient(theta_new, grad_new, beta, spec),
-                alpha,
-            ))
+        grad = gradient(z) if record or not momentum else None
+        if record:
+            trace.append(TraceRow(obj_new, _norm(new - theta),
+                                  _residual(new, grad, beta, spec), alpha))
         stalled = abs(obj_new - obj) <= config.eps_tol
-        theta, grad, loss_val, obj = theta_new, grad_new, loss_new, obj_new
+        prev, theta, obj = theta, new, obj_new
         if stalled:
             converged = True
             break
+        if momentum:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            base = theta + ((t - 1.0) / t_next) * (theta - prev)
+            t = t_next
+            if backtracking:
+                z, base_loss = evaluate(base)
+            else:  # the constant rule never needs the loss at the base point
+                z = data.features @ base
+            base_grad = gradient(z)
+        else:
+            base, base_loss, base_grad = theta, loss_new, grad
 
     return FitResult(theta, iterations, converged, obj, trace)
 
 
 def accelerated_fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
                     theta0=None) -> FitResult:
-    """Momentum variant: prox steps with t-sequence extrapolation.
-
-    t_1 = 1, t_{k+1} = (1 + sqrt(1 + 4*t_k^2)) / 2, and the next base point
-    is  hat_k + ((t_k - 1)/t_{k+1}) * (hat_k - hat_{k-1}); the first
-    momentum coefficient is 0.  The objective is monitored at the prox
-    outputs hat_k, and the usual stall test stops the run early.
-    """
-    beta = _check_beta(beta, spec)
-    hat_prev = _prepare_theta0(theta0, data)
-    base = hat_prev.copy()
-    alpha = _initial_alpha(config, beta, spec, data, accelerated=True)
-
-    obj_prev = _objective(hat_prev, data, beta, spec)
-    _require_finite(obj_prev)
-    trace = []
-    if config.record_trace:
-        g0 = loss_gradient(hat_prev, data)
-        trace.append(TraceRow(obj_prev, 0.0, _residual_from_gradient(hat_prev, g0, beta, spec), 0.0))
-
-    t = 1.0
-    iterations = 0
-    converged = False
-    theta_out = hat_prev
-    obj_out = obj_prev
-    for _ in range(config.max_iters):
-        grad = loss_gradient(base, data)
-        if config.stepsize_rule == BACKTRACKING:
-            alpha, hat, hat_loss = _backtrack(
-                base, grad, loss(base, data), alpha, config.eta, beta, spec, data
-            )
-        else:
-            hat = prox_vector(base - alpha * grad, alpha * beta, spec)
-            hat_loss = loss(hat, data)
-        obj_hat = hat_loss + beta * penalty_total(hat, spec)
-        _require_finite(obj_hat)
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        base = hat + ((t - 1.0) / t_next) * (hat - hat_prev)
-        iterations += 1
-        if config.record_trace:
-            g_hat = loss_gradient(hat, data)
-            trace.append(TraceRow(
-                obj_hat,
-                float(np.linalg.norm(hat - hat_prev)),
-                _residual_from_gradient(hat, g_hat, beta, spec),
-                alpha,
-            ))
-        theta_out, obj_out = hat, obj_hat
-        stalled = abs(obj_hat - obj_prev) <= config.eps_tol
-        hat_prev, obj_prev, t = hat, obj_hat, t_next
-        if stalled:
-            converged = True
-            break
-
-    return FitResult(theta_out, iterations, converged, obj_out, trace)
+    """:func:`fit` with the momentum schedule switched on."""
+    return fit(data, beta, spec, replace(config, accelerate=True), theta0)
 
 
 def _require_finite(value: float) -> None:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(
             "objective became non-finite; the data or stepsize is pathological"
         )

@@ -230,6 +230,46 @@ def test_predict_unlabeled_csv(synth, tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 30
 
 
+# --- model-file validation -------------------------------------------------------
+
+
+def edited_model(synth, tmp_path, key, value):
+    """A trained model file with the line for ``key`` replaced."""
+    path = trained_model(synth, tmp_path)
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.split(" ", 1)[0] == key)
+    lines[index] = f"{key} {value}"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def predict_exit_code(synth, tmp_path, model_path, capsys):
+    code = run("predict", model_path, synth["test"], "--out", tmp_path / "p.csv")
+    return code, capsys.readouterr().err
+
+
+def test_model_file_corrupt_header_is_a_data_error(synth, tmp_path, capsys):
+    path = edited_model(synth, tmp_path, "wclogit-model", "x")
+    code, err = predict_exit_code(synth, tmp_path, path, capsys)
+    assert code == 2 and "version" in err
+
+
+@pytest.mark.parametrize("key", ["theta", "center", "beta", "zeta", "final_objective"])
+def test_model_file_rejects_non_finite_numbers(synth, tmp_path, capsys, key):
+    value = "nan " + "0.0 " * 7 if key in ("theta", "center") else "inf"
+    path = edited_model(synth, tmp_path, key, value.strip())
+    code, err = predict_exit_code(synth, tmp_path, path, capsys)
+    assert code == 2 and key in err and "finite" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["kind", "stepsize_rule"])
+def test_model_file_rejects_unknown_choices(synth, tmp_path, capsys, key):
+    path = edited_model(synth, tmp_path, key, "fancy")
+    code, err = predict_exit_code(synth, tmp_path, path, capsys)
+    assert code == 2 and key in err and "fancy" in err
+
+
 # --- certify ----------------------------------------------------------------------
 
 

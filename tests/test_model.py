@@ -248,3 +248,57 @@ def test_dataset_validation_errors():
         Dataset(np.ones(3), np.array([0, 1, 1]))  # not 2-d
     with pytest.raises(ValueError):
         loss(np.zeros(3), Dataset(np.ones((2, 2)), np.array([0, 1])))
+
+
+def test_dataset_checks_labels_before_casting():
+    # casting first would silently map 0.5 -> 0 and 1.7 -> 1
+    with pytest.raises(ValueError, match="labels"):
+        Dataset(np.ones((2, 1)), np.array([0.5, 1.7]))
+    data = Dataset(np.ones((2, 1)), np.array([1.0, 0.0]))
+    assert data.labels.tolist() == [1, 0]
+
+
+def test_dataset_is_immutable():
+    data = Dataset(np.eye(2), np.array([0, 1]))
+    with pytest.raises(AttributeError):
+        data.features = np.zeros((2, 2))
+    with pytest.raises(ValueError):
+        data.features[0, 0] = 5.0
+
+
+# --- spectral norm cache -------------------------------------------------------
+
+
+def test_spectral_norm_runs_once_per_dataset_and_tol(monkeypatch):
+    import wclogit.model as model
+    from wclogit.certify import check_mcp_local_opt
+    from wclogit.data import center
+    from wclogit.penalty import PenaltySpec
+    from wclogit.solver import SolverConfig, fit, max_constant_stepsize
+
+    calls = []
+    power_iteration = model._power_iteration
+
+    def counted(X, tol):
+        calls.append(tol)
+        return power_iteration(X, tol)
+
+    monkeypatch.setattr(model, "_power_iteration", counted)
+    data = random_instance(np.random.default_rng(11), 30, 5)
+    spec = PenaltySpec(zeta=0.2)
+    bounds = {max_constant_stepsize(0.5, spec, data) for _ in range(3)}
+    theta = fit(data, 0.5, spec, SolverConfig(max_iters=5)).theta
+    fit(data, 0.5, spec, SolverConfig(accelerate=True, max_iters=5))
+    check_mcp_local_opt(theta, 0.5, spec, data)
+    norms = {spectral_norm(data, tol=1e-12) for _ in range(3)}
+    assert calls == [1e-12]
+    assert len(bounds) == 1 and len(norms) == 1
+    assert norms.pop() == power_iteration(data.features, 1e-12)
+
+    spectral_norm(data)  # another tolerance is another entry
+    spectral_norm(data)
+    assert calls == [1e-12, 1e-10]
+
+    centered = center(data)  # a derived dataset starts with an empty cache
+    spectral_norm(centered, tol=1e-12)
+    assert calls == [1e-12, 1e-10, 1e-12]

@@ -4,6 +4,8 @@ Key oracles: the coordinatewise grid oracle for one prox-gradient step,
 and the sign-pattern l1 oracle for the convex zeta = 0 special case.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import l1_objective, l1_global_oracle, prox_grid_oracle, random_instance
@@ -386,3 +388,57 @@ def test_accelerated_reaches_target_faster_on_low_rank_replica():
     target = plain.trace[-1].objective
     hit = next(k for k, row in enumerate(accel.trace) if row.objective <= target)
     assert hit < plain.iterations
+
+
+# --- one engine, checked public functions -------------------------------------------
+
+ENGINE_CONFIGS = {
+    "constant": SolverConfig(eps_tol=1e-12, max_iters=150),
+    "backtracking": SolverConfig(stepsize_rule=BACKTRACKING, eps_tol=1e-12, max_iters=150),
+    "accelerated": SolverConfig(accelerate=True, eps_tol=1e-12, max_iters=150),
+    "accelerated-backtracking": SolverConfig(stepsize_rule=BACKTRACKING, accelerate=True,
+                                             eps_tol=1e-12, max_iters=150),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+def test_engine_trace_matches_checked_public_functions(name):
+    # the engine's fused kernels must give the very bits of the public,
+    # input-checked loss, penalty and residual at the returned point
+    rng = np.random.default_rng(38)
+    data = centered_instance(rng, 50, 6)
+    spec = PenaltySpec(zeta=0.3)
+    beta = 0.4
+    result = fit(data, beta, spec, ENGINE_CONFIGS[name], theta0=rng.standard_normal(6))
+    last = result.trace[-1]
+    assert last.objective == objective(result.theta, data, beta, spec)
+    assert last.objective == result.final_objective
+    assert last.residual == criticality_residual(result.theta, beta, spec, data)
+    assert len(result.trace) == result.iterations + 1
+
+
+@pytest.mark.parametrize("rule", [CONSTANT, BACKTRACKING])
+def test_accelerated_fit_is_fit_with_momentum(rule):
+    rng = np.random.default_rng(39)
+    data = random_instance(rng, 40, 5)
+    spec = PenaltySpec(zeta=0.2)
+    config = SolverConfig(stepsize_rule=rule, eps_tol=1e-12, max_iters=200)
+    alias = accelerated_fit(data, 0.5, spec, config)
+    direct = fit(data, 0.5, spec, replace(config, accelerate=True))
+    assert alias.theta.tobytes() == direct.theta.tobytes()
+    assert alias.trace == direct.trace
+    assert (alias.iterations, alias.converged) == (direct.iterations, direct.converged)
+    assert alias.final_objective == direct.final_objective
+
+
+def test_fit_checks_stay_at_the_boundary():
+    rng = np.random.default_rng(40)
+    data = random_instance(rng, 20, 3)
+    spec = PenaltySpec(zeta=0.1)
+    for bad_beta in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueError):
+            fit(data, bad_beta, spec, SolverConfig())
+    with pytest.raises(ValueError):
+        fit(data, 1.0, spec, SolverConfig(accelerate=True), theta0=np.zeros(2))
+    with pytest.raises(ValueError):
+        fit(data, 1.0, spec, SolverConfig(stepsize_rule=BACKTRACKING, alpha0=5.0))
