@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +28,6 @@ from .certify import beta_threshold, check_mcp_local_opt
 from .data import (
     DataError,
     SynthSpec,
-    _looks_like_header,
-    _parse_feature,
     apply_center,
     center,
     gen_noisy,
@@ -49,6 +46,7 @@ from .solver import (
     NumericalError,
     SolverConfig,
     fit,
+    fit_cells,
     max_constant_stepsize,
     write_trace_csv,
 )
@@ -94,6 +92,8 @@ class ErrorRow:
     mean_test_error: float
     std_error: float
     mean_iterations: float
+    # share of repeats in which the cell's objective stalled within max_iters
+    converged_fraction: float
 
 
 @dataclass
@@ -118,55 +118,65 @@ class ErrorGrid:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["beta", "zeta", "mean_test_error", "std_error",
-                             "mean_iterations"])
+                             "mean_iterations", "converged_fraction"])
             for r in self.rows:
                 writer.writerow([repr(r.beta), repr(r.zeta), repr(r.mean_test_error),
-                                 repr(r.std_error), repr(r.mean_iterations)])
+                                 repr(r.std_error), repr(r.mean_iterations),
+                                 repr(r.converged_fraction)])
 
 
 def run_cv_grid(grid: CvGrid, dataset_for_repeat, alpha=None, eps_tol=1e-9,
-                max_iters=1000, threads=1, notify=None) -> ErrorGrid:
+                max_iters=1000, notify=None) -> ErrorGrid:
     """Fit and score every grid cell on every repeat's (train, test) pair.
 
     ``dataset_for_repeat(r)`` supplies the r-th pair; pairs are drawn once and
-    shared by all cells.  An explicit ``alpha`` outside a cell's admissible
+    shared by all cells, and all cells of a repeat are solved together by
+    :func:`fit_cells`.  An explicit ``alpha`` outside a cell's admissible
     range falls back to the default with a ``notify`` notice (once per cell).
-    Rows come back ordered by (beta, zeta) regardless of thread scheduling.
+    Rows come back ordered by (beta, zeta).
     """
     pairs = [dataset_for_repeat(r) for r in range(grid.repeats)]
-    corrected = set()
-
-    def one_cell(cell):
-        b, z = cell
-        spec = PenaltySpec(zeta=z, beta=b)
-        errors = np.empty(grid.repeats)
-        iterations = np.empty(grid.repeats)
-        for r, (train, test) in enumerate(pairs):
-            a = alpha
-            if a is not None:
-                bound = max_constant_stepsize(b, spec, train)
-                if not (0.0 < a < bound):
-                    if notify is not None and cell not in corrected:
-                        corrected.add(cell)
-                        notify(f"notice: stepsize {a:g} is outside (0, {bound:.6g}) "
-                               f"for beta={b:g}, zeta={z:g}; using the default")
-                    a = None
-            config = SolverConfig(alpha=a, eps_tol=eps_tol, max_iters=max_iters,
-                                  record_trace=False)
-            result = fit(train, b, spec, config)
-            labels, _ = predict_many(result.theta, test.features)
-            errors[r] = np.mean(labels != test.labels)
-            iterations[r] = result.iterations
-        return ErrorRow(b, z, float(errors.mean()), float(errors.std()),
-                        float(iterations.mean()))
-
     cells = [(b, z) for b in grid.betas for z in grid.zetas]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_cell, cells))
-    else:
-        rows = [one_cell(c) for c in cells]
-    return ErrorGrid(rows=rows)
+    # alphas[r][c] is cell c's stepsize on repeat r, None for the default
+    alphas = [[alpha] * len(cells) for _ in pairs]
+    if alpha is not None:
+        for c, (b, z) in enumerate(cells):
+            spec = PenaltySpec(zeta=z, beta=b)
+            noticed = False
+            for r, (train, _) in enumerate(pairs):
+                bound = max_constant_stepsize(b, spec, train)
+                if not (0.0 < alpha < bound):
+                    if notify is not None and not noticed:
+                        noticed = True
+                        notify(f"notice: stepsize {alpha:g} is outside (0, {bound:.6g}) "
+                               f"for beta={b:g}, zeta={z:g}; using the default")
+                    alphas[r][c] = None
+
+    errors = np.empty((len(cells), grid.repeats))
+    iterations = np.empty_like(errors)
+    converged = np.empty_like(errors)
+    for r, (train, test) in enumerate(pairs):
+        result = fit_cells(train, cells, alphas[r], eps_tol=eps_tol, max_iters=max_iters)
+        for c, theta in enumerate(result.theta):
+            labels, _ = predict_many(theta, test.features)
+            errors[c, r] = np.mean(labels != test.labels)
+        iterations[:, r] = result.iterations
+        converged[:, r] = result.converged
+    return ErrorGrid(rows=[
+        ErrorRow(b, z, float(errors[c].mean()), float(errors[c].std()),
+                 float(iterations[c].mean()), float(converged[c].mean()))
+        for c, (b, z) in enumerate(cells)])
+
+
+def _notify_unconverged(grids, max_iters: int, notify) -> None:
+    """One notice when some cell of the grids hit max_iters on every repeat."""
+    rows = [row for grid in grids for row in grid.rows]
+    never = sum(row.converged_fraction == 0.0 for row in rows)
+    if never and notify is not None:
+        total = len(rows)
+        notify(f"notice: {never} of {total} grid cells never converged within "
+               f"max_iters={max_iters} on any repeat; their errors are those of "
+               "truncated iterates")
 
 
 # --- dataset plumbing ---------------------------------------------------------
@@ -203,29 +213,6 @@ def _load_dataset(args, path, add_intercept: bool) -> Dataset:
             pass
     return load_csv(path, label_column=label_col, add_intercept=add_intercept,
                     label_map=label_map, header=args.header)
-
-
-def _read_feature_rows(path, header: str) -> np.ndarray:
-    """Dense CSV with no label column (prediction on unlabeled data)."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise DataError(f"{path}: file contains no rows")
-    has_header = _looks_like_header(rows[0]) if header == "auto" else header == "yes"
-    if has_header:
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: file contains a header but no data rows")
-    width = len(rows[0])
-    features = []
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        features.append([
-            _parse_feature(cell.strip(), f"{path}: row {i + 1}, column {j + 1}")
-            for j, cell in enumerate(row)
-        ])
-    return np.asarray(features, dtype=float)
 
 
 # --- train ---------------------------------------------------------------------
@@ -285,12 +272,9 @@ def cmd_predict(args) -> int:
     if args.no_labels:
         if args.sparse_format:
             raise ValueError("--no-labels applies to dense CSV input only")
-        X = _read_feature_rows(args.data, args.header)
-        if model.has_intercept:
-            X = np.hstack([X, np.ones((X.shape[0], 1))])
+        data = load_csv(args.data, add_intercept=model.has_intercept,
+                        header=args.header, labeled=False)
         labels = None
-        data = Dataset(X, np.zeros(X.shape[0], dtype=int),
-                       has_intercept=model.has_intercept)
     else:
         data = _load_dataset(args, args.data, model.has_intercept)
         labels = data.labels
@@ -402,8 +386,9 @@ def cmd_cv(args) -> int:
 
     error_grid = run_cv_grid(grid, pair_for_repeat, alpha=args.alpha,
                              eps_tol=args.eps_tol, max_iters=args.max_iters,
-                             threads=args.threads, notify=notify)
+                             notify=notify)
     error_grid.write_csv(args.out)
+    _notify_unconverged([error_grid], args.max_iters, notify)
 
     if not args.quiet:
         print(f"grid written to {args.out}")
@@ -509,7 +494,7 @@ def _error_grid_synth_pairs(base_spec: SynthSpec, seed: int):
 
 
 def _reproduce_error_grid(out_dir: Path, repeats: int, max_iters: int,
-                          threads: int, quiet: bool) -> int:
+                          quiet: bool) -> int:
     base = SynthSpec(d=50, n_train=200, k=5, n_test=1000, amplitude="normal", seed=0)
     grid = CvGrid(betas=tuple(10.0 ** np.linspace(-2.8, 0.6, 7)),
                   zetas=(0.0, 0.01, 0.1, 1.0), repeats=repeats, seed=0)
@@ -517,10 +502,10 @@ def _reproduce_error_grid(out_dir: Path, repeats: int, max_iters: int,
     # the published stepsize 0.1 predates the admissibility bound of the raw
     # Gaussian features; inadmissible cells fall back to the default
     error_grid = run_cv_grid(grid, _error_grid_synth_pairs(base, seed=1000),
-                             alpha=0.1, max_iters=max_iters, threads=threads,
-                             notify=notify)
+                             alpha=0.1, max_iters=max_iters, notify=notify)
     path = out_dir / "fig3_grid.csv"
     error_grid.write_csv(path)
+    _notify_unconverged([error_grid], max_iters, notify)
     if not quiet:
         print(f"grid written to {path}")
         for l1, name in ((True, "zeta=0 baseline"), (False, "zeta>0")):
@@ -531,11 +516,12 @@ def _reproduce_error_grid(out_dir: Path, repeats: int, max_iters: int,
 
 
 def _reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
-                           threads: int, quiet: bool) -> int:
+                           quiet: bool) -> int:
     noise_levels = (0.01, 0.03, 0.05, 0.1, 0.3, 0.5)
     betas = tuple(10.0 ** np.linspace(-3.0, 1.0, 7))
     zetas = (0.0, 0.001, 0.01, 0.1, 1.0, 10.0)
     path = out_dir / "table3.csv"
+    grids = []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["noise_level", "l1_error", "weakly_convex_error"])
@@ -546,7 +532,8 @@ def _reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
                           seed=2000 + 100 * level)
             error_grid = run_cv_grid(
                 grid, _error_grid_synth_pairs(base, seed=3000 + 100 * level),
-                max_iters=max_iters, threads=threads)
+                max_iters=max_iters)
+            grids.append(error_grid)
             l1 = error_grid.best_row(l1=True)
             wc = error_grid.best_row(l1=False)
             writer.writerow([repr(sigma), repr(l1.mean_test_error),
@@ -556,6 +543,7 @@ def _reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
                       f"weakly convex error {wc.mean_test_error:.4f}")
     if not quiet:
         print(f"table written to {path}")
+        _notify_unconverged(grids, max_iters, lambda msg: print(msg, file=sys.stderr))
     return EXIT_OK
 
 
@@ -569,10 +557,8 @@ def cmd_reproduce(args) -> int:
     repeats = args.repeats if args.repeats is not None else 10
     max_iters = args.max_iters if args.max_iters is not None else 1000
     if args.preset == "fig3":
-        return _reproduce_error_grid(out_dir, repeats, max_iters, args.threads,
-                                     args.quiet)
-    return _reproduce_noise_table(out_dir, repeats, max_iters, args.threads,
-                                  args.quiet)
+        return _reproduce_error_grid(out_dir, repeats, max_iters, args.quiet)
+    return _reproduce_noise_table(out_dir, repeats, max_iters, args.quiet)
 
 
 # --- parser -------------------------------------------------------------------------
@@ -645,8 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="constant stepsize; inadmissible cells fall back with a notice")
     cv.add_argument("--eps-tol", type=float, default=1e-9)
     cv.add_argument("--max-iters", type=int, default=1000)
-    cv.add_argument("--threads", type=int, default=1,
-                    help="concurrent grid cells (rows stay in grid order)")
     cv.add_argument("--test-fraction", type=float, default=0.2,
                     help="held-out fraction per repeat (with --data)")
     cv.add_argument("--validation-fraction", type=float, default=None,
@@ -689,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--out-dir", default=".")
     reproduce.add_argument("--max-iters", type=int, default=None)
     reproduce.add_argument("--repeats", type=int, default=None)
-    reproduce.add_argument("--threads", type=int, default=1)
     reproduce.add_argument("--quiet", action="store_true")
     reproduce.set_defaults(func=cmd_reproduce)
 

@@ -234,13 +234,19 @@ def _looks_like_header(row: list[str]) -> bool:
 
 
 def load_csv(path, label_column=None, add_intercept: bool = False,
-             label_map: dict | None = None, header: str = "auto") -> Dataset:
+             label_map: dict | None = None, header: str = "auto",
+             labeled: bool = True) -> Dataset:
     """Load a dense CSV with one label column; empty cells become 0.0.
 
     ``label_column`` may be a header name or a 0-based index; None means
     the column named "label" when a header exists, else column 0.
-    ``header`` is "auto" (sniff the first row), "yes", or "no".
+    ``header`` is "auto" (sniff the first row), "yes", or "no".  With
+    ``labeled=False`` the file holds features only (data to predict on):
+    every column is a feature, the returned labels are all-zero
+    placeholders, and ``label_column`` and ``label_map`` must stay unset.
     """
+    if not labeled and (label_column is not None or label_map is not None):
+        raise ValueError("a file without labels takes no label column or label map")
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -260,7 +266,9 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
         if not rows:
             raise DataError(f"{path}: file contains a header but no data rows")
 
-    if label_column is None:
+    if not labeled:
+        label_idx = None
+    elif label_column is None:
         if names is not None and "label" in names:
             label_idx = names.index("label")
         else:
@@ -278,7 +286,7 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
         label_idx = int(label_column)
 
     width = len(rows[0])
-    if not (0 <= label_idx < width):
+    if labeled and not (0 <= label_idx < width):
         raise DataError(f"{path}: label column index {label_idx} out of range for "
                         f"{width} columns")
     features = []
@@ -287,7 +295,8 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
         if len(row) != width:
             raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
         where = f"{path}: row {i + 1}"
-        labels.append(_parse_label(row[label_idx].strip(), label_map, where))
+        if labeled:
+            labels.append(_parse_label(row[label_idx].strip(), label_map, where))
         feats = [
             _parse_feature(cell.strip(), f"{where}, column {j + 1}")
             for j, cell in enumerate(row)
@@ -297,7 +306,8 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     X = np.asarray(features, dtype=float)
     if add_intercept:
         X = np.hstack([X, np.ones((X.shape[0], 1))])
-    return Dataset(X, np.asarray(labels), has_intercept=add_intercept)
+    y = np.asarray(labels) if labeled else np.zeros(X.shape[0], dtype=int)
+    return Dataset(X, y, has_intercept=add_intercept)
 
 
 def load_sparse_classification_format(path, add_intercept: bool = False,

@@ -13,7 +13,8 @@ finite.  The gradient Lipschitz constant is bounded by ||X||^2 / 4 with
 The public functions check their inputs and then call the private kernels
 below, which the solver calls directly: ``_margins_loss`` makes the one
 pass ``z = X @ theta`` of a point and takes the loss from it, and
-``_gradient_from_margins`` turns the same ``z`` into the gradient.
+``_gradient_from_margins`` turns the same ``z`` into the gradient.  Both
+also take points stacked as the rows of a matrix, one pass for all of them.
 """
 
 from __future__ import annotations
@@ -95,27 +96,33 @@ class Dataset:
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(a))
-    d = 1.0 + e
-    return np.where(a >= 0, 1.0 / d, e / d)
+    # one division: 1/d where a >= 0, e/d elsewhere
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
 def _margins_loss(X, neg_signs, theta):
-    """The one pass over X for a point: margins z = X @ theta and the loss.
+    """The one pass over X for a point: margins z = theta @ X^T and the loss.
 
     ``neg_signs`` is 1 - 2*y, so each term is log(1 + exp(-s_i * z_i)).
+    ``theta`` may also stack C points as the rows of a (C, d) array; z is
+    then (C, N) and the loss an array of C values, each summed over its
+    contiguous row exactly as the loss of that point alone.
     """
-    z = X @ theta
-    return z, float(np.logaddexp(0.0, neg_signs * z).sum())
+    z = theta @ X.T
+    losses = np.logaddexp(0.0, neg_signs * z).sum(axis=-1)
+    return z, losses if losses.ndim else float(losses)
 
 
 def _gradient_from_margins(X, labels, z) -> np.ndarray:
-    """Loss gradient X^T (sigmoid(z) - y) from the margins of a point."""
-    return X.T @ (_sigmoid(z) - labels)
+    """Loss gradient (sigmoid(z) - y) @ X from the margins of a point, or of
+    each row of stacked margins."""
+    return (_sigmoid(z) - labels) @ X
 
 
 def _kernels(data: Dataset):
     """Unchecked ``(evaluate, gradient)`` for data: ``evaluate(theta)`` returns
-    ``(z, loss)`` and ``gradient(z)`` the loss gradient at the same point."""
+    ``(z, loss)`` and ``gradient(z)`` the loss gradient at the same point.
+    Both accept a (C, d) stack of points as well as a single one."""
     labels = data.labels.astype(float)
     return (partial(_margins_loss, data.features, 1.0 - 2.0 * labels),
             partial(_gradient_from_margins, data.features, labels))
@@ -157,7 +164,6 @@ def spectral_norm(data: Dataset, tol: float = 1e-10) -> float:
     the dataset per ``tol``, so the iteration runs once per dataset.
     """
     norms = data._norms
-    # concurrent callers may both fill an entry; they store the same value
     if tol not in norms:
         norms[tol] = _power_iteration(data.features, tol)
     return norms[tol]

@@ -21,12 +21,16 @@ strong-convexity condition ``w*zeta < 1/2`` holds:
 
 The public functions check their inputs (finite values, a well-posed prox
 weight) and then call the private kernels, which the solver calls directly.
+The kernels also apply C specs at once to the rows of a (C, d) array: the
+spec is then a :class:`_StackedSpec` and the prox weight a (C, d) array
+whose row c repeats cell c's weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +83,31 @@ class PenaltySpec:
         return 1.0 / (4.0 * self.zeta) if self.zeta > 0 else np.inf
 
 
+def _repeat_rows(values, width: int) -> np.ndarray:
+    """(C, width) array whose row c repeats values[c]; elementwise operations
+    on it are cheaper than broadcasting a (C, 1) column."""
+    return np.repeat(np.asarray(values, dtype=float)[:, None], width, axis=1)
+
+
+class _StackedSpec(NamedTuple):
+    """The parameters of C specs as (C, d) arrays, row c repeating spec c's:
+    with it the kernels treat row c of a (C, d) array exactly as they treat
+    a vector under spec c."""
+
+    zeta: np.ndarray
+    plateau_start: np.ndarray
+    plateau_value: np.ndarray
+
+    @classmethod
+    def of(cls, specs, width: int) -> "_StackedSpec":
+        return cls(*(_repeat_rows([getattr(s, name) for s in specs], width)
+                     for name in cls._fields))
+
+    def take(self, rows) -> "_StackedSpec":
+        """The stack of the specs at ``rows`` (an index array or a mask)."""
+        return _StackedSpec(*(array[rows] for array in self))
+
+
 def _as_float_array(t):
     a = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -89,13 +118,14 @@ def _as_float_array(t):
 def _penalty_values(a, spec: PenaltySpec):
     a = np.abs(a)
     inner = a - spec.zeta * a * a
-    if spec.zeta > 0:
-        return np.where(a <= spec.plateau_start, inner, spec.plateau_value)
-    return inner
+    # at zeta = 0 the plateau starts at infinity, so every finite a is inner
+    return np.where(a <= spec.plateau_start, inner, spec.plateau_value)
 
 
-def _penalty_sum(theta, spec: PenaltySpec) -> float:
-    return float(_penalty_values(theta, spec).sum())
+def _penalty_sum(theta, spec: PenaltySpec):
+    """J(theta) as a float, or one sum per row of stacked points."""
+    sums = _penalty_values(theta, spec).sum(axis=-1)
+    return sums if sums.ndim else float(sums)
 
 
 def _prox(v, w: float, spec: PenaltySpec):

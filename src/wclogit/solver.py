@@ -38,6 +38,16 @@ trace row.  ||X|| comes from the per-dataset cache of ``spectral_norm``.
 Iterations stop once the objective change falls to ``eps_tol`` or
 ``max_iters`` is reached.  Every iteration can be recorded as a trace row
 (objective, step norm, criticality residual, stepsize) and exported as CSV.
+
+:func:`fit_cells` runs the plain constant-stepsize iteration of many
+(beta, zeta) cells on one dataset at once, as a grid search needs: the
+iterates are the rows of a (C, d) matrix, so each iteration costs one
+product Theta @ X^T for all cells and one (sigmoid(Z) - y) @ X for their
+gradients, and the penalty kernels take per-row weights and zetas.  A cell
+whose objective stalls leaves the stack with its iterate, objective and
+iteration count, exactly as ``fit`` stops; the others go on.  Its results
+equal those of one ``fit`` per cell up to the rounding of the matrix
+products.
 """
 
 from __future__ import annotations
@@ -52,6 +62,8 @@ import numpy as np
 from .model import Dataset, _kernels, loss, loss_gradient, spectral_norm
 from .penalty import (
     PenaltySpec,
+    _repeat_rows,
+    _StackedSpec,
     _as_float_array,
     _check_weight,
     _convexified_derivatives,
@@ -75,6 +87,7 @@ __all__ = [
     "backtrack_stepsize",
     "fit",
     "accelerated_fit",
+    "fit_cells",
     "criticality_residual",
     "write_trace_csv",
 ]
@@ -127,6 +140,10 @@ class TraceRow(NamedTuple):
 
 @dataclass
 class FitResult:
+    """Outcome of :func:`fit`; for :func:`fit_cells`, ``theta`` holds one row
+    and ``iterations``, ``converged`` and ``final_objective`` one array
+    entry per cell, and the trace is empty."""
+
     theta: np.ndarray
     iterations: int
     converged: bool
@@ -295,7 +312,7 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     z, loss_val = evaluate(theta)
     grad = gradient(z)
     obj = loss_val + beta * _penalty_sum(theta, spec)
-    _require_finite(obj)
+    _require_finite(math.isfinite(obj))
     trace = [TraceRow(obj, 0.0, _residual(theta, grad, beta, spec), 0.0)] if record else []
 
     # the point the next step starts from, with its loss and gradient
@@ -311,7 +328,7 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
             new = _prox_step(base, base_grad, alpha, beta, spec)
             z, loss_new = evaluate(new)
         obj_new = loss_new + beta * _penalty_sum(new, spec)
-        _require_finite(obj_new)
+        _require_finite(math.isfinite(obj_new))
         iterations += 1
         grad = gradient(z) if record or not momentum else None
         if record:
@@ -343,8 +360,65 @@ def accelerated_fit(data: Dataset, beta: float, spec: PenaltySpec, config: Solve
     return fit(data, beta, spec, replace(config, accelerate=True), theta0)
 
 
-def _require_finite(value: float) -> None:
-    if not math.isfinite(value):
+def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
+              max_iters: int = 10000) -> FitResult:
+    """Fit every (beta, zeta) cell of ``cells`` on ``data`` in one loop.
+
+    Cell c runs what :func:`fit` runs from zeros with the constant stepsize
+    ``alphas[c]`` (None for the default), no momentum and no trace, and
+    stops where ``fit`` would.  Each cell's stepsize and prox weight are
+    checked before the first iteration, and a non-finite objective of any
+    running cell raises :class:`NumericalError`.
+    """
+    if not cells or len(alphas) != len(cells):
+        raise ValueError(f"need one stepsize per cell and at least one cell, got "
+                         f"{len(alphas)} for {len(cells)}")
+    config = SolverConfig(eps_tol=eps_tol, max_iters=max_iters, record_trace=False)
+    specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
+    steps = [_initial_alpha(replace(config, alpha=a), s.beta, s, data)
+             for a, s in zip(alphas, specs)]
+    weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
+    evaluate, gradient = _kernels(data)
+
+    # the running cells: their indices, parameters and iterates, one per row
+    d = data.n_features
+    rows = np.arange(len(specs))
+    beta = np.array([s.beta for s in specs])
+    alpha, weight = _repeat_rows(steps, d), _repeat_rows(weights, d)
+    stacked = _StackedSpec.of(specs, d)
+    theta = np.zeros((len(specs), d))
+    z, losses = evaluate(theta)
+    obj = losses + beta * _penalty_sum(theta, stacked)
+    _require_finite(np.isfinite(obj).all())
+
+    thetas, objectives = np.empty_like(theta), np.empty_like(obj)
+    iterations = np.full(len(specs), config.max_iters)
+    converged = np.zeros(len(specs), dtype=bool)
+    for k in range(1, config.max_iters + 1):
+        new = _prox(theta - alpha * gradient(z), weight, stacked)
+        z, losses = evaluate(new)
+        obj_new = losses + beta * _penalty_sum(new, stacked)
+        change = np.abs(obj_new - obj)
+        theta, obj = new, obj_new
+        # objectives are >= 0 and were finite, so a change is finite exactly
+        # when the new objective is (NaN fails both comparisons)
+        if not all(config.eps_tol < c < math.inf for c in change.tolist()):
+            _require_finite(np.isfinite(obj).all())
+            stalled = change <= config.eps_tol
+            done = rows[stalled]
+            thetas[done], objectives[done] = theta[stalled], obj[stalled]
+            iterations[done], converged[done] = k, True
+            run = ~stalled
+            rows, beta, alpha, weight = rows[run], beta[run], alpha[run], weight[run]
+            stacked, theta, obj, z = stacked.take(run), theta[run], obj[run], z[run]
+            if not rows.size:
+                break
+    thetas[rows], objectives[rows] = theta, obj
+    return FitResult(thetas, iterations, converged, objectives)
+
+
+def _require_finite(finite: bool) -> None:
+    if not finite:
         raise NumericalError(
             "objective became non-finite; the data or stepsize is pathological"
         )

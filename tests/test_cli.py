@@ -6,12 +6,19 @@ import csv
 import numpy as np
 import pytest
 
-from wclogit.cli import main
-from wclogit.data import load_csv, train_test_split
+from wclogit.cli import CvGrid, ErrorRow, main, run_cv_grid
+from wclogit.data import (
+    SynthSpec,
+    apply_center,
+    center,
+    gen_noisy,
+    load_csv,
+    train_test_split,
+)
 from wclogit.model import predict_many
 from wclogit.modelfile import ModelFile, load_model, save_model
 from wclogit.penalty import PenaltySpec
-from wclogit.solver import SolverConfig, fit
+from wclogit.solver import SolverConfig, fit, fit_cells, max_constant_stepsize
 
 
 def run(*argv):
@@ -346,13 +353,48 @@ def test_cv_grid_shape_and_determinism(synth, tmp_path):
     assert all(0.0 <= float(r["mean_test_error"]) <= 1.0 for r in rows)
 
 
-def test_cv_threads_do_not_change_output(synth, tmp_path):
-    args = ["cv", "--data", synth["train"], "--betas", "0.05,0.2",
-            "--zetas", "0,0.5", "--repeats", 2, "--seed", 1,
-            "--max-iters", 200, "--quiet", "--out"]
-    assert run(*args, tmp_path / "serial.csv") == 0
-    assert run(*args, tmp_path / "threaded.csv", "--threads", 4) == 0
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "threaded.csv").read_bytes()
+def test_cv_grid_equals_per_cell_fits():
+    """The stacked grid solver gives what one fit per cell gives: the same
+    stall iterations and scores, iterates equal up to rounding."""
+    cells = [(b, z) for b in (0.01, 0.1, 1.0, 5.0) for z in (0.0, 0.1, 1.0)]
+    grid = CvGrid(betas=(0.01, 0.1, 1.0, 5.0), zetas=(0.0, 0.1, 1.0), repeats=3)
+    pairs = []
+    for r in range(grid.repeats):
+        train, test, _ = gen_noisy(SynthSpec(d=10, n_train=80, k=3, n_test=100,
+                                             amplitude="normal", noise_sigma=0.2,
+                                             seed=r))
+        train = center(train)
+        pairs.append((train, apply_center(test, train.center)))
+    # admissible for some cells only, so the stack mixes explicit and default
+    # stepsizes
+    alpha = 0.99 * min(max_constant_stepsize(1.0, PenaltySpec(zeta=0.0), train)
+                       for train, _ in pairs)
+
+    errors, iterations, converged = (np.empty((len(cells), 3)) for _ in range(3))
+    for r, (train, test) in enumerate(pairs):
+        specs = [PenaltySpec(zeta=z, beta=b) for b, z in cells]
+        alphas = [alpha if alpha < max_constant_stepsize(s.beta, s, train) else None
+                  for s in specs]
+        assert alpha in alphas and None in alphas
+        stacked = fit_cells(train, cells, alphas, eps_tol=1e-9, max_iters=300)
+        for c, (spec, a) in enumerate(zip(specs, alphas)):
+            result = fit(train, spec.beta, spec, SolverConfig(
+                alpha=a, eps_tol=1e-9, max_iters=300, record_trace=False))
+            np.testing.assert_allclose(stacked.theta[c], result.theta, rtol=1e-12)
+            labels, _ = predict_many(result.theta, test.features)
+            errors[c, r] = np.mean(labels != test.labels)
+            iterations[c, r] = result.iterations
+            converged[c, r] = result.converged
+        assert np.array_equal(stacked.iterations, iterations[:, r])
+        assert np.array_equal(stacked.converged, converged[:, r])
+    stalls = iterations[converged == 1.0]
+    assert len(set(stalls)) > 2 and (converged == 0.0).any()
+
+    rows = run_cv_grid(grid, lambda r: pairs[r], alpha=alpha, eps_tol=1e-9,
+                       max_iters=300).rows
+    assert rows == [ErrorRow(b, z, float(errors[c].mean()), float(errors[c].std()),
+                             float(iterations[c].mean()), float(converged[c].mean()))
+                    for c, (b, z) in enumerate(cells)]
 
 
 def test_cv_synthetic_source_and_alpha_correction(tmp_path, capsys):
@@ -364,6 +406,29 @@ def test_cv_synthetic_source_and_alpha_correction(tmp_path, capsys):
     assert "notice:" in captured.err and "using the default" in captured.err
     with open(grid_path, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 2
+
+
+def test_cv_reports_convergence_per_cell(tmp_path, capsys):
+    args = ["cv", "--d", 10, "--n-train", 80, "--k", 3, "--n-test", 100,
+            "--noise-sigma", 0.2, "--betas", "0.01,5", "--zetas", "0,0.1",
+            "--repeats", 3, "--eps-tol", 1e-9, "--out", tmp_path / "grid.csv"]
+    assert run(*args, "--max-iters", 300) == 0
+    err = capsys.readouterr().err
+    with open(tmp_path / "grid.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+        fh.seek(0)
+        rows = list(csv.DictReader(fh))
+    assert header[-1] == "converged_fraction"
+    fractions = [float(r["converged_fraction"]) for r in rows]
+    # the beta = 0.01 cells run to the cap, the beta = 5 cells stall early
+    assert fractions == [0.0, 0.0, 1.0, 1.0]
+    assert err.count("notice:") == 1
+    assert "2 of 4 grid cells never converged within max_iters=300" in err
+
+    assert run(*args, "--max-iters", 300, "--betas", "5") == 0
+    assert "notice:" not in capsys.readouterr().err
+    assert run(*args, "--max-iters", 300, "--quiet") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cv_validation_split(synth, tmp_path, capsys):
@@ -430,13 +495,15 @@ def test_reproduce_deterministic(tmp_path):
 
 def test_reproduce_error_grid_preset(tmp_path, capsys):
     assert run("reproduce", "fig3", "--out-dir", tmp_path, "--max-iters", 60,
-               "--repeats", 1, "--threads", 2) == 0
+               "--repeats", 1) == 0
     captured = capsys.readouterr()
     assert "best zeta=0 baseline" in captured.out
     assert "notice:" in captured.err  # the preset stepsize needs correction
+    assert "grid cells never converged within max_iters=60" in captured.err
     with open(tmp_path / "fig3_grid.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 7 * 4
+    assert all(0.0 <= float(r["converged_fraction"]) <= 1.0 for r in rows)
 
 
 def test_reproduce_noise_table_preset(tmp_path):

@@ -227,6 +227,26 @@ def test_load_csv_diagnostics_carry_row_and_column(tmp_path):
         load_csv(empty)
 
 
+def test_load_csv_without_labels(tmp_path):
+    p = write(tmp_path / "u.csv", "f1,f2\n0.5,-2\n3,\n")
+    data = load_csv(p, add_intercept=True, labeled=False)
+    assert np.array_equal(data.features, [[0.5, -2.0, 1.0], [3.0, 0.0, 1.0]])
+    assert np.array_equal(data.labels, [0, 0]) and data.has_intercept
+    assert load_csv(write(tmp_path / "n.csv", "1,2\n3,4\n"), labeled=False).n_samples == 2
+    with pytest.raises(ValueError):
+        load_csv(p, label_column=0, labeled=False)
+    # every column is a feature, so positions count all of them
+    cases = {"f1,f2\n1,2\n3\n": "row 2 has 1 cells, expected 2",
+             "f1,f2\n1,oops\n": "row 1, column 2: cannot parse feature value 'oops'",
+             "f1,f2\n": "file contains a header but no data rows",
+             "": "file contains no rows"}
+    for text, message in cases.items():
+        bad = write(tmp_path / "bad.csv", text)
+        with pytest.raises(DataError) as err:
+            load_csv(bad, labeled=False)
+        assert str(err.value) == f"{bad}: {message}"
+
+
 def test_save_load_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(67)
     data = Dataset(rng.standard_normal((25, 6)) * 1e3, rng.integers(0, 2, 25))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import l1_objective, l1_global_oracle, prox_grid_oracle, random_instance
 
+from wclogit import solver
 from wclogit.model import Dataset, lipschitz_bound, loss, loss_gradient
 from wclogit.penalty import PenaltySpec, penalty_total, prox_vector
 from wclogit.solver import (
@@ -22,6 +23,7 @@ from wclogit.solver import (
     backtrack_stepsize,
     criticality_residual,
     fit,
+    fit_cells,
     max_constant_stepsize,
     prox_grad_step,
     write_trace_csv,
@@ -442,3 +444,63 @@ def test_fit_checks_stay_at_the_boundary():
         fit(data, 1.0, spec, SolverConfig(accelerate=True), theta0=np.zeros(2))
     with pytest.raises(ValueError):
         fit(data, 1.0, spec, SolverConfig(stepsize_rule=BACKTRACKING, alpha0=5.0))
+
+
+# --- stacked cells ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cell", [(0.4, 0.3), (0.05, 0.0), (2.0, 1.0)])
+def test_fit_cells_single_cell_is_fit_bitwise(cell):
+    # with one row, the stacked products and kernels give the bits of fit's
+    rng = np.random.default_rng(41)
+    data = centered_instance(rng, 60, 7)
+    beta, zeta = cell
+    for alpha in (None, 0.5 * max_constant_stepsize(beta, PenaltySpec(zeta=zeta), data)):
+        stacked = fit_cells(data, [cell], [alpha], eps_tol=1e-10, max_iters=400)
+        single = fit(data, beta, PenaltySpec(zeta=zeta),
+                     SolverConfig(alpha=alpha, eps_tol=1e-10, max_iters=400))
+        assert stacked.theta.shape == (1, 7)
+        assert stacked.theta[0].tobytes() == single.theta.tobytes()
+        assert stacked.final_objective[0] == single.final_objective
+        assert stacked.iterations[0] == single.iterations
+        assert stacked.converged[0] == single.converged
+
+
+def test_fit_cells_checks_every_cell_before_iterating():
+    rng = np.random.default_rng(42)
+    data = centered_instance(rng, 30, 4)
+    cells = [(0.5, 0.1), (0.5, 0.2)]
+    bound = max_constant_stepsize(0.5, PenaltySpec(zeta=0.2), data)
+    with pytest.raises(ValueError) as err:
+        fit_cells(data, cells, [None, 1.5 * bound])
+    assert f"{bound}" in str(err.value)
+    with pytest.raises(ValueError):
+        fit_cells(data, cells, [None])
+    with pytest.raises(ValueError):
+        fit_cells(data, [], [])
+    with pytest.raises(ValueError):
+        fit_cells(data, [(0.0, 0.1)], [None])
+    with pytest.raises(ValueError):
+        fit_cells(data, [(0.5, -0.1)], [None])
+    with pytest.raises(ValueError):
+        fit_cells(data, cells, [None, None], eps_tol=0.0)
+
+
+def test_fit_cells_raises_when_a_running_cell_turns_non_finite(monkeypatch):
+    rng = np.random.default_rng(43)
+    data = centered_instance(rng, 30, 4)
+    kernels = solver._kernels
+
+    def poisoned(data):
+        evaluate, gradient = kernels(data)
+
+        def evaluate_nan_after_start(theta):
+            z, losses = evaluate(theta)
+            if theta.any():  # every point but the zero start
+                losses[-1] = np.nan
+            return z, losses
+        return evaluate_nan_after_start, gradient
+
+    monkeypatch.setattr(solver, "_kernels", poisoned)
+    with pytest.raises(NumericalError):
+        fit_cells(data, [(0.1, 0.0), (0.1, 0.5)], [None, None])
