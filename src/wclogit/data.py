@@ -238,6 +238,11 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
              labeled: bool = True) -> Dataset:
     """Load a dense CSV with one label column; empty cells become 0.0.
 
+    Each row's features are parsed with one ``float`` call per cell; only a
+    row where that fails is parsed again cell by cell, to fill its empty
+    (or whitespace-only) cells with 0.0 or to report the exact row and
+    column of a value that does not parse.
+
     ``label_column`` may be a header name or a 0-based index; None means
     the column named "label" when a header exists, else column 0.
     ``header`` is "auto" (sniff the first row), "yes", or "no".  With
@@ -295,14 +300,17 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
         if len(row) != width:
             raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
         where = f"{path}: row {i + 1}"
+        cells = row
         if labeled:
             labels.append(_parse_label(row[label_idx].strip(), label_map, where))
-        feats = [
-            _parse_feature(cell.strip(), f"{where}, column {j + 1}")
-            for j, cell in enumerate(row)
-            if j != label_idx
-        ]
-        features.append(feats)
+            cells = row[:label_idx] + row[label_idx + 1:]
+        try:
+            # float() ignores surrounding whitespace itself; a cell it
+            # rejects sends the row to the per-cell parse
+            features.append(list(map(float, cells)))
+        except ValueError:  # an empty cell, or a bad one to point at
+            features.append([_parse_feature(cell.strip(), f"{where}, column {j + 1}")
+                             for j, cell in enumerate(row) if j != label_idx])
     X = np.asarray(features, dtype=float)
     if add_intercept:
         X = np.hstack([X, np.ones((X.shape[0], 1))])

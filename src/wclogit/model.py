@@ -6,15 +6,18 @@ negative log-likelihood over the dataset is
 
     loss(theta) = sum_i log(1 + exp(-s_i * (theta @ x_i))),   s_i = 2*y_i - 1
 
-which is evaluated through ``logaddexp`` so that margins up to +-1e4 stay
-finite.  The gradient Lipschitz constant is bounded by ||X||^2 / 4 with
-||X|| the spectral norm of the feature matrix.
+evaluated term by term as  max(-s_i*z_i, 0) + log1p(exp(-|z_i|))  with
+z_i = theta @ x_i, so that margins up to +-1e4 stay finite.  The gradient
+Lipschitz constant is bounded by ||X||^2 / 4 with ||X|| the spectral norm
+of the feature matrix.
 
 The public functions check their inputs and then call the private kernels
-below, which the solver calls directly: ``_margins_loss`` makes the one
-pass ``z = X @ theta`` of a point and takes the loss from it, and
-``_gradient_from_margins`` turns the same ``z`` into the gradient.  Both
-also take points stacked as the rows of a matrix, one pass for all of them.
+below, which the solver calls directly.  ``_margins`` makes the one pass
+``z = X @ theta`` of a point and computes its one ``e = exp(-|z|)``; that
+pair serves both the loss (``_margins_loss``) and the gradient
+(``_gradient_from_margins``, through the sigmoid ``where(z >= 0, 1, e) /
+(1 + e)``).  The kernels also take points stacked as the rows of a
+matrix, one pass for all of them.
 """
 
 from __future__ import annotations
@@ -94,35 +97,55 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(a))
-    # one division: 1/d where a >= 0, e/d elsewhere
-    return np.where(a >= 0, 1.0, e) / (1.0 + e)
+def _exp_pair(z: np.ndarray):
+    """The margins z with e = exp(-|z|), the one exponential per margin."""
+    return z, np.exp(-np.abs(z))
+
+
+def _probabilities(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(z) from the pair (z, exp(-|z|)), one division: 1/(1+e) where
+    z >= 0, e/(1+e) elsewhere."""
+    p = np.where(z >= 0, 1.0, e)
+    p /= 1.0 + e
+    return p
+
+
+def _margins(X, theta):
+    """The one pass over X for a point: the pair (z, exp(-|z|)) of its
+    margins z = theta @ X^T; (C, N) arrays for a (C, d) stack of points."""
+    return _exp_pair(theta @ X.T)
 
 
 def _margins_loss(X, neg_signs, theta):
-    """The one pass over X for a point: margins z = theta @ X^T and the loss.
+    """The margins pair of a point and its loss, from one exp per margin.
 
-    ``neg_signs`` is 1 - 2*y, so each term is log(1 + exp(-s_i * z_i)).
-    ``theta`` may also stack C points as the rows of a (C, d) array; z is
-    then (C, N) and the loss an array of C values, each summed over its
-    contiguous row exactly as the loss of that point alone.
+    ``neg_signs`` is 1 - 2*y, so each term log(1 + exp(-s_i * z_i)) is
+    max(neg_signs_i * z_i, 0) + log1p(exp(-|z_i|)).  ``theta`` may also
+    stack C points as the rows of a (C, d) array; the loss is then an array
+    of C values, each summed over its contiguous row exactly as the loss of
+    that point alone.
     """
-    z = theta @ X.T
-    losses = np.logaddexp(0.0, neg_signs * z).sum(axis=-1)
-    return z, losses if losses.ndim else float(losses)
+    margins = z, e = _margins(X, theta)
+    terms = neg_signs * z
+    np.maximum(terms, 0.0, out=terms)
+    terms += np.log1p(e)
+    losses = terms.sum(axis=-1)
+    return margins, losses if losses.ndim else float(losses)
 
 
-def _gradient_from_margins(X, labels, z) -> np.ndarray:
-    """Loss gradient (sigmoid(z) - y) @ X from the margins of a point, or of
-    each row of stacked margins."""
-    return (_sigmoid(z) - labels) @ X
+def _gradient_from_margins(X, labels, margins) -> np.ndarray:
+    """Loss gradient (sigmoid(z) - y) @ X from the margins pair of a point,
+    or of each row of stacked margins."""
+    residual = _probabilities(*margins)
+    residual -= labels
+    return residual @ X
 
 
 def _kernels(data: Dataset):
     """Unchecked ``(evaluate, gradient)`` for data: ``evaluate(theta)`` returns
-    ``(z, loss)`` and ``gradient(z)`` the loss gradient at the same point.
-    Both accept a (C, d) stack of points as well as a single one."""
+    ``((z, exp(-|z|)), loss)`` and ``gradient`` turns that margins pair into
+    the loss gradient at the same point.  Both accept a (C, d) stack of
+    points as well as a single one."""
     labels = data.labels.astype(float)
     return (partial(_margins_loss, data.features, 1.0 - 2.0 * labels),
             partial(_gradient_from_margins, data.features, labels))
@@ -130,7 +153,7 @@ def _kernels(data: Dataset):
 
 def sigmoid(t):
     """Numerically stable logistic function, elementwise."""
-    out = _sigmoid(np.asarray(t, dtype=float))
+    out = _probabilities(*_exp_pair(np.asarray(t, dtype=float)))
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -152,7 +175,7 @@ def loss(theta, data: Dataset) -> float:
 def loss_gradient(theta, data: Dataset) -> np.ndarray:
     """Gradient of the loss: X^T (sigmoid(X theta) - y)."""
     _, gradient = _kernels(data)
-    return gradient(data.features @ _check_theta(theta, data))
+    return gradient(_margins(data.features, _check_theta(theta, data)))
 
 
 def spectral_norm(data: Dataset, tol: float = 1e-10) -> float:

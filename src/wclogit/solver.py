@@ -30,9 +30,9 @@ steps and the criticality residual to zero.
 One engine, :func:`fit`, runs every combination of stepsize rule and
 momentum.  It checks its inputs once at entry and then calls the unchecked
 kernels of ``model`` and ``penalty``: each point it evaluates (iterate,
-base point, backtracking candidate) costs one pass z = X @ point, which
-gives both the loss and the gradient X^T (sigmoid(z) - y), and the
-accepted point's loss and gradient carry over to the next step and to its
+base point, backtracking candidate) costs one pass z = X @ point and one
+exp(-|z|), which give both the loss and the gradient X^T (sigmoid(z) - y),
+and the accepted point's loss and gradient carry over to the next step and to its
 trace row.  ||X|| comes from the per-dataset cache of ``spectral_norm``.
 
 Iterations stop once the objective change falls to ``eps_tol`` or
@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dataset, _kernels, loss, loss_gradient, spectral_norm
+from .model import Dataset, _kernels, _margins, loss, loss_gradient, spectral_norm
 from .penalty import (
     PenaltySpec,
     _repeat_rows,
@@ -219,7 +219,7 @@ def _prox_step(point, grad, alpha, beta, spec):
 def _backtrack(point, grad, point_loss, alpha, eta, beta, spec, evaluate):
     """Shrink alpha until the quadratic upper bound accepts the prox step.
 
-    Returns (alpha, candidate, candidate margins z, candidate loss).  The
+    Returns (alpha, candidate, candidate margins pair, candidate loss).  The
     acceptance test gets a small additive slack so that cancellation noise
     near a fixed point cannot force spurious reductions.
     """
@@ -227,11 +227,11 @@ def _backtrack(point, grad, point_loss, alpha, eta, beta, spec, evaluate):
     for _ in range(_MAX_BACKTRACK_REDUCTIONS + 1):
         cand = _prox_step(point, grad, alpha, beta, spec)
         diff = cand - point
-        z, cand_loss = evaluate(cand)
+        margins, cand_loss = evaluate(cand)
         bound = point_loss + float(diff @ grad) + float(diff @ diff) / (2.0 * alpha)
         # an overflowed bound certifies nothing, so it cannot accept the step
         if math.isfinite(bound) and math.isfinite(cand_loss) and cand_loss <= bound + slack:
-            return alpha, cand, z, cand_loss
+            return alpha, cand, margins, cand_loss
         alpha *= eta
     raise NumericalError(
         f"backtracking did not accept a stepsize after {_MAX_BACKTRACK_REDUCTIONS} "
@@ -309,8 +309,8 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     record = config.record_trace
     evaluate, gradient = _kernels(data)
 
-    z, loss_val = evaluate(theta)
-    grad = gradient(z)
+    margins, loss_val = evaluate(theta)
+    grad = gradient(margins)
     obj = loss_val + beta * _penalty_sum(theta, spec)
     _require_finite(math.isfinite(obj))
     trace = [TraceRow(obj, 0.0, _residual(theta, grad, beta, spec), 0.0)] if record else []
@@ -322,15 +322,15 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     converged = False
     for _ in range(config.max_iters):
         if backtracking:
-            alpha, new, z, loss_new = _backtrack(base, base_grad, base_loss, alpha,
-                                                 config.eta, beta, spec, evaluate)
+            alpha, new, margins, loss_new = _backtrack(base, base_grad, base_loss, alpha,
+                                                       config.eta, beta, spec, evaluate)
         else:
             new = _prox_step(base, base_grad, alpha, beta, spec)
-            z, loss_new = evaluate(new)
+            margins, loss_new = evaluate(new)
         obj_new = loss_new + beta * _penalty_sum(new, spec)
         _require_finite(math.isfinite(obj_new))
         iterations += 1
-        grad = gradient(z) if record or not momentum else None
+        grad = gradient(margins) if record or not momentum else None
         if record:
             trace.append(TraceRow(obj_new, _norm(new - theta),
                                   _residual(new, grad, beta, spec), alpha))
@@ -344,10 +344,10 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
             base = theta + ((t - 1.0) / t_next) * (theta - prev)
             t = t_next
             if backtracking:
-                z, base_loss = evaluate(base)
+                margins, base_loss = evaluate(base)
             else:  # the constant rule never needs the loss at the base point
-                z = data.features @ base
-            base_grad = gradient(z)
+                margins = _margins(data.features, base)
+            base_grad = gradient(margins)
         else:
             base, base_loss, base_grad = theta, loss_new, grad
 
@@ -387,7 +387,7 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
     alpha, weight = _repeat_rows(steps, d), _repeat_rows(weights, d)
     stacked = _StackedSpec.of(specs, d)
     theta = np.zeros((len(specs), d))
-    z, losses = evaluate(theta)
+    margins, losses = evaluate(theta)
     obj = losses + beta * _penalty_sum(theta, stacked)
     _require_finite(np.isfinite(obj).all())
 
@@ -395,8 +395,8 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
     iterations = np.full(len(specs), config.max_iters)
     converged = np.zeros(len(specs), dtype=bool)
     for k in range(1, config.max_iters + 1):
-        new = _prox(theta - alpha * gradient(z), weight, stacked)
-        z, losses = evaluate(new)
+        new = _prox(theta - alpha * gradient(margins), weight, stacked)
+        margins, losses = evaluate(new)
         obj_new = losses + beta * _penalty_sum(new, stacked)
         change = np.abs(obj_new - obj)
         theta, obj = new, obj_new
@@ -410,7 +410,8 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
             iterations[done], converged[done] = k, True
             run = ~stalled
             rows, beta, alpha, weight = rows[run], beta[run], alpha[run], weight[run]
-            stacked, theta, obj, z = stacked.take(run), theta[run], obj[run], z[run]
+            stacked, theta, obj = stacked.take(run), theta[run], obj[run]
+            margins = tuple(part[run] for part in margins)
             if not rows.size:
                 break
     thetas[rows], objectives[rows] = theta, obj

@@ -4,12 +4,15 @@ Oracles: mpmath high-precision evaluation for the loss, central finite
 differences for the gradient, dense SVD for the spectral norm.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
 from wclogit.model import (
     Dataset,
+    _kernels,
     lipschitz_bound,
     loss,
     loss_gradient,
@@ -71,8 +74,14 @@ def test_sigmoid_monotone_in_bounds():
 
 def test_loss_at_zero_is_n_log_two():
     rng = np.random.default_rng(1)
-    data = random_instance(rng, 17, 5)
-    assert loss(np.zeros(5), data) == pytest.approx(17 * np.log(2.0), rel=1e-14)
+    for n in (1, 17, 24, 200):
+        data = random_instance(rng, n, 5)
+        value = loss(np.zeros(5), data)
+        # every term is exactly log 2, as logaddexp(0, 0) gives it
+        assert value == np.full(n, math.log(2.0)).sum()
+        assert value == np.logaddexp(0.0, np.zeros(n)).sum()
+        if n <= 24:  # beyond, the pairwise sum of n equal terms may round off n*log 2
+            assert value == n * math.log(2.0)
 
 
 def test_loss_single_sample_closed_form():
@@ -161,6 +170,37 @@ def test_gradient_partition_independence():
         part = Dataset(data.features[lo:hi], data.labels[lo:hi])
         pieces += loss_gradient(theta, part)
     assert np.linalg.norm(whole - pieces) <= 1e-12 * max(1.0, np.linalg.norm(whole))
+
+
+def test_gradient_and_sigmoid_from_the_shared_margins_bitwise():
+    rng = np.random.default_rng(13)
+    data = random_instance(rng, 40, 6)
+    evaluate, gradient = _kernels(data)
+    y = data.labels.astype(float)
+    for scale in (0.0, 1.0, 30.0, 1e3):
+        theta = scale * rng.standard_normal(6)
+        margins, value = evaluate(theta)
+        z, e = margins
+        assert z.tobytes() == (data.features @ theta).tobytes()
+        assert e.tobytes() == np.exp(-np.abs(z)).tobytes()
+        assert value == loss(theta, data)
+        # the one-division sigmoid the gradient has always used, written out
+        p = np.where(z >= 0, 1.0, np.exp(-np.abs(z))) / (1.0 + np.exp(-np.abs(z)))
+        assert sigmoid(z).tobytes() == p.tobytes()
+        assert gradient(margins).tobytes() == ((p - y) @ data.features).tobytes()
+        assert gradient(margins).tobytes() == loss_gradient(theta, data).tobytes()
+
+
+def test_non_finite_margins_give_a_non_finite_loss_without_warnings():
+    # the solver's finiteness check needs the NaN to reach the objective
+    evaluate, gradient = _kernels(Dataset(np.array([[1.0], [-1.0]]), np.array([1, 0])))
+    margins, value = evaluate(np.array([np.nan]))
+    assert math.isnan(value) and np.isnan(gradient(margins)).all()
+    # infinite margins on the right side of both labels cost nothing, as in logaddexp
+    margins, value = evaluate(np.array([np.inf]))
+    assert value == 0.0
+    margins, value = evaluate(np.array([-np.inf]))
+    assert value == math.inf
 
 
 def test_gradient_lipschitz_bound_holds():
