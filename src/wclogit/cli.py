@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -227,7 +228,8 @@ def cmd_train(args) -> int:
     rule = BACKTRACKING if args.backtracking else CONSTANT
     config = SolverConfig(stepsize_rule=rule, alpha=args.alpha, alpha0=args.alpha0,
                           eta=args.eta, accelerate=args.accelerate,
-                          eps_tol=args.eps_tol, max_iters=args.max_iters)
+                          eps_tol=args.eps_tol, max_iters=args.max_iters,
+                          record_trace=args.trace_out is not None)
 
     theta0 = None
     if args.init == "small-random":
@@ -564,6 +566,7 @@ def cmd_reproduce(args) -> int:
 # --- parser -------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one tree serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wclogit",

@@ -12,6 +12,7 @@ noise_sigma = 0.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,57 +224,34 @@ def _parse_feature(token: str, where: str) -> float:
 
 
 def _looks_like_header(row: list[str]) -> bool:
+    """A header row has a non-blank cell and no cell that parses as a number,
+    so a data row with one bad token stays data and fails at that token."""
+    named = False
     for cell in row:
         if cell.strip() == "":
             continue
         try:
             float(cell)
         except ValueError:
-            return True
-    return False
+            named = True
+        else:
+            return False
+    return named
 
 
-def load_csv(path, label_column=None, add_intercept: bool = False,
-             label_map: dict | None = None, header: str = "auto",
-             labeled: bool = True) -> Dataset:
-    """Load a dense CSV with one label column; empty cells become 0.0.
-
-    Each row's features are parsed with one ``float`` call per cell; only a
-    row where that fails is parsed again cell by cell, to fill its empty
-    (or whitespace-only) cells with 0.0 or to report the exact row and
-    column of a value that does not parse.
-
-    ``label_column`` may be a header name or a 0-based index; None means
-    the column named "label" when a header exists, else column 0.
-    ``header`` is "auto" (sniff the first row), "yes", or "no".  With
-    ``labeled=False`` the file holds features only (data to predict on):
-    every column is a feature, the returned labels are all-zero
-    placeholders, and ``label_column`` and ``label_map`` must stay unset.
-    """
-    if not labeled and (label_column is not None or label_map is not None):
-        raise ValueError("a file without labels takes no label column or label map")
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise DataError(f"{path}: file contains no rows")
-
+def _has_header(first_row: list[str], header: str) -> bool:
     if header == "auto":
-        has_header = _looks_like_header(rows[0])
-    elif header in ("yes", "no"):
-        has_header = header == "yes"
-    else:
-        raise ValueError(f"header must be 'auto', 'yes', or 'no', got {header!r}")
+        return _looks_like_header(first_row)
+    if header in ("yes", "no"):
+        return header == "yes"
+    raise ValueError(f"header must be 'auto', 'yes', or 'no', got {header!r}")
 
-    names = None
-    if has_header:
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: file contains a header but no data rows")
 
+def _label_index(path, names, label_column, labeled: bool, width: int):
+    """Resolve the label column against the header names and the row width."""
     if not labeled:
-        label_idx = None
-    elif label_column is None:
+        return None
+    if label_column is None:
         if names is not None and "label" in names:
             label_idx = names.index("label")
         else:
@@ -289,11 +267,94 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
         label_idx = names.index(label_column)
     else:
         label_idx = int(label_column)
-
-    width = len(rows[0])
-    if labeled and not (0 <= label_idx < width):
+    if not (0 <= label_idx < width):
         raise DataError(f"{path}: label column index {label_idx} out of range for "
                         f"{width} columns")
+    return label_idx
+
+
+def load_csv(path, label_column=None, add_intercept: bool = False,
+             label_map: dict | None = None, header: str = "auto",
+             labeled: bool = True) -> Dataset:
+    """Load a dense CSV with one label column; empty cells become 0.0.
+
+    The first non-empty row decides whether the file has a header; the
+    rest goes to numpy's C reader in one pass, and the labels must then be
+    0 or 1.  A file the C reader declines (an empty or unparsable cell, a
+    ragged row, a label other than 0 or 1, no data rows) is read again by
+    the Python row loop, and a file read with a label map (whose labels are
+    matched as text) goes to it directly; the row loop fills empty (or
+    whitespace-only) cells with 0.0 and reports the exact row and column of
+    what does not parse.  The C reader converts numbers as
+    Python's ``float`` does and declines the spellings only ``float``
+    accepts (underscores, non-ASCII digits), so both readers give the same
+    bits.
+
+    ``label_column`` may be a header name or a 0-based index; None means
+    the column named "label" when a header exists, else column 0.
+    ``header`` is "auto", "yes", or "no"; "auto" takes the first row as a
+    header only when none of its non-blank cells parses as a number.  With
+    ``labeled=False`` the file holds features only (data to predict on):
+    every column is a feature, the returned labels are all-zero
+    placeholders, and ``label_column`` and ``label_map`` must stay unset.
+    """
+    if not labeled and (label_column is not None or label_map is not None):
+        raise ValueError("a file without labels takes no label column or label map")
+    parsed = _read_table(path, label_column, header, labeled) if label_map is None else None
+    if parsed is None:
+        parsed = _read_rows(path, label_column, label_map, header, labeled)
+    X, y = parsed
+    if add_intercept:
+        X = np.hstack([X, np.ones((X.shape[0], 1))])
+    return Dataset(X, y, has_intercept=add_intercept)
+
+
+def _read_table(path, label_column, header: str, labeled: bool):
+    """``(X, y)`` from numpy's C reader, or None for a file it declines."""
+    with open(path, newline="") as fh:
+        first = next((row for row in csv.reader(fh) if row), None)
+        if first is None:
+            return None
+        has_header = _has_header(first, header)
+        if not has_header:
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # a file without data rows is declined below, with no warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                table = np.loadtxt(fh, dtype=float, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if table.shape[0] == 0:
+        return None
+    names = [c.strip() for c in first] if has_header else None
+    label_idx = _label_index(path, names, label_column, labeled, table.shape[1])
+    if label_idx is None:
+        return table, np.zeros(table.shape[0], dtype=int)
+    labels = table[:, label_idx]
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        return None
+    return np.delete(table, label_idx, axis=1), labels.astype(int)
+
+
+def _read_rows(path, label_column, label_map, header: str, labeled: bool):
+    """``(X, y)`` parsed row by row: blank cells, label maps and messages."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise DataError(f"{path}: file contains no rows")
+
+    names = None
+    if _has_header(rows[0], header):
+        names = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+        if not rows:
+            raise DataError(f"{path}: file contains a header but no data rows")
+
+    width = len(rows[0])
+    label_idx = _label_index(path, names, label_column, labeled, width)
     features = []
     labels = []
     for i, row in enumerate(rows):
@@ -312,10 +373,8 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
             features.append([_parse_feature(cell.strip(), f"{where}, column {j + 1}")
                              for j, cell in enumerate(row) if j != label_idx])
     X = np.asarray(features, dtype=float)
-    if add_intercept:
-        X = np.hstack([X, np.ones((X.shape[0], 1))])
     y = np.asarray(labels) if labeled else np.zeros(X.shape[0], dtype=int)
-    return Dataset(X, y, has_intercept=add_intercept)
+    return X, y
 
 
 def load_sparse_classification_format(path, add_intercept: bool = False,
@@ -351,6 +410,8 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
                     raise DataError(f"{where}: feature indices are 1-based, got {idx}")
                 if idx in row:
                     raise DataError(f"{where}: duplicate feature index {idx}")
+                if val_str == "":  # an absent feature is left out, never written empty
+                    raise DataError(f"{where}: feature index {idx} has no value")
                 row[idx] = _parse_feature(val_str, where)
                 max_idx = max(max_idx, idx)
             entries.append(row)

@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's closed-form code paths: the prox
-oracle minimizes over a dense grid, and the l1 oracle enumerates sign
-patterns and solves smooth bound-constrained problems with L-BFGS-B.
+oracle minimizes over a dense grid, the l1 oracle enumerates sign
+patterns and solves smooth bound-constrained problems with L-BFGS-B, and
+the CSV oracle is the loader's Python row loop on its own.
 """
 
 from itertools import product
@@ -10,7 +11,26 @@ from itertools import product
 import numpy as np
 from scipy.optimize import minimize
 
+from wclogit.data import _read_rows, load_csv
 from wclogit.model import Dataset, loss, loss_gradient
+
+
+def _outcome(read):
+    """A load's result as bytes, or its error's type and message."""
+    try:
+        data = read()
+    except ValueError as exc:  # DataError included
+        return type(exc).__name__, str(exc)
+    return data.features.shape, data.features.tobytes(), data.labels.tobytes()
+
+
+def csv_outcomes(path, label_column=None, header="auto", labeled=True):
+    """``load_csv`` and the Python row loop alone, on the same file."""
+    loaded = _outcome(lambda: load_csv(path, label_column=label_column, header=header,
+                                       labeled=labeled))
+    row_loop = _outcome(lambda: Dataset(*_read_rows(path, label_column, None, header,
+                                                    labeled)))
+    return loaded, row_loop
 
 
 def random_instance(rng, n, d):

@@ -97,6 +97,18 @@ def test_train_deterministic_output(synth, tmp_path):
     assert (tmp_path / "m1.txt").read_bytes() == (tmp_path / "m2.txt").read_bytes()
 
 
+def test_train_trace_out_changes_no_other_output(synth, tmp_path, capsys):
+    # the trace is recorded only when written; the fit is the same either way
+    outputs = []
+    for extra in ([], ["--trace-out", tmp_path / "t.csv"]):
+        assert run("train", synth["train"], "--beta", 0.3, "--zeta", 0.5, "--center",
+                   "--backtracking", "--out", tmp_path / "m.txt", *extra) == 0
+        stdout = capsys.readouterr().out
+        outputs.append(((tmp_path / "m.txt").read_bytes(), stdout))
+    assert outputs[0] == outputs[1]
+    assert (tmp_path / "t.csv").exists()
+
+
 def test_train_rejects_inadmissible_alpha(synth, tmp_path, capsys):
     code = run("train", synth["train"], "--beta", 0.3, "--zeta", 0.5,
                "--alpha", 50, "--out", tmp_path / "m.txt")
@@ -159,6 +171,20 @@ def test_usage_errors_and_help():
     assert run("train") == 1  # missing data path and --beta
     assert run("frobnicate") == 1
     assert run("--help") == 0
+
+
+def test_successive_calls_share_no_flag_values(synth, tmp_path):
+    # main() reuses one parser; a flag given to one call must not carry over
+    train = ["train", synth["train"], "--beta", 0.3, "--quiet", "--out"]
+    assert run(*train, tmp_path / "a.txt") == 0
+    assert run(*train, tmp_path / "b.txt", "--center", "--add-intercept") == 0
+    assert run("train", "--help") == 0
+    assert run(*train) == 1  # --out without its value
+    assert run(*train, tmp_path / "c.txt") == 0
+    centered, last = (load_model(tmp_path / f"{n}.txt") for n in "bc")
+    assert centered.centered and centered.has_intercept
+    assert not last.centered and not last.has_intercept
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "c.txt").read_bytes()
 
 
 # --- predict -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import csv_outcomes
 
 from wclogit.data import (
     DataError,
@@ -259,6 +260,66 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert (tmp_path / "round.csv").read_bytes() == (tmp_path / "round2.csv").read_bytes()
 
 
+def test_load_csv_first_row_with_a_number_is_data(tmp_path):
+    # one typo in a headerless file's first row fails there; it does not
+    # turn the row into a header and drop the sample
+    typo = write(tmp_path / "t.csv", "1,2.0,abc\n0,1.5,2.5\n1,0.5,1.0\n")
+    with pytest.raises(DataError) as err:
+        load_csv(typo)
+    assert str(err.value) == f"{typo}: row 1, column 3: cannot parse feature value 'abc'"
+    named = load_csv(write(tmp_path / "n.csv", "label, ,f2\n1,0.5,2\n"))
+    assert named.n_samples == 1  # a header may leave names blank
+    blank = load_csv(write(tmp_path / "b.csv", " ,1\n0,2\n"), labeled=False)
+    assert blank.n_samples == 2  # a row of blanks and numbers is data
+
+
+# files at the edges of what numpy's C reader and the row loop accept
+EDGE_FILES = {
+    "blank lines": b"\nlabel,a,b\n\n1,2,3\n\n0,4,5\n\n",
+    "whitespace-only line": b"label,a,b\n1,2,3\n \n0,4,5\n",
+    "tab-only line": b"1,2,3\n\t\n0,4,5\n",
+    "crlf": b"label,a,b\r\n1,2,3\r\n\r\n0,4,5\r\n",
+    "cr": b"1,2,3\r0,4,5\r",
+    "no final newline": b"1,2,3\n0,4,5",
+    "quoted cells": b'"label","a","b"\n"1","2.5",3\n0,"4",5\n',
+    "quoted comma": b'label,a,b\n1,"2,5",3\n',
+    "quoted newline": b'label,a,b\n1,"2\n5",3\n',
+    "padded cells": b"label,a,b\n 1 , 2.5 ,\t3\t\n0,\xc2\xa04,5\n",
+    "underscore": b"1,1_0,3\n",
+    "nan and inf": b"1,nan,3\n0,Infinity,-inf\n",
+    "overflow": b"1,1e400,3\n",
+    "subnormal and signed zero": b"1,-1e-320,-0\n-0,0,-0.0\n",
+    "empty cell": b"label,a,b\n1,,3\n0,4,\n",
+    "blank cell": b"label,a,b\n1, ,3\n",
+    "trailing comma": b"1,2,3,\n0,4,5,\n",
+    "short row": b"1,2,3\n0,4\n",
+    "long row": b"1,2,3\n0,4,5,6\n",
+    "non-binary label": b"2,2,3\n0,4,5\n",
+    "float labels": b"1.0,2,3\n0e0,4,5\n+1,6,7\n",
+    "nan label": b"nan,2,3\n",
+    "header only": b"label,a,b\n",
+    "header and blank lines": b"label,a,b\n\n\n",
+    "empty file": b"",
+    "fullwidth digit": b"1,\xef\xbc\x91,3\n",
+    "nul": b"1,2\x00,3\n",
+    "hex": b"1,0x10,3\n",
+    "one column": b"1\n0\n",
+    "label named y": b"a,y,b\n0.5,1,-2\n3,0,4\n",
+    "padded names": b"a , label ,y\n0.5,1,-2\n3,0,4\n",
+}
+
+
+@pytest.mark.parametrize("name", EDGE_FILES)
+def test_load_csv_equals_the_row_loop_on_edge_cases(tmp_path, name):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(EDGE_FILES[name])
+    modes = [{}, {"labeled": False}, {"label_column": 2}, {"label_column": "y"},
+             {"header": "no"}, {"header": "yes"}]
+    for mode in modes:
+        loaded, row_loop = csv_outcomes(path, **mode)
+        assert loaded == row_loop, mode
+
+
 # --- sparse format -----------------------------------------------------------
 
 
@@ -288,6 +349,14 @@ def test_load_sparse_rejects_malformed_lines(tmp_path):
     bad = write(tmp_path / "b.txt", "1 2;1\n")
     with pytest.raises(DataError, match="idx:val"):
         load_sparse_classification_format(bad)
+
+
+def test_load_sparse_rejects_an_empty_value(tmp_path):
+    # a truncated entry is an error, not a zero (blank means 0.0 in CSVs only)
+    p = write(tmp_path / "e.txt", "1 3:\n0 1:2.5\n")
+    with pytest.raises(DataError) as err:
+        load_sparse_classification_format(p)
+    assert str(err.value) == f"{p}: line 1: feature index 3 has no value"
 
 
 def test_load_sparse_intercept_and_label_map(tmp_path):

@@ -1,13 +1,14 @@
 """Property tests: the stacked penalty and model kernels against the
 one-point calls, the loss kernel against ``np.logaddexp``, the prox against
-its closed form, the loaders' error positions, and the CSV, sparse-format
-and model-file round trips.
+its closed form, the loaders' error positions, ``load_csv`` against its
+Python row loop, and the CSV, sparse-format and model-file round trips.
 
 Examples are derandomized, so every run checks the same cases.
 """
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from helpers import csv_outcomes
 
 from wclogit.data import DataError, load_csv, load_sparse_classification_format, save_csv
 from wclogit.model import Dataset, _kernels, loss
@@ -236,6 +239,54 @@ def test_load_csv_rows_with_blank_cells_load_like_the_per_cell_parse(table):
         back = load_csv(write_rows(tmp, rows), label_column=label_column, header="no")
     assert back.features.tobytes() == np.array(expected).tobytes()
     assert back.labels.tolist() == [int(row[label_column]) for row in rows]
+
+
+# cells where numpy's C reader and the row loop could part ways
+odd_cells = st.sampled_from([
+    "0", "1", "-0", "1.0", " 1 ", '"1"', '"2.5"', "\t3\t", "\xa04", "+2", "1e400",
+    "-1e-320", "nan", "inf", "-Infinity", "1_0", "", " ", "abc", '"4,5"', "\uff11", ".",
+    "0x1", "label"])
+csv_cells = st.one_of(st.floats().map(repr), st.sampled_from(["0", "1"]), odd_cells)
+csv_names = st.sampled_from(["label", " label ", "y", "a", "b", " ", ""])
+
+
+@st.composite
+def csv_files(draw):
+    """Small CSV texts: an optional header, rows of mostly one width, blank
+    and whitespace-only lines, and one line ending per file."""
+    width = draw(st.integers(1, 4))
+    lines = [",".join(draw(csv_names) for _ in range(width))] if draw(st.booleans()) else []
+    row_widths = st.sampled_from([width, width, width, width + 1, max(width - 1, 1)])
+    rows = st.builds(lambda cells: ",".join(cells),
+                     row_widths.flatmap(lambda w: st.lists(csv_cells, min_size=w, max_size=w)))
+    blank = st.sampled_from(["", "", " ", "\t"])
+    if draw(st.booleans()):  # a file the C reader takes: labels first, numbers after
+        rows = st.builds(lambda label, cells: ",".join([label] + cells),
+                         st.sampled_from(["0", "1"]),
+                         st.lists(st.floats().map(repr), min_size=width - 1,
+                                  max_size=width - 1))
+        blank = st.just("")
+    lines += draw(st.lists(st.one_of(rows, rows, rows, blank), max_size=5))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@PROPERTY
+@given(csv_files())
+@example("label,a\n")  # header only: the row loop's message, no loadtxt warning
+@example("1,2.0,abc\n0,1.5,2.5\n")
+@example("label,a\r\n1,2\r\n \r\n0,3\r\n")
+def test_load_csv_equals_its_row_loop(text):
+    modes = [{"labeled": False}] + [{"label_column": c} for c in (None, 0, 1, 3, "label")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for header in ("auto", "yes", "no"):
+                for mode in modes:
+                    loaded, row_loop = csv_outcomes(path, header=header, **mode)
+                    assert loaded == row_loop, (header, mode)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
