@@ -27,7 +27,8 @@ from .model import Dataset, loss_gradient, spectral_norm
 from .penalty import (
     MCP,
     PenaltySpec,
-    convexified_derivatives,
+    _as_float_array,
+    _convexified_derivatives,
     convexified_second_derivatives,
     penalty_derivatives,
 )
@@ -142,19 +143,17 @@ def beta_threshold(data: Dataset, spec: PenaltySpec) -> float:
 def check_critical_point(theta, beta: float, spec: PenaltySpec, data: Dataset,
                          tol: float = 0.0) -> bool:
     """Coordinatewise subgradient inclusion test with additive slack ``tol``."""
-    theta = np.asarray(theta, dtype=float)
-    grad = loss_gradient(theta, data)
-    lo, hi = convexified_derivatives(theta, spec)
-    target = 2.0 * spec.zeta * theta - grad / beta
-    return bool(np.all(target >= np.asarray(lo) - tol) and np.all(target <= np.asarray(hi) + tol))
+    theta, grad = _point_and_gradient(theta, data)
+    return _is_critical(*_conditions(theta, grad, beta, spec), tol)
 
 
 def check_sufficient_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
                                tol: float = 0.0) -> bool:
     """Sufficient condition: strict interior membership at kinks, or gradient
     match plus one-sided curvature H'' >= 2*zeta at smooth coordinates."""
-    return _check_local_opt(theta, beta, spec, data, tol, curvature_floor=2.0 * spec.zeta,
-                            strict_kinks=True)
+    theta, grad = _point_and_gradient(theta, data)
+    return _is_local_opt(theta, *_conditions(theta, grad, beta, spec), spec, tol,
+                         curvature_floor=2.0 * spec.zeta, strict_kinks=True)
 
 
 def check_necessary_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
@@ -162,35 +161,43 @@ def check_necessary_local_opt(theta, beta: float, spec: PenaltySpec, data: Datas
     """Necessary condition: non-strict inclusion at kinks, and curvature floor
     lowered by ||X||^2 / (4*beta) at smooth coordinates."""
     norm = spectral_norm(data, tol=1e-12)
-    floor = 2.0 * spec.zeta - 0.25 * norm * norm / beta
-    return _check_local_opt(theta, beta, spec, data, tol, curvature_floor=floor,
-                            strict_kinks=False)
+    theta, grad = _point_and_gradient(theta, data)
+    return _is_local_opt(theta, *_conditions(theta, grad, beta, spec), spec, tol,
+                         curvature_floor=_necessary_floor(beta, spec, norm), strict_kinks=False)
 
 
-def _check_local_opt(theta, beta, spec, data, tol, curvature_floor, strict_kinks) -> bool:
-    theta = np.asarray(theta, dtype=float)
-    grad = loss_gradient(theta, data)
-    target = 2.0 * spec.zeta * theta - grad / beta
-    fl, fr = penalty_derivatives(theta, spec)
-    hl, hr = convexified_derivatives(theta, spec)
+def _point_and_gradient(theta, data: Dataset):
+    """theta as a finite float array, and its loss gradient (which checks its width)."""
+    theta = _as_float_array(theta)
+    return theta, loss_gradient(theta, data)
+
+
+def _conditions(theta, grad, beta, spec):
+    """What every check compares: the target 2*zeta*theta - grad/beta and the
+    one-sided derivatives (lo, hi) of H at theta."""
+    lo, hi = _convexified_derivatives(theta, spec)
+    return 2.0 * spec.zeta * theta - grad / beta, lo, hi
+
+
+def _necessary_floor(beta, spec, norm) -> float:
+    return 2.0 * spec.zeta - 0.25 * norm * norm / beta
+
+
+def _is_critical(target, lo, hi, tol) -> bool:
+    return bool(np.all(target >= lo - tol) and np.all(target <= hi + tol))
+
+
+def _is_local_opt(theta, target, lo, hi, spec, tol, curvature_floor, strict_kinks) -> bool:
     cl, cr = convexified_second_derivatives(theta, spec)
-    fl, fr = np.asarray(fl), np.asarray(fr)
-    hl, hr = np.asarray(hl), np.asarray(hr)
-    cl, cr = np.asarray(cl), np.asarray(cr)
-    for i in range(theta.size):
-        if fl[i] != fr[i]:  # penalty kink at this coordinate
-            if strict_kinks:
-                if not (hl[i] < target[i] < hr[i]):
-                    return False
-            else:
-                if not (hl[i] - tol <= target[i] <= hr[i] + tol):
-                    return False
-        else:
-            if abs(target[i] - hl[i]) > tol:
-                return False
-            if cl[i] < curvature_floor or cr[i] < curvature_floor:
-                return False
-    return True
+    if strict_kinks:
+        kink_ok = (lo < target) & (target < hi)
+    else:
+        kink_ok = (lo - tol <= target) & (target <= hi + tol)
+    # written as failures, so that a NaN comparison passes as it does coordinatewise
+    smooth_fails = ((np.abs(target - lo) > tol)
+                    | (cl < curvature_floor) | (cr < curvature_floor))
+    # the penalty's one kink is at 0
+    return not np.any(np.where(theta == 0.0, ~kink_ok, smooth_fails))
 
 
 def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
@@ -203,13 +210,12 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
     coordinate's gradient as zero, ``margin = 1e-9 * beta`` for calling a
     zero coordinate's gradient magnitude a tie with beta.
     """
-    theta = np.asarray(theta, dtype=float)
     norm = spectral_norm(data, tol=1e-12)
     if grad_tol is None:
         grad_tol = 1e-6 * (1.0 + norm)
     if margin is None:
         margin = 1e-9 * beta
-    grad = loss_gradient(theta, data)
+    theta, grad = _point_and_gradient(theta, data)
     kink_radius = spec.plateau_start
 
     rows = []
@@ -241,11 +247,15 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
     except ValueError:
         threshold = None
 
+    conditions = _conditions(theta, grad, beta, spec)
     return CertificateReport(
         per_coordinate=rows,
-        is_critical_point=check_critical_point(theta, beta, spec, data, tol=slack),
-        satisfies_sufficient=check_sufficient_local_opt(theta, beta, spec, data, tol=slack),
-        satisfies_necessary=check_necessary_local_opt(theta, beta, spec, data, tol=slack),
+        is_critical_point=_is_critical(*conditions, slack),
+        satisfies_sufficient=_is_local_opt(theta, *conditions, spec, slack,
+                                           curvature_floor=2.0 * spec.zeta, strict_kinks=True),
+        satisfies_necessary=_is_local_opt(theta, *conditions, spec, slack,
+                                          curvature_floor=_necessary_floor(beta, spec, norm),
+                                          strict_kinks=False),
         mcp_iff_applicable=applicable,
         mcp_iff_verdict=verdict,
         beta_threshold=threshold,

@@ -467,7 +467,7 @@ def _reproduce_convergence(out_dir: Path, accelerate: bool, max_iters: int,
             print(f"alpha = {alpha:g}: final objective {result.final_objective:.6f}, "
                   f"trace in {trace_path}")
 
-    l1_config = SolverConfig(eps_tol=1e-15, max_iters=max_iters)
+    l1_config = SolverConfig(eps_tol=1e-15, max_iters=max_iters, record_trace=False)
     l1_result = fit(train, _CONVERGENCE_BETA, PenaltySpec(zeta=0.0), l1_config)
     estimates["l1"] = _normalized(l1_result.theta)
 

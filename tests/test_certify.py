@@ -25,7 +25,13 @@ from wclogit.certify import (
 )
 from wclogit.data import SynthSpec, gen_separable
 from wclogit.model import Dataset, loss, loss_gradient, spectral_norm
-from wclogit.penalty import PenaltySpec, penalty_total
+from wclogit.penalty import (
+    PenaltySpec,
+    convexified_derivatives,
+    convexified_second_derivatives,
+    penalty_derivatives,
+    penalty_total,
+)
 from wclogit.solver import SolverConfig, fit
 
 
@@ -219,6 +225,76 @@ def test_sufficient_implies_necessary_implies_critical():
             assert nec
         if nec:
             assert crit
+
+
+def local_opt_by_coordinate(theta, beta, spec, data, tol, curvature_floor, strict_kinks):
+    """The sufficient/necessary test one coordinate at a time, from the public
+    derivative functions: the reference for the vectorized checks."""
+    target = 2.0 * spec.zeta * theta - loss_gradient(theta, data) / beta
+    fl, fr = penalty_derivatives(theta, spec)
+    hl, hr = convexified_derivatives(theta, spec)
+    cl, cr = convexified_second_derivatives(theta, spec)
+    for i in range(theta.size):
+        if fl[i] != fr[i]:  # penalty kink at this coordinate
+            if strict_kinks:
+                if not (hl[i] < target[i] < hr[i]):
+                    return False
+            elif not (hl[i] - tol <= target[i] <= hr[i] + tol):
+                return False
+        else:
+            if abs(target[i] - hl[i]) > tol:
+                return False
+            if cl[i] < curvature_floor or cr[i] < curvature_floor:
+                return False
+    return True
+
+
+def test_local_opt_checks_equal_the_per_coordinate_reference():
+    rng = np.random.default_rng(55)
+    flat = Dataset(np.zeros((3, 3)), np.array([0, 1, 1]))
+    seen = set()
+    for trial in range(24):
+        zeta = (0.0, 0.1, 0.5, 2.0)[trial % 4]
+        spec = PenaltySpec(zeta=zeta)
+        data = flat if trial % 5 == 0 else centered_instance(rng, 12, 3)
+        norm = spectral_norm(data, tol=1e-12)
+        for beta in (0.05, 0.5, 3.0):
+            floor = 2.0 * zeta - 0.25 * norm * norm / beta
+            for _ in range(6):
+                # zeros (kinks), plateau edges, plateau and inner coordinates
+                theta = rng.standard_normal(3) * rng.choice([0.1, 1.0, 10.0])
+                theta[rng.random(3) < 0.4] = 0.0
+                if zeta > 0:
+                    edge = rng.random(3) < 0.3
+                    theta[edge] = rng.choice([-1.0, 1.0], edge.sum()) * spec.plateau_start
+                for tol in (0.0, 1e-9, 1e-2, 10.0):
+                    suff = check_sufficient_local_opt(theta, beta, spec, data, tol=tol)
+                    nec = check_necessary_local_opt(theta, beta, spec, data, tol=tol)
+                    assert suff == local_opt_by_coordinate(theta, beta, spec, data, tol,
+                                                           2.0 * zeta, True)
+                    assert nec == local_opt_by_coordinate(theta, beta, spec, data, tol,
+                                                          floor, False)
+                    seen.update({("suff", suff), ("nec", nec)})
+                report = check_mcp_local_opt(theta, beta, spec, data)
+                slack = 1e-6 * (1.0 + norm) / beta
+                assert report.is_critical_point == check_critical_point(
+                    theta, beta, spec, data, tol=slack)
+                assert report.satisfies_sufficient == check_sufficient_local_opt(
+                    theta, beta, spec, data, tol=slack)
+                assert report.satisfies_necessary == check_necessary_local_opt(
+                    theta, beta, spec, data, tol=slack)
+    # both verdicts of both checks were exercised
+    assert len(seen) == 4
+
+
+def test_checks_reject_non_finite_points():
+    rng = np.random.default_rng(56)
+    data = centered_instance(rng, 10, 2)
+    spec = PenaltySpec(zeta=0.1)
+    for check in (check_critical_point, check_sufficient_local_opt,
+                  check_necessary_local_opt, check_mcp_local_opt):
+        with pytest.raises(ValueError, match="finite"):
+            check(np.array([np.nan, 0.0]), 1.0, spec, data)
 
 
 def test_necessary_rejects_inner_region_in_strict_regime():

@@ -4,6 +4,7 @@ Key oracles: the coordinatewise grid oracle for one prox-gradient step,
 and the sign-pattern l1 oracle for the convex zeta = 0 special case.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -305,6 +306,20 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "7", np.inf, np.nan, None,
+                                 np.float64(3.0), -2, np.int64(0)])
+def test_solver_config_rejects_a_max_iters_that_is_no_positive_integer(bad):
+    # int() would have run 2.5 as 2 iterations, True as 1 and '7' as 7
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=bad)
+
+
+def test_solver_config_keeps_integer_max_iters():
+    for good in (1, 7, np.int64(7), np.int32(7)):
+        config = SolverConfig(max_iters=good)
+        assert config.max_iters == int(good) and type(config.max_iters) is int
+
+
 # --- criticality residual --------------------------------------------------------
 
 
@@ -417,6 +432,87 @@ def test_engine_trace_matches_checked_public_functions(name):
     assert last.objective == result.final_objective
     assert last.residual == criticality_residual(result.theta, beta, spec, data)
     assert len(result.trace) == result.iterations + 1
+
+
+def _iterate(data, beta, spec, config, theta0, k):
+    """theta_k: the start for k = 0, else what fit returns when capped at k iterations."""
+    if k == 0:
+        return np.zeros(data.n_features) if theta0 is None else theta0
+    return fit(data, beta, spec, replace(config, max_iters=k), theta0=theta0).theta
+
+
+def _assert_rows_are_those_of_the_iterates(data, beta, spec, config, theta0, result, rows):
+    for k in rows:
+        theta = _iterate(data, beta, spec, config, theta0, k)
+        prev = _iterate(data, beta, spec, config, theta0, max(k - 1, 0))
+        row = result.trace[k]
+        assert row.residual == criticality_residual(theta, beta, spec, data), k
+        assert row.step_norm == np.linalg.norm(theta - prev), k
+        assert row.objective == objective(theta, data, beta, spec), k
+
+
+@pytest.mark.parametrize("start", ["zeros", "theta0"])
+@pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+def test_trace_rows_across_blocks_are_those_of_each_iterate(name, start):
+    # fit computes trace rows per block of 64 iterates after the fact: the
+    # rows on both sides of the first block boundary, the first and the last
+    # keep the bits of the checked public functions at each iterate
+    rng = np.random.default_rng(44)
+    data = centered_instance(rng, 20, 10)
+    theta0 = rng.standard_normal(10) if start == "theta0" else None
+    spec, beta = PenaltySpec(zeta=0.3), 0.4
+    config = replace(ENGINE_CONFIGS[name], eps_tol=1e-30, max_iters=100)
+    result = fit(data, beta, spec, config, theta0=theta0)
+    assert result.iterations > 65 and len(result.trace) == result.iterations + 1
+    _assert_rows_are_those_of_the_iterates(data, beta, spec, config, theta0, result,
+                                           (0, 1, 63, 64, 65, result.iterations))
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+def test_trace_rows_of_a_fit_that_stalls_within_one_block(name):
+    rng = np.random.default_rng(43)
+    data = centered_instance(rng, 30, 8)
+    spec, beta = PenaltySpec(zeta=0.3), 0.4
+    config = replace(ENGINE_CONFIGS[name], eps_tol=1e-3, max_iters=100)
+    result = fit(data, beta, spec, config)
+    assert result.converged and result.iterations < 32
+    _assert_rows_are_those_of_the_iterates(data, beta, spec, config, None, result,
+                                           range(result.iterations + 1))
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+def test_trace_leaves_the_iteration_unchanged(name):
+    rng = np.random.default_rng(45)
+    data = centered_instance(rng, 30, 8)
+    spec, beta = PenaltySpec(zeta=0.3), 0.4
+    for eps_tol in (1e-30, 1e-6):
+        config = replace(ENGINE_CONFIGS[name], eps_tol=eps_tol, max_iters=150)
+        theta0 = rng.standard_normal(8)
+        traced = fit(data, beta, spec, config, theta0=theta0)
+        untraced = fit(data, beta, spec, replace(config, record_trace=False), theta0=theta0)
+        assert untraced.trace == []
+        assert traced.theta.tobytes() == untraced.theta.tobytes()
+        assert traced.final_objective == untraced.final_objective
+        assert traced.trace[-1].objective == untraced.final_objective
+        assert (traced.iterations, traced.converged) == (untraced.iterations,
+                                                         untraced.converged)
+
+
+def test_trace_memory_does_not_grow_with_the_iterations():
+    # keeping every iterate and gradient of this fit would take
+    # 2 * 2000 * 5000 * 8 B = 160 MB; the trace holds one block of 64 of
+    # them, and its peak (~24 MB) is mostly that block's temporaries
+    rng = np.random.default_rng(46)
+    data = random_instance(rng, 20, 5000)
+    config = SolverConfig(eps_tol=1e-300, max_iters=2000)
+    tracemalloc.start()
+    try:
+        result = fit(data, 0.01, PenaltySpec(zeta=0.0), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 2000 and len(result.trace) == 2001
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("rule", [CONSTANT, BACKTRACKING])
