@@ -85,8 +85,7 @@ class CertificateReport:
     possible_separable_escape: bool
 
     def to_text(self) -> str:
-        lines = []
-        lines.append(f"problem nonconvex (rank-deficient features): {_yn(self.problem_nonconvex)}")
+        lines = [f"problem nonconvex (rank-deficient features): {_yn(self.problem_nonconvex)}"]
         if self.beta_threshold is None:
             lines.append("zero-solution beta threshold: unavailable (data not centered)")
         else:
@@ -118,7 +117,9 @@ def _yn(flag: bool) -> str:
 def is_problem_nonconvex(data: Dataset) -> bool:
     """True when the feature matrix has numerical rank below the dimension,
     which makes the regularized objective nonconvex for every zeta > 0."""
-    return bool(np.linalg.matrix_rank(data.features) < data.n_features)
+    s = data._singular_values  # the rank as matrix_rank counts it, above s_max*max(N, d)*eps
+    rank = np.count_nonzero(s > s[0] * (max(data.features.shape) * np.finfo(float).eps))
+    return bool(rank < data.n_features)
 
 
 def beta_threshold(data: Dataset, spec: PenaltySpec) -> float:
@@ -160,7 +161,7 @@ def check_necessary_local_opt(theta, beta: float, spec: PenaltySpec, data: Datas
                               tol: float = 0.0) -> bool:
     """Necessary condition: non-strict inclusion at kinks, and curvature floor
     lowered by ||X||^2 / (4*beta) at smooth coordinates."""
-    norm = spectral_norm(data, tol=1e-12)
+    norm = spectral_norm(data)
     theta, grad = _point_and_gradient(theta, data)
     return _is_local_opt(theta, *_conditions(theta, grad, beta, spec), spec, tol,
                          curvature_floor=_necessary_floor(beta, spec, norm), strict_kinks=False)
@@ -210,7 +211,7 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
     coordinate's gradient as zero, ``margin = 1e-9 * beta`` for calling a
     zero coordinate's gradient magnitude a tie with beta.
     """
-    norm = spectral_norm(data, tol=1e-12)
+    norm = spectral_norm(data)
     if grad_tol is None:
         grad_tol = 1e-6 * (1.0 + norm)
     if margin is None:
@@ -219,10 +220,8 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
     kink_radius = spec.plateau_start
 
     rows = []
-    for j in range(theta.size):
-        ga = abs(float(grad[j]))
-        ta = abs(float(theta[j]))
-        if theta[j] == 0.0:
+    for j, (ta, ga) in enumerate(zip(np.abs(theta).tolist(), np.abs(grad).tolist())):
+        if ta == 0.0:
             if ga < beta - margin:
                 case, ok = CASE_ZERO_STRICT, True
             elif ga <= beta + margin:

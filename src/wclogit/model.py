@@ -9,7 +9,9 @@ negative log-likelihood over the dataset is
 evaluated term by term as  max(-s_i*z_i, 0) + log1p(exp(-|z_i|))  with
 z_i = theta @ x_i, so that margins up to +-1e4 stay finite.  The gradient
 Lipschitz constant is bounded by ||X||^2 / 4 with ||X|| the spectral norm
-of the feature matrix.
+of the feature matrix.  ||X|| is the largest of the singular values that
+one SVD per dataset computes and caches; the certificate takes the
+matrix rank from the same vector.
 
 The public functions check their inputs and then call the private kernels
 below, which the solver calls directly.  ``_margins`` makes the one pass
@@ -22,8 +24,8 @@ matrix, one pass for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -47,9 +49,10 @@ class Dataset:
     (zeros when ``centered`` is false).  When ``has_intercept`` is true the
     last column is a constant-1 column that centering must leave alone.
     Instances are immutable: the fields cannot be reassigned and the
-    feature and label arrays are read-only views, because ``spectral_norm``
-    caches its result on the instance.  Derived datasets (``center``,
-    splits, ...) are new instances with an empty cache.
+    feature and label arrays are read-only views, because the singular
+    values of the features are computed once and cached on the instance.
+    Derived datasets (``center``, splits, ...) are new instances with an
+    empty cache.
     """
 
     features: np.ndarray
@@ -57,8 +60,6 @@ class Dataset:
     centered: bool = False
     center: np.ndarray | None = None
     has_intercept: bool = False
-    # spectral_norm results keyed by tolerance
-    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
@@ -95,6 +96,13 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
+        """Singular values of the features in descending order, read-only."""
+        s = np.linalg.svd(self.features, compute_uv=False)
+        s.flags.writeable = False
+        return s
 
 
 def _exp_pair(z: np.ndarray):
@@ -179,47 +187,17 @@ def loss_gradient(theta, data: Dataset) -> np.ndarray:
 
 
 def spectral_norm(data: Dataset, tol: float = 1e-10) -> float:
-    """Largest singular value of the feature matrix by power iteration.
+    """Spectral norm ||X|| of the feature matrix: its largest singular value,
+    exact up to the rounding of the SVD that the dataset caches.
 
-    The start vector comes from a fixed seed, so repeated calls agree
-    bitwise.  Iteration stops once successive estimates agree to relative
-    tolerance ``tol`` (capped at 10000 sweeps).  The result is cached on
-    the dataset per ``tol``, so the iteration runs once per dataset.
+    ``tol`` is accepted for compatibility and unused.
     """
-    norms = data._norms
-    if tol not in norms:
-        norms[tol] = _power_iteration(data.features, tol)
-    return norms[tol]
-
-
-def _power_iteration(X: np.ndarray, tol: float) -> float:
-    if not X.any():
-        return 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(X.shape[1])
-    nv = np.linalg.norm(v)
-    v = v / nv
-    estimate = 0.0
-    for _ in range(10000):
-        u = X @ v
-        w = X.T @ u
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # start vector sits in the null space; perturb and continue
-            v = rng.standard_normal(X.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        new = float(np.sqrt(np.dot(u, u)))  # ||X v|| with ||v|| = 1
-        v = w / nw
-        if abs(new - estimate) <= tol * max(new, np.finfo(float).tiny):
-            return new
-        estimate = new
-    return estimate
+    return float(data._singular_values[0])
 
 
 def lipschitz_bound(data: Dataset) -> float:
     """Upper bound ||X||^2 / 4 on the loss gradient's Lipschitz constant."""
-    s = spectral_norm(data, tol=1e-12)
+    s = spectral_norm(data)
     return 0.25 * s * s
 
 

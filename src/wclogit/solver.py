@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -131,6 +132,17 @@ class SolverConfig:
     def __post_init__(self):
         if self.stepsize_rule not in (CONSTANT, BACKTRACKING):
             raise ValueError(f"unknown stepsize rule {self.stepsize_rule!r}")
+        # "no" would switch a flag on, True would run as 1.0, and "0.5" would be
+        # parsed late or fail a comparison with a TypeError
+        for name in ("accelerate", "record_trace"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in ("alpha", "alpha0", "eta", "eps_tol"):
+            value = getattr(self, name)
+            if value is None and name in ("alpha", "alpha0"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if not (np.isfinite(self.eps_tol) and self.eps_tol > 0):
@@ -177,7 +189,7 @@ def write_trace_csv(result: FitResult, path) -> None:
 def max_constant_stepsize(beta: float, spec: PenaltySpec, data: Dataset) -> float:
     """Supremum of admissible constant stepsizes, 1 / max(2*beta*zeta, ||X||^2/8 + beta*zeta)."""
     beta = _check_beta(beta, spec)
-    norm = spectral_norm(data, tol=1e-12)
+    norm = spectral_norm(data)
     denom = max(2.0 * beta * spec.zeta, norm * norm / 8.0 + beta * spec.zeta)
     return 1.0 / denom if denom > 0 else np.inf
 
@@ -275,7 +287,7 @@ def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec, data: D
             if accelerated:
                 # momentum needs the quadratic majorization at every point,
                 # i.e. alpha <= 1/L; the plain-descent bound is ~2x that
-                norm = spectral_norm(data, tol=1e-12)
+                norm = spectral_norm(data)
                 if norm > 0:
                     alpha = min(alpha, 0.99 * 4.0 / (norm * norm))
         else:

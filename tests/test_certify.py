@@ -87,12 +87,19 @@ def test_nonconvex_on_low_rank_synthetic():
 
 def test_nonconvex_matches_svd_rank():
     rng = np.random.default_rng(40)
-    for _ in range(20):
+    near_verdicts = set()
+    for trial in range(60):
         n, d = int(rng.integers(2, 15)), int(rng.integers(2, 10))
         X = rng.standard_normal((n, d))
+        if trial >= 20:
+            # nearly rank-deficient: one column scaled to ~1e-14, about the rank cutoff
+            X[:, rng.integers(d)] *= 10.0 ** rng.uniform(-15.0, -13.0)
         data = Dataset(X, rng.integers(0, 2, size=n))
         expected = np.linalg.matrix_rank(X) < d
         assert is_problem_nonconvex(data) == expected
+        if trial >= 20 and n >= d:
+            near_verdicts.add(expected)
+    assert near_verdicts == {True, False}
 
 
 # --- zero-solution threshold --------------------------------------------------
@@ -380,6 +387,17 @@ def test_mcp_report_not_applicable_when_product_small():
     report = check_mcp_local_opt(np.zeros(4), 0.1, spec, data)
     assert not report.mcp_iff_applicable
     assert report.mcp_iff_verdict is None
+
+
+def test_mcp_characterization_needs_beta_zeta_above_the_exact_norm_bound():
+    # reproduce fig1's data; with a norm estimated from below, as by power
+    # iteration, beta*zeta just under ||X||^2/8 would pass as above it
+    train, _, _ = gen_separable(SynthSpec(d=50, n_train=1000, k=8, latent_dim=45, seed=0))
+    s0 = np.linalg.svd(train.features, compute_uv=False)[0]
+    spec = PenaltySpec(zeta=1.0)  # beta*zeta = beta
+    for scale, applicable in ((1.0 - 1e-13, False), (1.0, False), (1.0 + 1e-13, True)):
+        report = check_mcp_local_opt(np.zeros(50), 0.125 * s0 * s0 * scale, spec, train)
+        assert report.mcp_iff_applicable == applicable
 
 
 def test_mcp_verdict_matches_sufficient_on_exact_inputs():

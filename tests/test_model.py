@@ -234,7 +234,7 @@ def test_spectral_norm_matches_svd():
         X = rng.standard_normal((n, d))
         data = Dataset(X, rng.integers(0, 2, size=n))
         exact = np.linalg.svd(X, compute_uv=False)[0]
-        assert spectral_norm(data, tol=1e-12) == pytest.approx(exact, rel=1e-8)
+        assert spectral_norm(data, tol=1e-12) == exact
 
 
 def test_spectral_norm_deterministic():
@@ -309,36 +309,37 @@ def test_dataset_is_immutable():
 # --- spectral norm cache -------------------------------------------------------
 
 
-def test_spectral_norm_runs_once_per_dataset_and_tol(monkeypatch):
-    import wclogit.model as model
-    from wclogit.certify import check_mcp_local_opt
+def test_one_svd_per_dataset(monkeypatch):
+    from wclogit.certify import check_mcp_local_opt, is_problem_nonconvex
     from wclogit.data import center
     from wclogit.penalty import PenaltySpec
     from wclogit.solver import SolverConfig, fit, max_constant_stepsize
 
+    # every decomposition of the features, whichever numpy entry point runs it
     calls = []
-    power_iteration = model._power_iteration
+    svd, matrix_rank = np.linalg.svd, np.linalg.matrix_rank
 
-    def counted(X, tol):
-        calls.append(tol)
-        return power_iteration(X, tol)
+    def counted(function):
+        def wrapper(X, *args, **kwargs):
+            calls.append(function.__name__)
+            return function(X, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(model, "_power_iteration", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted(svd))
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted(matrix_rank))
     data = random_instance(np.random.default_rng(11), 30, 5)
     spec = PenaltySpec(zeta=0.2)
     bounds = {max_constant_stepsize(0.5, spec, data) for _ in range(3)}
     theta = fit(data, 0.5, spec, SolverConfig(max_iters=5)).theta
     fit(data, 0.5, spec, SolverConfig(accelerate=True, max_iters=5))
     check_mcp_local_opt(theta, 0.5, spec, data)
-    norms = {spectral_norm(data, tol=1e-12) for _ in range(3)}
-    assert calls == [1e-12]
+    is_problem_nonconvex(data)
+    norms = {spectral_norm(data, tol=tol) for tol in (1e-12, 1e-10, 1e-3, 1e-12)}
+    assert calls == ["svd"]
     assert len(bounds) == 1 and len(norms) == 1
-    assert norms.pop() == power_iteration(data.features, 1e-12)
-
-    spectral_norm(data)  # another tolerance is another entry
-    spectral_norm(data)
-    assert calls == [1e-12, 1e-10]
+    assert norms.pop() == svd(data.features, compute_uv=False)[0]
 
     centered = center(data)  # a derived dataset starts with an empty cache
-    spectral_norm(centered, tol=1e-12)
-    assert calls == [1e-12, 1e-10, 1e-12]
+    spectral_norm(centered)
+    is_problem_nonconvex(centered)
+    assert calls == ["svd", "svd"]

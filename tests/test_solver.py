@@ -12,6 +12,7 @@ import pytest
 from helpers import l1_objective, l1_global_oracle, prox_grid_oracle, random_instance
 
 from wclogit import solver
+from wclogit.data import SynthSpec, gen_separable
 from wclogit.model import Dataset, lipschitz_bound, loss, loss_gradient
 from wclogit.penalty import PenaltySpec, penalty_total, prox_vector
 from wclogit.solver import (
@@ -287,6 +288,20 @@ def test_fit_rejects_inadmissible_constant_alpha():
     assert f"{bound}" in str(err.value)
 
 
+def test_constant_stepsize_bound_on_fig1_uses_the_exact_norm():
+    # reproduce fig1's problem; a norm estimated from below, as by power
+    # iteration, would raise the bound and admit the stepsize below
+    train, _, _ = gen_separable(SynthSpec(d=50, n_train=1000, k=8, latent_dim=45, seed=0))
+    beta, spec = 1.2, PenaltySpec(zeta=0.1)
+    s0 = np.linalg.svd(train.features, compute_uv=False)[0]
+    bound = max_constant_stepsize(beta, spec, train)
+    assert bound == 1.0 / max(2.0 * beta * spec.zeta, s0 * s0 / 8.0 + beta * spec.zeta)
+    alpha = 4.081632653088194
+    assert bound < alpha
+    with pytest.raises(ValueError, match="not admissible"):
+        fit(train, beta, spec, SolverConfig(alpha=alpha, max_iters=1))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_fit_raises_on_numerical_blowup():
     data = Dataset(np.array([[1e3], [-1e3]]), np.array([0, 1]))
@@ -318,6 +333,25 @@ def test_solver_config_keeps_integer_max_iters():
     for good in (1, 7, np.int64(7), np.int32(7)):
         config = SolverConfig(max_iters=good)
         assert config.max_iters == int(good) and type(config.max_iters) is int
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("accelerate", "no"), ("accelerate", 1), ("record_trace", "no"), ("record_trace", None),
+    ("eps_tol", True), ("eps_tol", "1e-3"), ("eta", "0.5"), ("eta", np.True_),
+    ("alpha", "0.1"), ("alpha", False), ("alpha0", "1.0"), ("alpha0", [0.5]),
+])
+def test_solver_config_rejects_mistyped_fields(field, bad):
+    # a string switch is truthy, True would run as 1.0, and a string number
+    # would fail a comparison with TypeError or be parsed late
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: bad})
+
+
+def test_solver_config_keeps_typed_fields():
+    config = SolverConfig(alpha=np.float64(0.5), alpha0=2, eta=np.float32(0.25),
+                          eps_tol=1e-3, accelerate=np.True_, record_trace=False)
+    assert (config.alpha, config.alpha0, config.eta, config.eps_tol) == (0.5, 2, 0.25, 1e-3)
+    assert SolverConfig(alpha=None, alpha0=None).alpha is None
 
 
 # --- criticality residual --------------------------------------------------------
