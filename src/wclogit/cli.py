@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,10 +79,18 @@ class CvGrid:
         self.zetas = tuple(sorted(float(z) for z in self.zetas))
         if not self.betas or not self.zetas:
             raise ValueError("grid needs at least one beta and one zeta")
+        # NaN would sort anywhere and pass both sign checks
+        if not all(math.isfinite(v) for v in self.betas + self.zetas):
+            raise ValueError(f"betas and zetas must be finite, got {self.betas} and {self.zetas}")
         if self.betas[0] <= 0:
             raise ValueError(f"betas must be positive, got {self.betas[0]}")
         if self.zetas[0] < 0:
             raise ValueError(f"zetas must be nonnegative, got {self.zetas[0]}")
+        # a bool is an int, and range() would reject 2.5 only later
+        for name in ("repeats", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
@@ -269,6 +278,14 @@ def cmd_train(args) -> int:
 # --- predict ---------------------------------------------------------------------
 
 
+def _check_feature_count(model: ModelFile, data: Dataset) -> None:
+    """A data file with another feature count than the model is a data error."""
+    if data.n_features != model.theta.size:
+        raise DataError(
+            f"model has {model.theta.size} features but the data has "
+            f"{data.n_features}")
+
+
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     if args.no_labels:
@@ -280,10 +297,7 @@ def cmd_predict(args) -> int:
     else:
         data = _load_dataset(args, args.data, model.has_intercept)
         labels = data.labels
-    if data.n_features != model.theta.size:
-        raise DataError(
-            f"model has {model.theta.size} features but the data has "
-            f"{data.n_features}")
+    _check_feature_count(model, data)
     if model.centered:
         data = apply_center(data, model.center)
 
@@ -309,6 +323,7 @@ def cmd_predict(args) -> int:
 def cmd_certify(args) -> int:
     model = load_model(args.model)
     data = _load_dataset(args, args.data, model.has_intercept)
+    _check_feature_count(model, data)
     if model.centered:
         data = apply_center(data, model.center)
     spec = PenaltySpec(zeta=model.zeta, beta=model.beta)

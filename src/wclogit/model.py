@@ -15,11 +15,14 @@ matrix rank from the same vector.
 
 The public functions check their inputs and then call the private kernels
 below, which the solver calls directly.  ``_margins`` makes the one pass
-``z = X @ theta`` of a point and computes its one ``e = exp(-|z|)``; that
-pair serves both the loss (``_margins_loss``) and the gradient
-(``_gradient_from_margins``, through the sigmoid ``where(z >= 0, 1, e) /
+``z = X @ theta`` of a point and computes its one ``e = exp(-|z|)`` in
+place; that pair serves both the loss (``_margins_loss``) and the gradient
+(``_gradient_from_margins``, through the sigmoid ``max(e, [z >= 0]) /
 (1 + e)``).  The kernels also take points stacked as the rows of a
-matrix, one pass for all of them.
+matrix, one pass for all of them; their label operands are then the first
+rows of a block of repeated label rows, so that every elementwise step
+has operands of one shape.  Each step keeps the bits of the plain
+formulas: the tests hold those as oracles.
 """
 
 from __future__ import annotations
@@ -106,16 +109,51 @@ class Dataset:
 
 
 def _exp_pair(z: np.ndarray):
-    """The margins z with e = exp(-|z|), the one exponential per margin."""
-    return z, np.exp(-np.abs(z))
+    """The margins z with e = exp(-|z|), the one exponential per margin,
+    computed in one buffer.  ``z`` has at least one dimension: ``out=``
+    needs an array, and ``np.abs`` of a 0-d array returns a scalar."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return z, e
 
 
 def _probabilities(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     """sigmoid(z) from the pair (z, exp(-|z|)), one division: 1/(1+e) where
-    z >= 0, e/(1+e) elsewhere."""
-    p = np.where(z >= 0, 1.0, e)
+    z >= 0, e/(1+e) elsewhere.
+
+    The numerator is max(e, [z >= 0]): the mask casts to 1.0 where z >= 0,
+    which e <= 1 never exceeds, and to 0.0 elsewhere, which e >= 0 never
+    falls below, so it is exactly 1 or e, and NaN where z is.
+    """
+    p = np.greater_equal(z, 0.0)
+    p = np.maximum(e, p)
     p /= 1.0 + e
     return p
+
+
+class _RepeatedRows:
+    """A length-N vector shaped as the operand of an elementwise step on
+    margins: the vector itself for the (N,) margins of one point, and for a
+    (c, N) stack the first c rows of a block of copies of it, because a
+    same-shape operand costs about half of a broadcast row.
+
+    Every row of the block holds the same values, so its first c rows are
+    exact for any stack of c points.  The block is built at the largest
+    stack height seen and grown on demand.
+    """
+
+    def __init__(self, vector: np.ndarray):
+        self.vector = vector
+        self.block = vector[None]
+
+    def like(self, z: np.ndarray) -> np.ndarray:
+        if z.ndim == 1:
+            return self.vector
+        height = z.shape[0]
+        if height > self.block.shape[0]:
+            self.block = np.tile(self.vector, (height, 1))
+        return self.block[:height]
 
 
 def _margins(X, theta):
@@ -124,28 +162,28 @@ def _margins(X, theta):
     return _exp_pair(theta @ X.T)
 
 
-def _margins_loss(X, neg_signs, theta):
+def _margins_loss(X, neg_signs: _RepeatedRows, theta):
     """The margins pair of a point and its loss, from one exp per margin.
 
-    ``neg_signs`` is 1 - 2*y, so each term log(1 + exp(-s_i * z_i)) is
+    ``neg_signs`` repeats 1 - 2*y, so each term log(1 + exp(-s_i * z_i)) is
     max(neg_signs_i * z_i, 0) + log1p(exp(-|z_i|)).  ``theta`` may also
     stack C points as the rows of a (C, d) array; the loss is then an array
     of C values, each summed over its contiguous row exactly as the loss of
     that point alone.
     """
     margins = z, e = _margins(X, theta)
-    terms = neg_signs * z
+    terms = neg_signs.like(z) * z
     np.maximum(terms, 0.0, out=terms)
     terms += np.log1p(e)
     losses = terms.sum(axis=-1)
     return margins, losses if losses.ndim else float(losses)
 
 
-def _gradient_from_margins(X, labels, margins) -> np.ndarray:
+def _gradient_from_margins(X, labels: _RepeatedRows, margins) -> np.ndarray:
     """Loss gradient (sigmoid(z) - y) @ X from the margins pair of a point,
-    or of each row of stacked margins."""
+    or of each row of stacked margins.  The pair is left as it is."""
     residual = _probabilities(*margins)
-    residual -= labels
+    residual -= labels.like(residual)
     return residual @ X
 
 
@@ -153,16 +191,18 @@ def _kernels(data: Dataset):
     """Unchecked ``(evaluate, gradient)`` for data: ``evaluate(theta)`` returns
     ``((z, exp(-|z|)), loss)`` and ``gradient`` turns that margins pair into
     the loss gradient at the same point.  Both accept a (C, d) stack of
-    points as well as a single one."""
+    points as well as a single one; each pair keeps its own blocks of
+    repeated label rows."""
     labels = data.labels.astype(float)
-    return (partial(_margins_loss, data.features, 1.0 - 2.0 * labels),
-            partial(_gradient_from_margins, data.features, labels))
+    return (partial(_margins_loss, data.features, _RepeatedRows(1.0 - 2.0 * labels)),
+            partial(_gradient_from_margins, data.features, _RepeatedRows(labels)))
 
 
 def sigmoid(t):
     """Numerically stable logistic function, elementwise."""
-    out = _probabilities(*_exp_pair(np.asarray(t, dtype=float)))
-    return float(out) if np.ndim(t) == 0 else out
+    t = np.asarray(t, dtype=float)
+    out = _probabilities(*_exp_pair(np.atleast_1d(t)))
+    return float(out[0]) if t.ndim == 0 else out
 
 
 def _check_theta(theta, data: Dataset) -> np.ndarray:

@@ -23,7 +23,11 @@ The public functions check their inputs (finite values, a well-posed prox
 weight) and then call the private kernels, which the solver calls directly.
 The kernels also apply C specs at once to the rows of a (C, d) array: the
 spec is then a :class:`_StackedSpec` and the prox weight a (C, d) array
-whose row c repeats cell c's weight.
+whose row c repeats cell c's weight.  They work in place where they can:
+the prox computes the shrunk value and then overwrites the identity and
+zero branches through two masks, and takes its denominator 1 - 2*w*zeta
+from a caller that computed it once.  Each keeps the bits of the nested
+``where`` formulas that the tests hold as oracles.
 """
 
 from __future__ import annotations
@@ -115,9 +119,12 @@ def _as_float_array(t):
     return a
 
 
-def _penalty_values(a, spec: PenaltySpec):
-    a = np.abs(a)
-    inner = a - spec.zeta * a * a
+def _penalty_values(theta, spec: PenaltySpec):
+    """F elementwise; ``theta`` has at least one dimension."""
+    a = np.abs(theta)
+    inner = spec.zeta * a
+    inner *= a
+    np.subtract(a, inner, out=inner)
     # at zeta = 0 the plateau starts at infinity, so every finite a is inner
     return np.where(a <= spec.plateau_start, inner, spec.plateau_value)
 
@@ -128,10 +135,23 @@ def _penalty_sum(theta, spec: PenaltySpec):
     return sums if sums.ndim else float(sums)
 
 
-def _prox(v, w: float, spec: PenaltySpec):
+def _prox(v, w, spec: PenaltySpec, denominator=None):
+    """Firm shrinkage of ``v`` (at least one dimension) with weight ``w``.
+
+    ``denominator`` is 1 - 2*w*zeta, computed here when not given: a caller
+    that applies one weight on every iteration computes it once.
+    """
+    if denominator is None:
+        denominator = 1.0 - 2.0 * w * spec.zeta
     a = np.abs(v)
-    shrunk = (v - w * np.sign(v)) / (1.0 - 2.0 * w * spec.zeta)
-    return np.where(a < w, 0.0, np.where(a <= spec.plateau_start, shrunk, v))
+    # v - w*sign(v) wherever the result is kept: there |v| >= w > 0, or v is
+    # NaN and so is the result
+    out = np.copysign(w, v)
+    np.subtract(v, out, out=out)
+    out /= denominator
+    np.putmask(out, a > spec.plateau_start, v)
+    np.putmask(out, a < w, 0.0)
+    return out
 
 
 def _one_sided(a, smooth):
@@ -150,17 +170,17 @@ def _convexified_derivatives(a, spec: PenaltySpec):
 
 
 def _maybe_scalar(out, like):
-    return float(out) if np.ndim(like) == 0 else out
+    return out.item() if np.ndim(like) == 0 else out
 
 
 def penalty_value(t, spec: PenaltySpec):
     """Evaluate F elementwise."""
-    return _maybe_scalar(_penalty_values(_as_float_array(t), spec), t)
+    return _maybe_scalar(_penalty_values(np.atleast_1d(_as_float_array(t)), spec), t)
 
 
 def penalty_total(theta, spec: PenaltySpec) -> float:
     """Separable penalty J(theta) = sum_i F(theta_i)."""
-    return _penalty_sum(_as_float_array(theta), spec)
+    return _penalty_sum(np.atleast_1d(_as_float_array(theta)), spec)
 
 
 def _check_weight(weight: float, spec: PenaltySpec) -> float:
@@ -180,7 +200,7 @@ def prox_vector(v, weight: float, spec: PenaltySpec):
     """Elementwise minimizer of  w*F(u) + (u - v)^2 / 2  (firm shrinkage)."""
     w = _check_weight(weight, spec)
     v = _as_float_array(v)
-    return _maybe_scalar(_prox(v, w, spec), v)
+    return _maybe_scalar(_prox(np.atleast_1d(v), w, spec), v)
 
 
 def prox_scalar(v: float, weight: float, spec: PenaltySpec) -> float:

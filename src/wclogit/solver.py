@@ -48,7 +48,12 @@ per-iteration computation gives.
 (beta, zeta) cells on one dataset at once, as a grid search needs: the
 iterates are the rows of a (C, d) matrix, so each iteration costs one
 product Theta @ X^T for all cells and one (sigmoid(Z) - y) @ X for their
-gradients, and the penalty kernels take per-row weights and zetas.  A cell
+gradients, and the penalty kernels take per-row weights and zetas.  The
+step Theta - alpha*G is computed in the gradient's buffer, and the prox
+denominators once before the loop; like the weights, their rows go with
+the cells that leave.  The operands of the two products are left as they
+are: the bits of a product's row depend on the stack height and the
+operand layout, and so would the iteration counts.  A cell
 whose objective stalls leaves the stack with its iterate, objective and
 iteration count, exactly as ``fit`` stops; the others go on.  Its results
 equal those of one ``fit`` per cell up to the rounding of the matrix
@@ -57,7 +62,6 @@ products.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -177,13 +181,12 @@ class FitResult:
 
 def write_trace_csv(result: FitResult, path) -> None:
     """Export the iteration trace with columns iter,objective,step_norm,residual,stepsize."""
+    # the lines csv.writer writes: no field of an int and four float reprs
+    # needs quoting, and its line ending is \r\n
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "objective", "step_norm", "residual", "stepsize"])
-        for k, row in enumerate(result.trace):
-            writer.writerow(
-                [k, repr(row.objective), repr(row.step_norm), repr(row.residual), repr(row.stepsize)]
-            )
+        fh.write("iter,objective,step_norm,residual,stepsize\r\n")
+        fh.writelines(f"{k},{row.objective!r},{row.step_norm!r},{row.residual!r},"
+                      f"{row.stepsize!r}\r\n" for k, row in enumerate(result.trace))
 
 
 def max_constant_stepsize(beta: float, spec: PenaltySpec, data: Dataset) -> float:
@@ -327,8 +330,9 @@ class _TraceBuffer:
     stepsize it already holds; when ``_TRACE_BLOCK`` of them are stored, and
     once more for the rest in :meth:`rows`, one elementwise pass gives the
     criticality violations of the whole (K, d) block and one subtraction its
-    steps.  Each row's step norm and residual is still one ``_norm`` of one
-    row, so every column has the bits a per-iteration computation gives.
+    steps.  One ``np.vecdot`` per block gives every row's squared step norm
+    and squared residual; it computes each row's sum as ``v.dot(v)`` does,
+    so every column has the bits a per-iteration ``_norm`` gives.
     """
 
     def __init__(self, theta, grad, objective, beta: float, spec: PenaltySpec):
@@ -355,9 +359,11 @@ class _TraceBuffer:
         points = self.points[1:k + 1]
         steps = points - self.points[:k]
         violations = _violation(points, self.grads[:k], self.beta, self.spec)
-        self.done.extend(TraceRow(objective, _norm(step), self.beta * _norm(violation), stepsize)
-                         for (objective, stepsize), step, violation
-                         in zip(self.pending, steps, violations))
+        step_norms = np.sqrt(np.vecdot(steps, steps)).tolist()
+        residuals = (self.beta * np.sqrt(np.vecdot(violations, violations))).tolist()
+        self.done.extend(TraceRow(objective, step_norm, residual, stepsize)
+                         for (objective, stepsize), step_norm, residual
+                         in zip(self.pending, step_norms, residuals))
         self.points[0] = self.points[k]
         self.pending.clear()
 
@@ -459,6 +465,7 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
     beta = np.array([s.beta for s in specs])
     alpha, weight = _repeat_rows(steps, d), _repeat_rows(weights, d)
     stacked = _StackedSpec.of(specs, d)
+    denominator = 1.0 - 2.0 * weight * stacked.zeta
     theta = np.zeros((len(specs), d))
     margins, losses = evaluate(theta)
     obj = losses + beta * _penalty_sum(theta, stacked)
@@ -468,7 +475,10 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
     iterations = np.full(len(specs), config.max_iters)
     converged = np.zeros(len(specs), dtype=bool)
     for k in range(1, config.max_iters + 1):
-        new = _prox(theta - alpha * gradient(margins), weight, stacked)
+        step = gradient(margins)
+        step *= alpha
+        np.subtract(theta, step, out=step)
+        new = _prox(step, weight, stacked, denominator)
         margins, losses = evaluate(new)
         obj_new = losses + beta * _penalty_sum(new, stacked)
         change = np.abs(obj_new - obj)
@@ -482,7 +492,8 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
             thetas[done], objectives[done] = theta[stalled], obj[stalled]
             iterations[done], converged[done] = k, True
             run = ~stalled
-            rows, beta, alpha, weight = rows[run], beta[run], alpha[run], weight[run]
+            rows, beta, alpha = rows[run], beta[run], alpha[run]
+            weight, denominator = weight[run], denominator[run]
             stacked, theta, obj = stacked.take(run), theta[run], obj[run]
             margins = tuple(part[run] for part in margins)
             if not rows.size:

@@ -4,8 +4,15 @@ These deliberately avoid the library's closed-form code paths: the prox
 oracle minimizes over a dense grid, the l1 oracle enumerates sign
 patterns and solves smooth bound-constrained problems with L-BFGS-B, and
 the CSV oracle is the loader's Python row loop on its own.
+
+The kernel oracles are the plain formulas the stacked kernels had before
+they worked in place: nested ``where`` selections, fresh arrays for every
+step and label rows broadcast over a stack.  The kernels must reproduce
+their bits, and ``stacked_fit_oracle`` runs the stacked loop on them.
 """
 
+import csv
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -13,6 +20,8 @@ from scipy.optimize import minimize
 
 from wclogit.data import _read_rows, load_csv
 from wclogit.model import Dataset, loss, loss_gradient
+from wclogit.penalty import PenaltySpec, _repeat_rows, _StackedSpec
+from wclogit.solver import FitResult, SolverConfig, _initial_alpha
 
 
 def _outcome(read):
@@ -106,3 +115,100 @@ def l1_global_oracle(data, beta):
         value = l1_objective(res.x, data, beta)
         best = min(best, value)
     return best
+
+
+# --- kernel oracles -----------------------------------------------------------
+
+
+def exp_oracle(z):
+    return np.exp(-np.abs(z))
+
+
+def sigmoid_oracle(z, e):
+    """sigmoid(z) from z and e = exp(-|z|): 1/(1+e) where z >= 0, e/(1+e) elsewhere."""
+    p = np.where(z >= 0, 1.0, e)
+    p /= 1.0 + e
+    return p
+
+
+def loss_oracle(labels, z, e):
+    """The loss of each row of margins z, with the (N,) signs broadcast."""
+    terms = (1.0 - 2.0 * labels) * z
+    np.maximum(terms, 0.0, out=terms)
+    terms += np.log1p(e)
+    return terms.sum(axis=-1)
+
+
+def gradient_oracle(X, labels, z, e):
+    residual = sigmoid_oracle(z, e)
+    residual -= labels
+    return residual @ X
+
+
+def prox_oracle(v, w, spec):
+    """Firm shrinkage; ``spec`` may be a PenaltySpec or a _StackedSpec."""
+    a = np.abs(v)
+    shrunk = (v - w * np.sign(v)) / (1.0 - 2.0 * w * spec.zeta)
+    return np.where(a < w, 0.0, np.where(a <= spec.plateau_start, shrunk, v))
+
+
+def penalty_values_oracle(t, spec):
+    a = np.abs(t)
+    inner = a - spec.zeta * a * a
+    return np.where(a <= spec.plateau_start, inner, spec.plateau_value)
+
+
+def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000):
+    """``fit_cells``' loop on the oracle kernels: every cell a row of one
+    (C, d) stack, each stalled cell leaving it with its iterate, objective
+    and iteration count."""
+    X, labels = data.features, data.labels.astype(float)
+    config = SolverConfig(eps_tol=eps_tol, max_iters=max_iters, record_trace=False)
+    specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
+    steps = [_initial_alpha(replace(config, alpha=a), s.beta, s, data)
+             for a, s in zip(alphas, specs)]
+    d = data.n_features
+    rows = np.arange(len(specs))
+    beta = np.array([s.beta for s in specs])
+    alpha = _repeat_rows(steps, d)
+    weight = _repeat_rows([a * s.beta for a, s in zip(steps, specs)], d)
+    stacked = _StackedSpec.of(specs, d)
+
+    def evaluate(theta):
+        z = theta @ X.T
+        e = exp_oracle(z)
+        penalties = penalty_values_oracle(theta, stacked).sum(axis=-1)
+        return z, e, loss_oracle(labels, z, e) + beta * penalties
+
+    theta = np.zeros((len(specs), d))
+    z, e, obj = evaluate(theta)
+    thetas, objectives = np.empty_like(theta), np.empty_like(obj)
+    iterations = np.full(len(specs), max_iters)
+    converged = np.zeros(len(specs), dtype=bool)
+    for k in range(1, max_iters + 1):
+        theta = prox_oracle(theta - alpha * gradient_oracle(X, labels, z, e), weight, stacked)
+        z, e, obj_new = evaluate(theta)
+        stalled = np.abs(obj_new - obj) <= eps_tol
+        obj = obj_new
+        assert np.isfinite(obj).all()
+        if stalled.any():
+            done = rows[stalled]
+            thetas[done], objectives[done] = theta[stalled], obj[stalled]
+            iterations[done], converged[done] = k, True
+            run = ~stalled
+            rows, beta, alpha, weight = rows[run], beta[run], alpha[run], weight[run]
+            stacked, theta, obj, z, e = stacked.take(run), theta[run], obj[run], z[run], e[run]
+            if not rows.size:
+                break
+    thetas[rows], objectives[rows] = theta, obj
+    return FitResult(thetas, iterations, converged, objectives)
+
+
+def write_trace_oracle(result, path):
+    """The trace CSV written row by row with ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "objective", "step_norm", "residual", "stepsize"])
+        for k, row in enumerate(result.trace):
+            writer.writerow([k, repr(row.objective), repr(row.step_norm),
+                             repr(row.residual), repr(row.stepsize)])

@@ -2,6 +2,7 @@
 process, checking exit codes, emitted files, and determinism."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -340,7 +341,34 @@ def test_certify_threshold_only_and_uncentered_error(synth, tmp_path, capsys):
     assert "centered" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("flags", [[], ["--threshold-only"]])
+def test_certify_rejects_data_with_another_feature_count(synth, tmp_path, capsys,
+                                                         centered, flags):
+    model_path = tmp_path / "m.txt"
+    save_model(model_path, ModelFile(
+        theta=np.zeros(5), beta=1.0, zeta=0.0, kind="mcp", centered=centered,
+        center=np.zeros(5), has_intercept=False, stepsize_rule="constant",
+        accelerate=False, iterations=0, converged=True, final_objective=0.0))
+    data_path = tmp_path / "four.csv"
+    data_path.write_text("label,a,b,c,d\n1,0.5,-1.0,2.0,0.0\n0,-0.5,1.0,-2.0,1.0\n")
+    assert run("certify", model_path, data_path, *flags) == 2
+    assert "model has 5 features but the data has 4" in capsys.readouterr().err
+
+
 # --- cv --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("repeats", 2.5), ("repeats", True), ("repeats", "3"), ("seed", 1.5), ("seed", False),
+    ("betas", (0.1, math.nan)), ("betas", (0.1, math.inf)),
+    ("zetas", (0.0, math.nan)), ("zetas", (0.0, math.inf)),
+])
+def test_cv_grid_rejects_malformed_fields(field, bad):
+    fields = {"betas": (0.1, 1.0), "zetas": (0.0, 0.1), "repeats": 2, "seed": 0}
+    fields[field] = bad
+    with pytest.raises(ValueError, match=field):
+        CvGrid(**fields)
 
 
 def test_cv_single_cell_matches_manual_train_predict(synth, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Property tests: the stacked penalty and model kernels against the
-one-point calls, the loss kernel against ``np.logaddexp``, the prox against
+one-point calls and, bit for bit, against the oracle formulas of
+``helpers``, the loss kernel against ``np.logaddexp``, the prox against
 its closed form, the loaders' error positions, ``load_csv`` against its
 Python row loop, and the CSV, sparse-format and model-file round trips.
 
@@ -17,10 +18,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import csv_outcomes
+from helpers import (
+    csv_outcomes,
+    exp_oracle,
+    gradient_oracle,
+    loss_oracle,
+    penalty_values_oracle,
+    prox_oracle,
+    sigmoid_oracle,
+)
 
 from wclogit.data import DataError, load_csv, load_sparse_classification_format, save_csv
-from wclogit.model import Dataset, _kernels, loss
+from wclogit.model import Dataset, _exp_pair, _kernels, _probabilities, loss, sigmoid
 from wclogit.modelfile import ModelFile, load_model, save_model
 from wclogit.penalty import (
     PenaltySpec,
@@ -101,6 +110,130 @@ def test_stacked_kernels_equal_one_spec_calls_bitwise(stack):
         assert bits(z[c]) == bits(z_c) and e[c].tobytes() == e_c.tobytes()
         assert losses[c] == loss_c
         assert bits(grads[c]) == bits(gradient((z_c, e_c)))
+
+
+LAYOUTS = ("contiguous", "unaligned", "sliced")
+
+
+def laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+    """A copy of ``values`` in a C-contiguous array, in an array one byte off
+    8-byte alignment (numpy flags it unaligned), or in every other column of
+    a wider array, from column 1."""
+    if layout == "contiguous":
+        return values.copy()
+    if layout == "unaligned":
+        buffer = np.zeros(values.size * 8 + 1, dtype=np.uint8)
+        out = np.ndarray(values.shape, dtype=float, buffer=buffer, offset=1)
+        assert not out.flags.aligned
+    else:
+        out = np.zeros(values.shape[:-1] + (2 * values.shape[-1] + 1,))[..., 1::2]
+    out[...] = values
+    return out
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@st.composite
+def special_stacks(draw):
+    """C specs (C up to 40), their prox weights, and a (C, d) stack, laid out
+    in one of LAYOUTS, whose entries are random or, with either sign, 0,
+    the row's weight, the float just below it, its plateau start 1/(2*zeta)
+    (inf when zeta = 0), inf or NaN."""
+    cells = draw(st.integers(1, 40))
+    specs = [PenaltySpec(zeta=draw(zetas)) for _ in range(cells)]
+    weights = np.array([weight_for(s.zeta, draw(weight_shares)) for s in specs])
+    d = draw(st.integers(1, 8))
+    kinds = draw(arrays(np.int8, (cells, d), elements=st.integers(0, 6)))
+    signs = draw(arrays(float, (cells, d), elements=st.sampled_from([1.0, -1.0])))
+    randoms = draw(arrays(float, (cells, d), elements=st.floats(-1e4, 1e4)))
+    w = weights[:, None]
+    plateau = np.array([s.plateau_start for s in specs])[:, None]
+    choices = np.broadcast_arrays(randoms, 0.0, w, np.nextafter(w, 0.0), plateau, np.inf, np.nan)
+    values = signs * np.choose(kinds, choices)
+    return specs, weights, laid_out(values, draw(st.sampled_from(LAYOUTS)))
+
+
+@PROPERTY
+@given(special_stacks())
+def test_prox_and_penalty_kernels_equal_the_oracle_formulas_bitwise(stack):
+    specs, weights, values = stack
+    width = values.shape[1]
+    stacked = _StackedSpec.of(specs, width)
+    block = _repeat_rows(weights, width)
+    with np.errstate(all="ignore"):  # inf and NaN entries are meant
+        expected = prox_oracle(values, block, stacked)
+        assert same_bits(_prox(values, block, stacked), expected)
+        assert same_bits(_prox(values, block, stacked, 1.0 - 2.0 * block * stacked.zeta),
+                         expected)
+        penalties = penalty_values_oracle(values, stacked)
+        assert same_bits(_penalty_values(values, stacked), penalties)
+        assert same_bits(_penalty_sum(values, stacked), penalties.sum(axis=-1))
+        for c, (spec, w) in enumerate(zip(specs, weights.tolist())):
+            assert same_bits(_prox(values[c], w, spec), prox_oracle(values[c], w, spec))
+            assert same_bits(_penalty_values(values[c], spec),
+                             penalty_values_oracle(values[c], spec))
+
+
+special_margins = st.one_of(st.floats(-1e4, 1e4), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 718.769175, -718.769175, np.inf, -np.inf, np.nan, -np.nan]))
+
+
+@st.composite
+def margin_stacks(draw):
+    """A dataset of one feature, each sample a signed power of two, so that
+    every margin theta * x_i is one exact product even when theta is inf or
+    NaN, and stacks of points of heights up to 40, laid out in one of
+    LAYOUTS, to evaluate one after the other on the same kernels."""
+    n = draw(st.integers(1, 12))
+    features = np.array([[draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.integers(-3, 3))]
+                         for _ in range(n)])
+    labels = draw(arrays(int, n, elements=st.integers(0, 1)))
+    heights = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    layout = draw(st.sampled_from(LAYOUTS))
+    thetas = [laid_out(draw(arrays(float, (h, 1), elements=special_margins)), layout)
+              for h in heights]
+    return Dataset(features, labels), thetas
+
+
+@PROPERTY
+@given(margin_stacks())
+def test_model_kernels_equal_the_oracle_formulas_bitwise(case):
+    data, thetas = case
+    X, labels = data.features, data.labels.astype(float)
+    evaluate, gradient = _kernels(data)
+    with np.errstate(all="ignore"):
+        # every height evaluated after a higher one reads the first rows of
+        # the label blocks; a point is a stack of height one without its axis
+        for theta in thetas + [thetas[0][0]]:
+            z = theta @ X.T
+            e = exp_oracle(z)
+            (z_new, e_new), losses = evaluate(theta)
+            assert same_bits(z_new, z) and same_bits(e_new, e)
+            assert same_bits(losses, loss_oracle(labels, z, e))
+            assert same_bits(gradient((z_new, e_new)), gradient_oracle(X, labels, z, e))
+            # the pair is left as it is, and a laid-out one gives the same bits
+            assert same_bits(e_new, e)
+            margins = laid_out(z, "unaligned"), laid_out(e, "sliced")
+            assert same_bits(_exp_pair(margins[0])[1], e)
+            assert same_bits(_probabilities(*margins), sigmoid_oracle(z, e))
+            assert same_bits(sigmoid(margins[0]), sigmoid_oracle(z, e))
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 0.3, -0.3, 0.5, 2.5, -2.5, 3.0,
+                                   36.7, -718.769175, 1e4])
+def test_public_kernels_take_zero_dimensional_inputs(value):
+    spec, w = PenaltySpec(zeta=0.2), 0.3
+    point = np.array([value])
+    for t in (value, np.float64(value), np.array(value)):
+        assert type(sigmoid(t)) is float
+        assert same_bits(sigmoid(t), sigmoid_oracle(point, exp_oracle(point)))
+        for u in (prox_scalar(t, w, spec), prox_vector(t, w, spec)):
+            assert type(u) is float and same_bits(u, prox_oracle(point, w, spec))
+        for value_of_t in (penalty_value(t, spec), penalty_total(t, spec)):
+            assert type(value_of_t) is float
+            assert same_bits(value_of_t, penalty_values_oracle(point, spec))
 
 
 # margins of every size from 1e-300 to 1e4, both signs, and both zeros

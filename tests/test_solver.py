@@ -4,15 +4,23 @@ Key oracles: the coordinatewise grid oracle for one prox-gradient step,
 and the sign-pattern l1 oracle for the convex zeta = 0 special case.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import l1_objective, l1_global_oracle, prox_grid_oracle, random_instance
+from helpers import (
+    l1_global_oracle,
+    l1_objective,
+    prox_grid_oracle,
+    random_instance,
+    stacked_fit_oracle,
+    write_trace_oracle,
+)
 
 from wclogit import solver
-from wclogit.data import SynthSpec, gen_separable
+from wclogit.data import SynthSpec, center, gen_noisy, gen_separable
 from wclogit.model import Dataset, lipschitz_bound, loss, loss_gradient
 from wclogit.penalty import PenaltySpec, penalty_total, prox_vector
 from wclogit.solver import (
@@ -21,6 +29,7 @@ from wclogit.solver import (
     FitResult,
     NumericalError,
     SolverConfig,
+    TraceRow,
     accelerated_fit,
     backtrack_stepsize,
     criticality_residual,
@@ -265,6 +274,20 @@ def test_fit_deterministic_and_trace_export(tmp_path):
     assert len(lines) == len(r1.trace) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == r1.trace[0].objective
+
+
+def test_trace_csv_is_the_csv_writer_file_byte_for_byte(tmp_path):
+    specials = [0.0, -0.0, 5e-324, 0.1, 1.0 / 3.0, 1e16, 1.7976931348623157e308,
+                math.inf, -math.inf, math.nan]
+    rows = [TraceRow(*(specials[(k + j) % len(specials)] for j in range(4)))
+            for k in range(len(specials))]
+    made_up = FitResult(np.zeros(1), len(rows) - 1, False, 0.0, rows)
+    data = random_instance(np.random.default_rng(31), 30, 4)
+    config = SolverConfig(stepsize_rule=BACKTRACKING, eps_tol=1e-10, max_iters=150)
+    for result in (made_up, fit(data, 0.7, PenaltySpec(zeta=0.2), config)):
+        write_trace_csv(result, tmp_path / "trace.csv")
+        write_trace_oracle(result, tmp_path / "oracle.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_fit_respects_theta0_and_defaults():
@@ -594,6 +617,27 @@ def test_fit_cells_single_cell_is_fit_bitwise(cell):
         assert stacked.final_objective[0] == single.final_objective
         assert stacked.iterations[0] == single.iterations
         assert stacked.converged[0] == single.converged
+
+
+def test_fit_cells_is_the_stacked_oracle_loop_bitwise():
+    # the fig3 grid on the draws of its first four repeats: the in-place
+    # kernels and the label blocks must give the bits of the plain formulas,
+    # also once cells have left the stack
+    cells = [(beta, zeta) for beta in 10.0 ** np.linspace(-2.8, 0.6, 7)
+             for zeta in (0.0, 0.01, 0.1, 1.0)]
+    stalled = 0
+    for seed in range(1000, 1004):
+        spec = SynthSpec(d=50, n_train=200, k=5, n_test=1000, amplitude="normal", seed=seed)
+        train = center(gen_noisy(spec)[0])
+        alphas = [None] * len(cells)
+        result = fit_cells(train, cells, alphas, eps_tol=1e-9, max_iters=1000)
+        expected = stacked_fit_oracle(train, cells, alphas, eps_tol=1e-9, max_iters=1000)
+        assert result.theta.tobytes() == expected.theta.tobytes()
+        assert result.final_objective.tobytes() == expected.final_objective.tobytes()
+        assert np.array_equal(result.iterations, expected.iterations)
+        assert np.array_equal(result.converged, expected.converged)
+        stalled += int(result.converged.sum())
+    assert 0 < stalled < 4 * len(cells)
 
 
 def test_fit_cells_checks_every_cell_before_iterating():
