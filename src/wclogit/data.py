@@ -12,6 +12,7 @@ noise_sigma = 0.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -218,9 +219,13 @@ def _parse_feature(token: str, where: str) -> float:
     if token == "":
         return 0.0  # missing values are filled with zeros
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise DataError(f"{where}: cannot parse feature value {token!r}") from None
+    # nan, inf, and numbers beyond the float range such as 1e400
+    if not math.isfinite(value):
+        raise DataError(f"{where}: feature value {token!r} is not finite")
+    return value
 
 
 def _looks_like_header(row: list[str]) -> bool:
@@ -282,13 +287,14 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     rest goes to numpy's C reader in one pass, and the labels must then be
     0 or 1.  A file the C reader declines (an empty or unparsable cell, a
     ragged row, a label other than 0 or 1, no data rows) is read again by
-    the Python row loop, and a file read with a label map (whose labels are
-    matched as text) goes to it directly; the row loop fills empty (or
-    whitespace-only) cells with 0.0 and reports the exact row and column of
-    what does not parse.  The C reader converts numbers as
-    Python's ``float`` does and declines the spellings only ``float``
-    accepts (underscores, non-ASCII digits), so both readers give the same
-    bits.
+    the Python row loop, and so is a file with a non-finite feature (nan,
+    inf, or a number beyond the float range); a file read with a label map
+    (whose labels are matched as text) goes to it directly.  The row loop
+    fills empty (or whitespace-only) cells with 0.0 and reports the exact
+    row and column of what does not parse or is not finite.  The C reader
+    converts numbers as Python's ``float`` does and declines the spellings
+    only ``float`` accepts (underscores, non-ASCII digits), so both readers
+    give the same bits.
 
     ``label_column`` may be a header name or a 0-based index; None means
     the column named "label" when a header exists, else column 0.
@@ -331,6 +337,9 @@ def _read_table(path, label_column, header: str, labeled: bool):
         return None
     names = [c.strip() for c in first] if has_header else None
     label_idx = _label_index(path, names, label_column, labeled, table.shape[1])
+    # the row loop names the row and column of a non-finite feature
+    if not np.isfinite(table).all():
+        return None
     if label_idx is None:
         return table, np.zeros(table.shape[0], dtype=int)
     labels = table[:, label_idx]
@@ -367,11 +376,14 @@ def _read_rows(path, label_column, label_map, header: str, labeled: bool):
             cells = row[:label_idx] + row[label_idx + 1:]
         try:
             # float() ignores surrounding whitespace itself; a cell it
-            # rejects sends the row to the per-cell parse
-            features.append(list(map(float, cells)))
+            # rejects, or a non-finite value, sends the row to the per-cell parse
+            values = list(map(float, cells))
         except ValueError:  # an empty cell, or a bad one to point at
-            features.append([_parse_feature(cell.strip(), f"{where}, column {j + 1}")
-                             for j, cell in enumerate(row) if j != label_idx])
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            values = [_parse_feature(cell.strip(), f"{where}, column {j + 1}")
+                      for j, cell in enumerate(row) if j != label_idx]
+        features.append(values)
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels) if labeled else np.zeros(X.shape[0], dtype=int)
     return X, y
@@ -412,7 +424,7 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
                     raise DataError(f"{where}: duplicate feature index {idx}")
                 if val_str == "":  # an absent feature is left out, never written empty
                     raise DataError(f"{where}: feature index {idx} has no value")
-                row[idx] = _parse_feature(val_str, where)
+                row[idx] = _parse_feature(val_str, f"{where}, feature index {idx}")
                 max_idx = max(max_idx, idx)
             entries.append(row)
     if not entries:

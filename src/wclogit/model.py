@@ -140,20 +140,27 @@ class _RepeatedRows:
 
     Every row of the block holds the same values, so its first c rows are
     exact for any stack of c points.  The block is built at the largest
-    stack height seen and grown on demand.
+    stack height seen and grown on demand, and the view of its first c
+    rows is kept per height: a loop asks for the same height on every
+    iteration, and a dict lookup costs less than a new view.
     """
 
     def __init__(self, vector: np.ndarray):
         self.vector = vector
         self.block = vector[None]
+        self.rows = {}
 
     def like(self, z: np.ndarray) -> np.ndarray:
         if z.ndim == 1:
             return self.vector
         height = z.shape[0]
-        if height > self.block.shape[0]:
-            self.block = np.tile(self.vector, (height, 1))
-        return self.block[:height]
+        rows = self.rows.get(height)
+        if rows is None:
+            if height > self.block.shape[0]:
+                self.block = np.tile(self.vector, (height, 1))
+                self.rows.clear()
+            rows = self.rows[height] = self.block[:height]
+        return rows
 
 
 def _margins(X, theta):

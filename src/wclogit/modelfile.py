@@ -12,8 +12,9 @@ Line-oriented ``key value`` text with a leading format-version line, e.g.
 
 Floats are written with ``repr`` so loading reproduces them exactly.
 Loading rejects a malformed file with :class:`~wclogit.data.DataError`:
-a bad header, a missing field, an unparsable or non-finite number, or a
-``kind``/``stepsize_rule`` outside the values the library writes.
+a bad header, a missing, repeated or unknown field, an unparsable or
+non-finite number, or a ``kind``/``stepsize_rule`` outside the values the
+library writes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ MAGIC = "wclogit-model"
 FORMAT_VERSION = 1
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "ModelFile", "save_model", "load_model"]
+
+# the fields after the header line, each written once by save_model
+_FIELDS = ("dimension", "beta", "zeta", "kind", "centered", "has_intercept",
+           "stepsize_rule", "accelerate", "iterations", "converged",
+           "final_objective", "center", "theta")
 
 
 @dataclass
@@ -112,11 +118,14 @@ def load_model(path) -> ModelFile:
     fields = {}
     for line in lines[1:]:
         key, _, rest = line.partition(" ")
+        # a second value would silently win, and an unknown key would be
+        # silently dropped
+        if key in fields:
+            raise DataError(f"{path}: model file repeats field {key!r}")
+        if key not in _FIELDS:
+            raise DataError(f"{path}: model file has unknown field {key!r}")
         fields[key] = rest
-    required = ["dimension", "beta", "zeta", "kind", "centered", "has_intercept",
-                "stepsize_rule", "accelerate", "iterations", "converged",
-                "final_objective", "center", "theta"]
-    missing = [k for k in required if k not in fields]
+    missing = [k for k in _FIELDS if k not in fields]
     if missing:
         raise DataError(f"{path}: model file is missing fields {missing}")
     try:

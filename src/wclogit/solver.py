@@ -27,37 +27,35 @@ Both rules keep each subproblem strongly convex (alpha*beta*zeta < 1/2);
 without momentum they make the objective non-increasing and drive the
 steps and the criticality residual to zero.
 
-One engine, :func:`fit`, runs every combination of stepsize rule and
-momentum.  It checks its inputs once at entry and then calls the unchecked
-kernels of ``model`` and ``penalty``: each point it evaluates (iterate,
-base point, backtracking candidate) costs one pass z = X @ point and one
-exp(-|z|), which give both the loss and the gradient X^T (sigmoid(z) - y),
-and the accepted point's loss and gradient carry over to the next step and to its
-trace row.  ||X|| comes from the per-dataset cache of ``spectral_norm``.
+One loop per stepsize rule.  Each checks its inputs once at entry and
+then calls the unchecked kernels of ``model`` and ``penalty``: each point
+it evaluates (iterate, base point, backtracking candidate) costs one pass
+z = X @ point and one exp(-|z|), which give both the loss and the gradient
+X^T (sigmoid(z) - y), and the accepted point's gradient carries over to
+the next step and to its trace row.  ||X|| comes from the per-dataset
+cache of ``spectral_norm``.
+
+The constant rule runs a stack of C cells (beta, zeta, alpha) on one
+dataset: the iterates are the rows of a (C, d) matrix, so each iteration
+costs one product Theta @ X^T and one (sigmoid(Z) - y) @ X for all rows,
+and the penalty kernels take per-row weights and zetas.  :func:`fit` runs
+it with one row, :func:`fit_cells` with the cells of a grid.  The
+momentum coefficient depends only on k, so the rows share it.  A cell
+whose objective stalls leaves the stack with its iterate, objective and
+iteration count, and every per-row array loses its row; the others go
+on.  The operands of the two products are left as they are: the bits of
+a product's row depend on the stack height and the operand layout (at
+one row they are the 1-D product's), and so would the iteration counts.
+The backtracking rule keeps ``fit``'s own loop, one point at a time.
 
 Iterations stop once the objective change falls to ``eps_tol`` or
-``max_iters`` is reached.  Every iteration can be recorded as a trace row
-(objective, step norm, criticality residual, stepsize) and exported as CSV.
-The loop only stores each iterate with the gradient, objective and stepsize
-it already has; the rows are computed after the iterations, per block of 64
-iterates, so a traced iteration costs about what an untraced one does and
-the trace holds at most 64 iterates at a time.  Each row has the bits a
-per-iteration computation gives.
-
-:func:`fit_cells` runs the plain constant-stepsize iteration of many
-(beta, zeta) cells on one dataset at once, as a grid search needs: the
-iterates are the rows of a (C, d) matrix, so each iteration costs one
-product Theta @ X^T for all cells and one (sigmoid(Z) - y) @ X for their
-gradients, and the penalty kernels take per-row weights and zetas.  The
-step Theta - alpha*G is computed in the gradient's buffer, and the prox
-denominators once before the loop; like the weights, their rows go with
-the cells that leave.  The operands of the two products are left as they
-are: the bits of a product's row depend on the stack height and the
-operand layout, and so would the iteration counts.  A cell
-whose objective stalls leaves the stack with its iterate, objective and
-iteration count, exactly as ``fit`` stops; the others go on.  Its results
-equal those of one ``fit`` per cell up to the rounding of the matrix
-products.
+``max_iters`` is reached.  Every iteration of a ``fit`` can be recorded as
+a trace row (objective, step norm, criticality residual, stepsize) and
+exported as CSV.  The loop only stores each iterate with the gradient,
+objective and stepsize it already has; the rows are computed after the
+iterations, per block of 64 iterates, so a traced iteration costs about
+what an untraced one does and the trace holds at most 64 iterates at a
+time.  Each row has the bits a per-iteration computation gives.
 """
 
 from __future__ import annotations
@@ -168,9 +166,10 @@ class TraceRow(NamedTuple):
 
 @dataclass
 class FitResult:
-    """Outcome of :func:`fit`; for :func:`fit_cells`, ``theta`` holds one row
-    and ``iterations``, ``converged`` and ``final_objective`` one array
-    entry per cell, and the trace is empty."""
+    """Outcome of :func:`fit`, with Python ``int``, ``bool`` and ``float``
+    fields; for :func:`fit_cells`, ``theta`` holds one row and
+    ``iterations``, ``converged`` and ``final_objective`` one array entry
+    per cell, and the trace is empty."""
 
     theta: np.ndarray
     iterations: int
@@ -190,10 +189,20 @@ def write_trace_csv(result: FitResult, path) -> None:
 
 
 def max_constant_stepsize(beta: float, spec: PenaltySpec, data: Dataset) -> float:
-    """Supremum of admissible constant stepsizes, 1 / max(2*beta*zeta, ||X||^2/8 + beta*zeta)."""
+    """Supremum of admissible constant stepsizes, 1 / max(2*beta*zeta, ||X||^2/8 + beta*zeta).
+
+    Raises :class:`NumericalError` when ||X||^2/8 + beta*zeta overflows:
+    the bound would then read 0 and admit no stepsize at all.
+    """
     beta = _check_beta(beta, spec)
     norm = spectral_norm(data)
-    denom = max(2.0 * beta * spec.zeta, norm * norm / 8.0 + beta * spec.zeta)
+    curvature = norm * norm / 8.0 + beta * spec.zeta
+    if not math.isfinite(curvature):
+        raise NumericalError(
+            f"||X||^2/8 + beta*zeta is not finite for features of spectral norm "
+            f"||X|| = {norm:.6g}; rescale the features"
+        )
+    denom = max(2.0 * beta * spec.zeta, curvature)
     return 1.0 / denom if denom > 0 else np.inf
 
 
@@ -241,9 +250,12 @@ def _default_alpha0(beta: float, spec: PenaltySpec) -> float:
     return 1.0
 
 
-def _prox_step(point, grad, alpha, beta, spec):
-    """prox_{alpha*beta*J}(point - alpha*grad), its weight checked on every call."""
-    return _prox(point - alpha * grad, _check_weight(alpha * beta, spec), spec)
+def _extrapolate(theta, prev, t: float):
+    """The momentum schedule's next base point and t: from t = t_k it
+    returns theta + ((t_k - 1)/t_{k+1}) * (theta - prev) and t_{k+1}.  The
+    coefficient depends only on k, so one serves every row of a stack."""
+    t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+    return theta + ((t - 1.0) / t_next) * (theta - prev), t_next
 
 
 def _backtrack(point, grad, point_loss, alpha, eta, beta, spec, evaluate):
@@ -255,7 +267,7 @@ def _backtrack(point, grad, point_loss, alpha, eta, beta, spec, evaluate):
     """
     slack = 1e-12 * (1.0 + abs(point_loss))
     for _ in range(_MAX_BACKTRACK_REDUCTIONS + 1):
-        cand = _prox_step(point, grad, alpha, beta, spec)
+        cand = _prox(point - alpha * grad, _check_weight(alpha * beta, spec), spec)
         diff = cand - point
         margins, cand_loss = evaluate(cand)
         bound = point_loss + float(diff @ grad) + float(diff @ diff) / (2.0 * alpha)
@@ -281,13 +293,13 @@ def backtrack_stepsize(theta_prev, alpha_prev: float, config: SolverConfig,
     return alpha, cand
 
 
-def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec, data: Dataset,
-                   accelerated: bool = False) -> float:
+def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec,
+                   data: Dataset) -> float:
     if config.stepsize_rule == CONSTANT:
         bound = max_constant_stepsize(beta, spec, data)
         if config.alpha is None:
             alpha = 0.99 * bound
-            if accelerated:
+            if config.accelerate:
                 # momentum needs the quadratic majorization at every point,
                 # i.e. alpha <= 1/L; the plain-descent bound is ~2x that
                 norm = spectral_norm(data)
@@ -380,15 +392,20 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     ``beta`` may be None to use ``spec.beta``.  ``config.accelerate`` adds
     the momentum schedule; the objective, the trace and the returned point
     are then those of the prox outputs, not of the extrapolated base points.
+    The constant rule runs as a one-row stack of the loop that
+    :func:`fit_cells` runs.
     """
     beta = _check_beta(beta, spec)
     theta = _prepare_theta0(theta0, data)
+    alpha = _initial_alpha(config, beta, spec, data)
+    if config.stepsize_rule == CONSTANT:
+        stack = _fit_stack(data, [replace(spec, beta=beta)], [alpha], config, theta[None])
+        return FitResult(stack.theta[0], int(stack.iterations[0]), bool(stack.converged[0]),
+                         stack.final_objective.item(0), stack.trace)
+
     momentum = config.accelerate
-    alpha = _initial_alpha(config, beta, spec, data, accelerated=momentum)
-    backtracking = config.stepsize_rule == BACKTRACKING
     record = config.record_trace
     evaluate, gradient = _kernels(data)
-
     margins, loss_val = evaluate(theta)
     grad = gradient(margins)
     obj = loss_val + beta * _penalty_sum(theta, spec)
@@ -398,34 +415,23 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     # the point the next step starts from, with its loss and gradient
     base, base_loss, base_grad = theta, loss_val, grad
     t = 1.0
-    iterations = 0
-    converged = False
-    for _ in range(config.max_iters):
-        if backtracking:
-            alpha, new, margins, loss_new = _backtrack(base, base_grad, base_loss, alpha,
-                                                       config.eta, beta, spec, evaluate)
-        else:
-            new = _prox_step(base, base_grad, alpha, beta, spec)
-            margins, loss_new = evaluate(new)
+    iterations, converged = config.max_iters, False
+    for k in range(1, config.max_iters + 1):
+        alpha, new, margins, loss_new = _backtrack(base, base_grad, base_loss, alpha,
+                                                   config.eta, beta, spec, evaluate)
         obj_new = loss_new + beta * _penalty_sum(new, spec)
         _require_finite(math.isfinite(obj_new))
-        iterations += 1
         grad = gradient(margins) if record or not momentum else None
         if record:
             trace.add(new, grad, obj_new, alpha)
         stalled = abs(obj_new - obj) <= config.eps_tol
         prev, theta, obj = theta, new, obj_new
         if stalled:
-            converged = True
+            iterations, converged = k, True
             break
         if momentum:
-            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            base = theta + ((t - 1.0) / t_next) * (theta - prev)
-            t = t_next
-            if backtracking:
-                margins, base_loss = evaluate(base)
-            else:  # the constant rule never needs the loss at the base point
-                margins = _margins(data.features, base)
+            base, t = _extrapolate(theta, prev, t)
+            margins, base_loss = evaluate(base)
             base_grad = gradient(margins)
         else:
             base, base_loss, base_grad = theta, loss_new, grad
@@ -456,8 +462,18 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
     specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
     steps = [_initial_alpha(replace(config, alpha=a), s.beta, s, data)
              for a, s in zip(alphas, specs)]
-    weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
+    return _fit_stack(data, specs, steps, config, np.zeros((len(specs), data.n_features)))
+
+
+def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
+               theta: np.ndarray) -> FitResult:
+    """The constant-stepsize iteration of C cells from the rows of ``theta``,
+    cell c with ``specs[c]`` (its beta included) and the stepsize
+    ``steps[c]``.  ``config`` gives ``accelerate``, ``eps_tol``,
+    ``max_iters`` and ``record_trace``; the trace is row 0's, for a one-row
+    stack.  The result holds one entry per cell in each field."""
     evaluate, gradient = _kernels(data)
+    weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
 
     # the running cells: their indices, parameters and iterates, one per row
     d = data.n_features
@@ -466,40 +482,61 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
     alpha, weight = _repeat_rows(steps, d), _repeat_rows(weights, d)
     stacked = _StackedSpec.of(specs, d)
     denominator = 1.0 - 2.0 * weight * stacked.zeta
-    theta = np.zeros((len(specs), d))
     margins, losses = evaluate(theta)
     obj = losses + beta * _penalty_sum(theta, stacked)
     _require_finite(np.isfinite(obj).all())
+    grad = gradient(margins)
+    trace = None
+    if config.record_trace:
+        trace = _TraceBuffer(theta[0], grad[0], obj.item(0), specs[0].beta, specs[0])
 
     thetas, objectives = np.empty_like(theta), np.empty_like(obj)
     iterations = np.full(len(specs), config.max_iters)
     converged = np.zeros(len(specs), dtype=bool)
+    eps_tol, accelerate = config.eps_tol, config.accelerate
+    # the points the next step starts from; grad holds their gradients
+    base, t = theta, 1.0
     for k in range(1, config.max_iters + 1):
-        step = gradient(margins)
-        step *= alpha
-        np.subtract(theta, step, out=step)
-        new = _prox(step, weight, stacked, denominator)
+        grad *= alpha
+        np.subtract(base, grad, out=grad)
+        new = _prox(grad, weight, stacked, denominator)
         margins, losses = evaluate(new)
         obj_new = losses + beta * _penalty_sum(new, stacked)
-        change = np.abs(obj_new - obj)
-        theta, obj = new, obj_new
+        change = (obj_new - obj).tolist()
+        prev, theta, obj = theta, new, obj_new
         # objectives are >= 0 and were finite, so a change is finite exactly
         # when the new objective is (NaN fails both comparisons)
-        if not all(config.eps_tol < c < math.inf for c in change.tolist()):
+        running = all(eps_tol < abs(c) < math.inf for c in change)
+        if not running:
             _require_finite(np.isfinite(obj).all())
-            stalled = change <= config.eps_tol
+        grad = None
+        if trace is not None:
+            grad = gradient(margins)
+            trace.add(theta[0], grad[0], obj.item(0), steps[0])
+        if not running:
+            stalled = np.abs(change) <= eps_tol
             done = rows[stalled]
             thetas[done], objectives[done] = theta[stalled], obj[stalled]
             iterations[done], converged[done] = k, True
             run = ~stalled
             rows, beta, alpha = rows[run], beta[run], alpha[run]
             weight, denominator = weight[run], denominator[run]
-            stacked, theta, obj = stacked.take(run), theta[run], obj[run]
+            stacked, theta, obj, prev = stacked.take(run), theta[run], obj[run], prev[run]
             margins = tuple(part[run] for part in margins)
+            if grad is not None:
+                grad = grad[run]
             if not rows.size:
                 break
+        if accelerate:
+            base, t = _extrapolate(theta, prev, t)
+            grad = gradient(_margins(data.features, base))
+        else:
+            base = theta
+            if grad is None:
+                grad = gradient(margins)
     thetas[rows], objectives[rows] = theta, obj
-    return FitResult(thetas, iterations, converged, objectives)
+    return FitResult(thetas, iterations, converged, objectives,
+                     trace.rows() if trace is not None else [])
 
 
 def _require_finite(finite: bool) -> None:

@@ -158,12 +158,16 @@ def penalty_values_oracle(t, spec):
     return np.where(a <= spec.plateau_start, inner, spec.plateau_value)
 
 
-def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000):
+def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000, theta0=None,
+                       accelerate=False):
     """``fit_cells``' loop on the oracle kernels: every cell a row of one
     (C, d) stack, each stalled cell leaving it with its iterate, objective
-    and iteration count."""
+    and iteration count.  Every row starts at ``theta0`` (zeros when None);
+    with ``accelerate`` each step starts from the momentum schedule's
+    extrapolated point."""
     X, labels = data.features, data.labels.astype(float)
-    config = SolverConfig(eps_tol=eps_tol, max_iters=max_iters, record_trace=False)
+    config = SolverConfig(eps_tol=eps_tol, max_iters=max_iters, accelerate=accelerate,
+                          record_trace=False)
     specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
     steps = [_initial_alpha(replace(config, alpha=a), s.beta, s, data)
              for a, s in zip(alphas, specs)]
@@ -181,15 +185,18 @@ def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000):
         return z, e, loss_oracle(labels, z, e) + beta * penalties
 
     theta = np.zeros((len(specs), d))
+    if theta0 is not None:
+        theta[:] = theta0
     z, e, obj = evaluate(theta)
     thetas, objectives = np.empty_like(theta), np.empty_like(obj)
     iterations = np.full(len(specs), max_iters)
     converged = np.zeros(len(specs), dtype=bool)
+    base, t = theta, 1.0
     for k in range(1, max_iters + 1):
-        theta = prox_oracle(theta - alpha * gradient_oracle(X, labels, z, e), weight, stacked)
-        z, e, obj_new = evaluate(theta)
+        new = prox_oracle(base - alpha * gradient_oracle(X, labels, z, e), weight, stacked)
+        z, e, obj_new = evaluate(new)
         stalled = np.abs(obj_new - obj) <= eps_tol
-        obj = obj_new
+        prev, theta, obj = theta, new, obj_new
         assert np.isfinite(obj).all()
         if stalled.any():
             done = rows[stalled]
@@ -198,8 +205,17 @@ def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000):
             run = ~stalled
             rows, beta, alpha, weight = rows[run], beta[run], alpha[run], weight[run]
             stacked, theta, obj, z, e = stacked.take(run), theta[run], obj[run], z[run], e[run]
+            prev = prev[run]
             if not rows.size:
                 break
+        base = theta
+        if accelerate:
+            # Beck & Teboulle's t_1 = 1, t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            base = theta + ((t - 1.0) / t_next) * (theta - prev)
+            t = t_next
+            z = base @ X.T
+            e = exp_oracle(z)
     thetas[rows], objectives[rows] = theta, obj
     return FitResult(thetas, iterations, converged, objectives)
 

@@ -110,6 +110,31 @@ def test_train_trace_out_changes_no_other_output(synth, tmp_path, capsys):
     assert (tmp_path / "t.csv").exists()
 
 
+def test_train_non_finite_feature_is_a_data_error(tmp_path, capsys):
+    dense, sparse = tmp_path / "d.csv", tmp_path / "d.txt"
+    dense.write_text("label,f1,f2\n1,0.5,2\n0,1.5,1e400\n")
+    sparse.write_text("1 1:0.5 2:2\n0 2:nan\n")
+    for path, flags, position, value in ((dense, [], "row 2, column 3", "1e400"),
+                                         (sparse, ["--sparse-format"],
+                                          "line 2, feature index 2", "nan")):
+        code = run("train", path, *flags, "--beta", 0.1, "--out", tmp_path / "m.txt")
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {path}: {position}: "
+                                           f"feature value {value!r} is not finite\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_train_overflowing_feature_scale_is_a_numerical_error(tmp_path, capsys):
+    # ||X||^2 overflows, so no constant stepsize can be computed
+    data = tmp_path / "d.csv"
+    data.write_text("label,f1,f2\n1,1e300,2\n0,1.5,-1\n")
+    code = run("train", data, "--beta", 0.1, "--out", tmp_path / "m.txt")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err and "||X|| = 1e+300" in err and "rescale" in err
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_train_rejects_inadmissible_alpha(synth, tmp_path, capsys):
     code = run("train", synth["train"], "--beta", 0.3, "--zeta", 0.5,
                "--alpha", 50, "--out", tmp_path / "m.txt")
@@ -302,6 +327,23 @@ def test_model_file_rejects_unknown_choices(synth, tmp_path, capsys, key):
     path = edited_model(synth, tmp_path, key, "fancy")
     code, err = predict_exit_code(synth, tmp_path, path, capsys)
     assert code == 2 and key in err and "fancy" in err
+
+
+def test_model_file_rejects_a_repeated_field(synth, tmp_path, capsys):
+    # the second theta line would otherwise win without a word
+    path = trained_model(synth, tmp_path)
+    path.write_text(path.read_text() + "theta " + "1.0 " * 7 + "1.0\n")
+    code, err = predict_exit_code(synth, tmp_path, path, capsys)
+    assert code == 2 and "repeats field 'theta'" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_model_file_rejects_an_unknown_field(synth, tmp_path, capsys):
+    path = trained_model(synth, tmp_path)
+    path.write_text(path.read_text() + "bogus_key 1\n")
+    code, err = predict_exit_code(synth, tmp_path, path, capsys)
+    assert code == 2 and "unknown field 'bogus_key'" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 # --- certify ----------------------------------------------------------------------

@@ -228,6 +228,20 @@ def test_load_csv_diagnostics_carry_row_and_column(tmp_path):
         load_csv(empty)
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"label_map": {"0": 0, "1": 1}}])
+def test_load_csv_non_finite_feature_is_a_data_error_at_its_cell(tmp_path, kwargs):
+    # both readers (a label map goes to the row loop directly) name the cell
+    for cell in ("nan", "-inf", "1e400", " Infinity "):
+        p = write(tmp_path / "d.csv", f"label,f1,f2\n1,0.5,2\n0,{cell},3\n")
+        with pytest.raises(DataError) as err:
+            load_csv(p, **kwargs)
+        assert str(err.value) == (f"{p}: row 2, column 2: "
+                                  f"feature value {cell.strip()!r} is not finite")
+    unlabeled = write(tmp_path / "u.csv", "1,2\n3,nan\n")
+    with pytest.raises(DataError, match="row 2, column 2: feature value 'nan' is not finite"):
+        load_csv(unlabeled, labeled=False)
+
+
 def test_load_csv_without_labels(tmp_path):
     p = write(tmp_path / "u.csv", "f1,f2\n0.5,-2\n3,\n")
     data = load_csv(p, add_intercept=True, labeled=False)
@@ -288,6 +302,10 @@ EDGE_FILES = {
     "underscore": b"1,1_0,3\n",
     "nan and inf": b"1,nan,3\n0,Infinity,-inf\n",
     "overflow": b"1,1e400,3\n",
+    "inf after a finite row": b"label,a,b\n1,2,3\n0,4,-Infinity\n",
+    "padded nan": b"label,a,b\n1, nan ,3\n",
+    "nan with an empty cell": b"label,a,b\n1,,NaN\n",
+    "nan label and inf feature": b"nan,inf,3\n",
     "subnormal and signed zero": b"1,-1e-320,-0\n-0,0,-0.0\n",
     "empty cell": b"label,a,b\n1,,3\n0,4,\n",
     "blank cell": b"label,a,b\n1, ,3\n",
@@ -357,6 +375,15 @@ def test_load_sparse_rejects_an_empty_value(tmp_path):
     with pytest.raises(DataError) as err:
         load_sparse_classification_format(p)
     assert str(err.value) == f"{p}: line 1: feature index 3 has no value"
+
+
+def test_load_sparse_rejects_a_non_finite_value(tmp_path):
+    for value in ("nan", "inf", "-1e400"):
+        p = write(tmp_path / "n.txt", f"1 1:0.5\n0 1:2 3:{value}\n")
+        with pytest.raises(DataError) as err:
+            load_sparse_classification_format(p)
+        assert str(err.value) == (f"{p}: line 2, feature index 3: "
+                                  f"feature value {value!r} is not finite")
 
 
 def test_load_sparse_intercept_and_label_map(tmp_path):

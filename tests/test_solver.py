@@ -68,6 +68,21 @@ def test_max_constant_stepsize_frozen_cases():
     assert tiny_beta == pytest.approx(8.0, rel=1e-6)
 
 
+def test_max_constant_stepsize_raises_when_the_feature_scale_overflows():
+    # ||X||^2 / 8 overflows: the bound would read 0 and admit no stepsize
+    huge = Dataset(np.array([[1e300, 2.0], [1.5, -1.0]]), np.array([1, 0]))
+    spec = PenaltySpec(zeta=0.1)
+    with pytest.raises(NumericalError, match=r"not finite .* \|\|X\|\| = 1e\+300"):
+        max_constant_stepsize(0.1, spec, huge)
+    with pytest.raises(NumericalError):
+        fit(huge, 0.1, spec, SolverConfig())
+    with pytest.raises(NumericalError):
+        fit_cells(huge, [(0.1, 0.1)], [None])
+    # just inside the float range the bound is tiny but positive
+    large = Dataset(np.array([[1e150, 0.0]]), np.array([1]))
+    assert max_constant_stepsize(0.1, spec, large) == 1.0 / (1e300 / 8.0 + 0.1 * 0.1)
+
+
 def test_max_constant_stepsize_keeps_prox_well_posed():
     rng = np.random.default_rng(20)
     for _ in range(50):
@@ -464,7 +479,7 @@ def test_accelerated_reaches_target_faster_on_low_rank_replica():
     assert hit < plain.iterations
 
 
-# --- one engine, checked public functions -------------------------------------------
+# --- both loops, checked public functions ------------------------------------------
 
 ENGINE_CONFIGS = {
     "constant": SolverConfig(eps_tol=1e-12, max_iters=150),
@@ -602,21 +617,59 @@ def test_fit_checks_stay_at_the_boundary():
 # --- stacked cells ------------------------------------------------------------
 
 
+def _assert_is_the_oracle_row(result, expected):
+    """A fit, or a one-cell stack, has the bits of the one-row oracle."""
+    assert np.ravel(result.theta).tobytes() == expected.theta[0].tobytes()
+    assert np.ravel(result.final_objective)[0] == expected.final_objective[0]
+    assert np.ravel(result.iterations)[0] == expected.iterations[0]
+    assert np.ravel(result.converged)[0] == expected.converged[0]
+
+
 @pytest.mark.parametrize("cell", [(0.4, 0.3), (0.05, 0.0), (2.0, 1.0)])
 def test_fit_cells_single_cell_is_fit_bitwise(cell):
-    # with one row, the stacked products and kernels give the bits of fit's
+    # fit's constant rule is a one-row stack: fit, with and without momentum
+    # and from zeros or a theta0, and a one-cell fit_cells must give the
+    # bits of the one-row oracle loop, whose products are those of fit's
+    # former 1-D loop
     rng = np.random.default_rng(41)
     data = centered_instance(rng, 60, 7)
+    theta0 = rng.standard_normal(7)
     beta, zeta = cell
-    for alpha in (None, 0.5 * max_constant_stepsize(beta, PenaltySpec(zeta=zeta), data)):
+    spec = PenaltySpec(zeta=zeta)
+    for alpha in (None, 0.5 * max_constant_stepsize(beta, spec, data)):
         stacked = fit_cells(data, [cell], [alpha], eps_tol=1e-10, max_iters=400)
-        single = fit(data, beta, PenaltySpec(zeta=zeta),
-                     SolverConfig(alpha=alpha, eps_tol=1e-10, max_iters=400))
         assert stacked.theta.shape == (1, 7)
-        assert stacked.theta[0].tobytes() == single.theta.tobytes()
-        assert stacked.final_objective[0] == single.final_objective
-        assert stacked.iterations[0] == single.iterations
-        assert stacked.converged[0] == single.converged
+        _assert_is_the_oracle_row(stacked, stacked_fit_oracle(data, [cell], [alpha],
+                                                              eps_tol=1e-10, max_iters=400))
+        for accelerate in (False, True):
+            for start in (None, theta0):
+                config = SolverConfig(alpha=alpha, accelerate=accelerate, eps_tol=1e-10,
+                                      max_iters=400)
+                single = fit(data, beta, spec, config, theta0=start)
+                expected = stacked_fit_oracle(data, [cell], [alpha], eps_tol=1e-10,
+                                              max_iters=400, theta0=start,
+                                              accelerate=accelerate)
+                _assert_is_the_oracle_row(single, expected)
+                # train prints these with repr, which differs for numpy scalars
+                assert type(single.iterations) is int and type(single.converged) is bool
+                assert type(single.final_objective) is float
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_fit_constant_rule_is_the_one_row_oracle_on_fig1(accelerate):
+    # reproduce fig1's and fig2's problem and stepsizes, 200 iterations
+    train, _, _ = gen_separable(SynthSpec(d=50, n_train=1000, k=8, latent_dim=45, seed=0))
+    spec = PenaltySpec(zeta=0.1)
+    theta0 = np.random.default_rng(47).uniform(-0.01, 0.01, 50)
+    for alpha in (1.0, 2.0, 4.0):
+        for start in (None, theta0):
+            config = SolverConfig(alpha=alpha, accelerate=accelerate, eps_tol=1e-15,
+                                  max_iters=200, record_trace=False)
+            result = fit(train, 1.2, spec, config, theta0=start)
+            expected = stacked_fit_oracle(train, [(1.2, 0.1)], [alpha], eps_tol=1e-15,
+                                          max_iters=200, theta0=start, accelerate=accelerate)
+            _assert_is_the_oracle_row(result, expected)
+            assert result.iterations == 200
 
 
 def test_fit_cells_is_the_stacked_oracle_loop_bitwise():
@@ -638,6 +691,26 @@ def test_fit_cells_is_the_stacked_oracle_loop_bitwise():
         assert np.array_equal(result.converged, expected.converged)
         stalled += int(result.converged.sum())
     assert 0 < stalled < 4 * len(cells)
+
+
+def test_stacked_momentum_rows_leave_with_their_previous_iterates():
+    # fit runs the stacked loop with one row; with many rows and momentum,
+    # the rows of cells that stall leave every per-row array, the previous
+    # iterates included, and the rest go on with the shared schedule
+    cells = [(beta, zeta) for beta in (0.01, 0.1, 1.0) for zeta in (0.0, 0.1, 1.0)]
+    spec = SynthSpec(d=50, n_train=200, k=5, n_test=1000, amplitude="normal", seed=1000)
+    train = center(gen_noisy(spec)[0])
+    config = SolverConfig(accelerate=True, eps_tol=1e-6, max_iters=300, record_trace=False)
+    specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
+    steps = [solver._initial_alpha(config, s.beta, s, train) for s in specs]
+    result = solver._fit_stack(train, specs, steps, config, np.zeros((len(cells), 50)))
+    expected = stacked_fit_oracle(train, cells, [None] * len(cells), eps_tol=1e-6,
+                                  max_iters=300, accelerate=True)
+    assert result.theta.tobytes() == expected.theta.tobytes()
+    assert result.final_objective.tobytes() == expected.final_objective.tobytes()
+    assert np.array_equal(result.iterations, expected.iterations)
+    assert np.array_equal(result.converged, expected.converged)
+    assert 1 < len(set(result.iterations.tolist())) and not result.converged.all()
 
 
 def test_fit_cells_checks_every_cell_before_iterating():
