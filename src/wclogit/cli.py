@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: argparse, the commands, output paths and exit
+codes.  The grid search and the presets live in :mod:`wclogit.experiments`.
 
 Subcommands
 
@@ -19,39 +20,21 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .certify import beta_threshold, check_mcp_local_opt
-from .data import (
-    DataError,
-    SynthSpec,
-    apply_center,
-    center,
-    gen_noisy,
-    gen_separable,
-    load_csv,
-    load_sparse_classification_format,
-    save_csv,
-    train_test_split,
-)
+from .data import (DataError, SynthSpec, apply_center, center, gen_noisy, load_csv,
+                   load_sparse_classification_format, save_csv, train_test_split)
+from .experiments import (CvGrid, ErrorGrid, ErrorRow, reproduce_convergence,
+                          reproduce_error_grid, reproduce_noise_table, run_cv_grid,
+                          synthetic_pairs)
 from .model import Dataset, predict_many
 from .modelfile import ModelFile, load_model, save_model
 from .penalty import PenaltySpec
-from .solver import (
-    BACKTRACKING,
-    CONSTANT,
-    NumericalError,
-    SolverConfig,
-    fit,
-    fit_cells,
-    max_constant_stepsize,
-    write_trace_csv,
-)
+from .solver import BACKTRACKING, CONSTANT, NumericalError, SolverConfig, fit, write_trace_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,134 +42,6 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 __all__ = ["CvGrid", "ErrorRow", "ErrorGrid", "run_cv_grid", "main"]
-
-
-# --- cross-validation grid types ---------------------------------------------
-
-
-@dataclass
-class CvGrid:
-    """Hyperparameter grid: positive betas, nonnegative zetas (zeta = 0 rows
-    give the plain l1 baseline), repeated over fresh data per repeat."""
-
-    betas: tuple
-    zetas: tuple
-    repeats: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        self.betas = tuple(sorted(float(b) for b in self.betas))
-        self.zetas = tuple(sorted(float(z) for z in self.zetas))
-        if not self.betas or not self.zetas:
-            raise ValueError("grid needs at least one beta and one zeta")
-        # NaN would sort anywhere and pass both sign checks
-        if not all(math.isfinite(v) for v in self.betas + self.zetas):
-            raise ValueError(f"betas and zetas must be finite, got {self.betas} and {self.zetas}")
-        if self.betas[0] <= 0:
-            raise ValueError(f"betas must be positive, got {self.betas[0]}")
-        if self.zetas[0] < 0:
-            raise ValueError(f"zetas must be nonnegative, got {self.zetas[0]}")
-        # a bool is an int, and range() would reject 2.5 only later
-        for name in ("repeats", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-
-
-@dataclass(frozen=True)
-class ErrorRow:
-    beta: float
-    zeta: float
-    mean_test_error: float
-    std_error: float
-    mean_iterations: float
-    # share of repeats in which the cell's objective stalled within max_iters
-    converged_fraction: float
-
-
-@dataclass
-class ErrorGrid:
-    """One row per (beta, zeta) cell, errors averaged over repeats."""
-
-    rows: list
-
-    def __post_init__(self):
-        for row in self.rows:
-            if not (0.0 <= row.mean_test_error <= 1.0):
-                raise ValueError(f"error rate {row.mean_test_error} outside [0, 1]")
-
-    def best_row(self, l1: bool):
-        """Lowest-error row among zeta = 0 cells (l1) or zeta > 0 cells."""
-        pool = [r for r in self.rows if (r.zeta == 0.0) == l1]
-        if not pool:
-            return None
-        return min(pool, key=lambda r: (r.mean_test_error, r.beta, r.zeta))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beta", "zeta", "mean_test_error", "std_error",
-                             "mean_iterations", "converged_fraction"])
-            for r in self.rows:
-                writer.writerow([repr(r.beta), repr(r.zeta), repr(r.mean_test_error),
-                                 repr(r.std_error), repr(r.mean_iterations),
-                                 repr(r.converged_fraction)])
-
-
-def run_cv_grid(grid: CvGrid, dataset_for_repeat, alpha=None, eps_tol=1e-9,
-                max_iters=1000, notify=None) -> ErrorGrid:
-    """Fit and score every grid cell on every repeat's (train, test) pair.
-
-    ``dataset_for_repeat(r)`` supplies the r-th pair; pairs are drawn once and
-    shared by all cells, and all cells of a repeat are solved together by
-    :func:`fit_cells`.  An explicit ``alpha`` outside a cell's admissible
-    range falls back to the default with a ``notify`` notice (once per cell).
-    Rows come back ordered by (beta, zeta).
-    """
-    pairs = [dataset_for_repeat(r) for r in range(grid.repeats)]
-    cells = [(b, z) for b in grid.betas for z in grid.zetas]
-    # alphas[r][c] is cell c's stepsize on repeat r, None for the default
-    alphas = [[alpha] * len(cells) for _ in pairs]
-    if alpha is not None:
-        for c, (b, z) in enumerate(cells):
-            spec = PenaltySpec(zeta=z, beta=b)
-            noticed = False
-            for r, (train, _) in enumerate(pairs):
-                bound = max_constant_stepsize(b, spec, train)
-                if not (0.0 < alpha < bound):
-                    if notify is not None and not noticed:
-                        noticed = True
-                        notify(f"notice: stepsize {alpha:g} is outside (0, {bound:.6g}) "
-                               f"for beta={b:g}, zeta={z:g}; using the default")
-                    alphas[r][c] = None
-
-    errors = np.empty((len(cells), grid.repeats))
-    iterations = np.empty_like(errors)
-    converged = np.empty_like(errors)
-    for r, (train, test) in enumerate(pairs):
-        result = fit_cells(train, cells, alphas[r], eps_tol=eps_tol, max_iters=max_iters)
-        for c, theta in enumerate(result.theta):
-            labels, _ = predict_many(theta, test.features)
-            errors[c, r] = np.mean(labels != test.labels)
-        iterations[:, r] = result.iterations
-        converged[:, r] = result.converged
-    return ErrorGrid(rows=[
-        ErrorRow(b, z, float(errors[c].mean()), float(errors[c].std()),
-                 float(iterations[c].mean()), float(converged[c].mean()))
-        for c, (b, z) in enumerate(cells)])
-
-
-def _notify_unconverged(grids, max_iters: int, notify) -> None:
-    """One notice when some cell of the grids hit max_iters on every repeat."""
-    rows = [row for grid in grids for row in grid.rows]
-    never = sum(row.converged_fraction == 0.0 for row in rows)
-    if never and notify is not None:
-        total = len(rows)
-        notify(f"notice: {never} of {total} grid cells never converged within "
-               f"max_iters={max_iters} on any repeat; their errors are those of "
-               "truncated iterates")
 
 
 # --- dataset plumbing ---------------------------------------------------------
@@ -245,11 +100,8 @@ def cmd_train(args) -> int:
         rng = np.random.default_rng(args.seed)
         theta0 = rng.uniform(-0.01, 0.01, data.n_features)
     elif data.centered and not data.has_intercept:
-        try:
-            threshold = beta_threshold(data, spec)
-        except ValueError:
-            threshold = None
-        if threshold is not None and args.beta > threshold:
+        threshold = beta_threshold(data, spec)
+        if args.beta > threshold:
             print(f"warning: beta = {args.beta:g} exceeds the zero-solution "
                   f"threshold {threshold:.6g}; training from zeros stays at the "
                   "zero vector", file=sys.stderr)
@@ -278,28 +130,26 @@ def cmd_train(args) -> int:
 # --- predict ---------------------------------------------------------------------
 
 
-def _check_feature_count(model: ModelFile, data: Dataset) -> None:
-    """A data file with another feature count than the model is a data error."""
+def _load_for_model(args, model: ModelFile, labeled: bool = True) -> Dataset:
+    """The data file, checked against the model's feature count (another
+    count is a data error) and centered with the model's center."""
+    if labeled:
+        data = _load_dataset(args, args.data, model.has_intercept)
+    else:
+        data = load_csv(args.data, add_intercept=model.has_intercept,
+                        header=args.header, labeled=False)
     if data.n_features != model.theta.size:
-        raise DataError(
-            f"model has {model.theta.size} features but the data has "
-            f"{data.n_features}")
+        raise DataError(f"model has {model.theta.size} features but the data has "
+                        f"{data.n_features}")
+    return apply_center(data, model.center) if model.centered else data
 
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    if args.no_labels:
-        if args.sparse_format:
-            raise ValueError("--no-labels applies to dense CSV input only")
-        data = load_csv(args.data, add_intercept=model.has_intercept,
-                        header=args.header, labeled=False)
-        labels = None
-    else:
-        data = _load_dataset(args, args.data, model.has_intercept)
-        labels = data.labels
-    _check_feature_count(model, data)
-    if model.centered:
-        data = apply_center(data, model.center)
+    if args.no_labels and args.sparse_format:
+        raise ValueError("--no-labels applies to dense CSV input only")
+    data = _load_for_model(args, model, labeled=not args.no_labels)
+    labels = None if args.no_labels else data.labels
 
     predicted, probs = predict_many(model.theta, data.features)
     with open(args.out, "w", newline="") as fh:
@@ -322,10 +172,7 @@ def cmd_predict(args) -> int:
 
 def cmd_certify(args) -> int:
     model = load_model(args.model)
-    data = _load_dataset(args, args.data, model.has_intercept)
-    _check_feature_count(model, data)
-    if model.centered:
-        data = apply_center(data, model.center)
+    data = _load_for_model(args, model)
     spec = PenaltySpec(zeta=model.zeta, beta=model.beta)
 
     if args.threshold_only:
@@ -359,63 +206,41 @@ def _parse_float_list(text: str, what: str) -> tuple:
     return values
 
 
-def _synth_spec_from_args(args, repeat_seed: int) -> SynthSpec:
-    if args.d is None or args.n_train is None or args.k is None:
-        raise ValueError("synthetic data needs --d, --n-train, and --k "
-                         "(or pass --data)")
-    return SynthSpec(d=args.d, n_train=args.n_train, k=args.k, n_test=args.n_test,
-                     latent_dim=args.latent_dim, amplitude=args.amplitude,
-                     noise_sigma=args.noise_sigma, seed=repeat_seed)
-
-
-def _centered_pair(train: Dataset, test: Dataset):
-    train = center(train)
-    return train, apply_center(test, train.center)
-
-
 def cmd_cv(args) -> int:
     grid = CvGrid(betas=_parse_float_list(args.betas, "beta"),
                   zetas=_parse_float_list(args.zetas, "zeta"),
                   repeats=args.repeats, seed=args.seed)
-    notify = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
 
     if args.data is not None:
         full = _load_dataset(args, args.data, add_intercept=False)
 
         def pair_for_repeat(r):
-            train, test = train_test_split(full, args.test_fraction,
-                                           seed=grid.seed + r, center_split=False)
-            if args.validation_fraction is not None:
-                # the held-out test split goes unused: the flag only selects
-                train, test = train_test_split(train, args.validation_fraction,
-                                               seed=grid.seed + r, center_split=False)
-            return _centered_pair(train, test)
+            if args.validation_fraction is None:
+                return train_test_split(full, args.test_fraction, seed=grid.seed + r)
+            # the held-out test split goes unused: the flag only selects
+            train, _ = train_test_split(full, args.test_fraction, seed=grid.seed + r,
+                                        center_split=False)
+            return train_test_split(train, args.validation_fraction, seed=grid.seed + r)
     else:
         if args.validation_fraction is not None:
             raise ValueError("--validation-fraction needs --data; synthetic runs "
                              "already draw fresh test points per repeat")
-
-        def pair_for_repeat(r):
-            train, test, _ = gen_noisy(_synth_spec_from_args(args, grid.seed + r))
-            if test is None:
-                raise ValueError("cv needs test data; pass --n-test >= 1")
-            return _centered_pair(train, test)
+        if args.d is None or args.n_train is None or args.k is None:
+            raise ValueError("synthetic data needs --d, --n-train, and --k "
+                             "(or pass --data)")
+        base = SynthSpec(d=args.d, n_train=args.n_train, k=args.k, n_test=args.n_test,
+                         latent_dim=args.latent_dim, amplitude=args.amplitude,
+                         noise_sigma=args.noise_sigma)
+        if base.n_test < 1:
+            raise ValueError("cv needs test data; pass --n-test >= 1")
+        pair_for_repeat = synthetic_pairs(base, grid.seed)
 
     error_grid = run_cv_grid(grid, pair_for_repeat, alpha=args.alpha,
                              eps_tol=args.eps_tol, max_iters=args.max_iters,
-                             notify=notify)
-    error_grid.write_csv(args.out)
-    _notify_unconverged([error_grid], args.max_iters, notify)
-
-    if not args.quiet:
-        print(f"grid written to {args.out}")
-        for l1, name in ((True, "zeta=0 baseline"), (False, "zeta>0")):
-            row = error_grid.best_row(l1=l1)
-            if row is None:
-                continue
-            kind = "validation" if args.validation_fraction is not None else "test"
-            print(f"best {name}: beta={row.beta:g}, zeta={row.zeta:g}, "
-                  f"mean {kind} error {row.mean_test_error:.4f}")
+                             notify=None if args.quiet else
+                             lambda msg: print(msg, file=sys.stderr))
+    kind = "validation" if args.validation_fraction is not None else "test"
+    error_grid.report(args.out, args.max_iters, args.quiet, kind)
     return EXIT_OK
 
 
@@ -430,16 +255,14 @@ def cmd_generate(args) -> int:
                      noisy_test_labels=not args.clean_test_labels, seed=args.seed)
     train, test, theta0 = gen_noisy(spec)
 
-    prefix = args.out_prefix
-    save_csv(train, f"{prefix}_train.csv")
-    written = [f"{prefix}_train.csv"]
-    if test is not None:
-        save_csv(test, f"{prefix}_test.csv")
-        written.append(f"{prefix}_test.csv")
-    with open(f"{prefix}_theta0.txt", "w") as fh:
-        for value in theta0:
-            fh.write(repr(float(value)) + "\n")
-    written.append(f"{prefix}_theta0.txt")
+    written = []
+    for part, data in (("train", train), ("test", test)):
+        if data is not None:
+            written.append(f"{args.out_prefix}_{part}.csv")
+            save_csv(data, written[-1])
+    written.append(f"{args.out_prefix}_theta0.txt")
+    with open(written[-1], "w") as fh:
+        fh.writelines(repr(float(value)) + "\n" for value in theta0)
 
     if not args.quiet:
         print("wrote " + ", ".join(written))
@@ -448,134 +271,17 @@ def cmd_generate(args) -> int:
 
 # --- reproduce ------------------------------------------------------------------------
 
-# the convergence-demonstration problem: latent 45-dimensional subspace,
-# unit-spectral-norm features, 8-sparse weights with amplitudes in [5, 15]
-_CONVERGENCE_SPEC = SynthSpec(d=50, n_train=1000, k=8, latent_dim=45, seed=0)
-_CONVERGENCE_BETA = 1.2
-_CONVERGENCE_ZETA = 0.1
-_CONVERGENCE_ALPHAS = (1.0, 2.0, 4.0)
-
-
-def _normalized(theta: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(theta)
-    return theta / norm if norm > 0 else theta
-
-
-def _reproduce_convergence(out_dir: Path, accelerate: bool, max_iters: int,
-                           quiet: bool) -> int:
-    tag = "fig2" if accelerate else "fig1"
-    train, _, theta0 = gen_separable(_CONVERGENCE_SPEC)
-    spec = PenaltySpec(zeta=_CONVERGENCE_ZETA, beta=_CONVERGENCE_BETA)
-    bound = max_constant_stepsize(_CONVERGENCE_BETA, spec, train)
-    if not quiet:
-        print(f"admissible constant stepsizes: (0, {bound:.6g})")
-
-    estimates = {}
-    for alpha in _CONVERGENCE_ALPHAS:
-        config = SolverConfig(alpha=alpha, accelerate=accelerate,
-                              eps_tol=1e-15, max_iters=max_iters)
-        result = fit(train, _CONVERGENCE_BETA, spec, config)
-        trace_path = out_dir / f"{tag}_alpha{alpha:g}.csv"
-        write_trace_csv(result, trace_path)
-        estimates[f"alpha{alpha:g}"] = _normalized(result.theta)
-        if not quiet:
-            print(f"alpha = {alpha:g}: final objective {result.final_objective:.6f}, "
-                  f"trace in {trace_path}")
-
-    l1_config = SolverConfig(eps_tol=1e-15, max_iters=max_iters, record_trace=False)
-    l1_result = fit(train, _CONVERGENCE_BETA, PenaltySpec(zeta=0.0), l1_config)
-    estimates["l1"] = _normalized(l1_result.theta)
-
-    theta_path = out_dir / f"{tag}_theta.csv"
-    columns = ["ground_truth"] + list(estimates)
-    with open(theta_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + columns)
-        reference = {"ground_truth": _normalized(theta0), **estimates}
-        for j in range(theta0.size):
-            writer.writerow([j] + [repr(float(reference[c][j])) for c in columns])
-    if not quiet:
-        print(f"normalized estimates in {theta_path}")
-    return EXIT_OK
-
-
-def _error_grid_synth_pairs(base_spec: SynthSpec, seed: int):
-    def pair_for_repeat(r):
-        spec = SynthSpec(d=base_spec.d, n_train=base_spec.n_train, k=base_spec.k,
-                         n_test=base_spec.n_test, latent_dim=base_spec.latent_dim,
-                         amplitude=base_spec.amplitude,
-                         noise_sigma=base_spec.noise_sigma, seed=seed + r)
-        train, test, _ = gen_noisy(spec)
-        return _centered_pair(train, test)
-    return pair_for_repeat
-
-
-def _reproduce_error_grid(out_dir: Path, repeats: int, max_iters: int,
-                          quiet: bool) -> int:
-    base = SynthSpec(d=50, n_train=200, k=5, n_test=1000, amplitude="normal", seed=0)
-    grid = CvGrid(betas=tuple(10.0 ** np.linspace(-2.8, 0.6, 7)),
-                  zetas=(0.0, 0.01, 0.1, 1.0), repeats=repeats, seed=0)
-    notify = None if quiet else lambda msg: print(msg, file=sys.stderr)
-    # the published stepsize 0.1 predates the admissibility bound of the raw
-    # Gaussian features; inadmissible cells fall back to the default
-    error_grid = run_cv_grid(grid, _error_grid_synth_pairs(base, seed=1000),
-                             alpha=0.1, max_iters=max_iters, notify=notify)
-    path = out_dir / "fig3_grid.csv"
-    error_grid.write_csv(path)
-    _notify_unconverged([error_grid], max_iters, notify)
-    if not quiet:
-        print(f"grid written to {path}")
-        for l1, name in ((True, "zeta=0 baseline"), (False, "zeta>0")):
-            row = error_grid.best_row(l1=l1)
-            print(f"best {name}: beta={row.beta:g}, zeta={row.zeta:g}, "
-                  f"mean test error {row.mean_test_error:.4f}")
-    return EXIT_OK
-
-
-def _reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
-                           quiet: bool) -> int:
-    noise_levels = (0.01, 0.03, 0.05, 0.1, 0.3, 0.5)
-    betas = tuple(10.0 ** np.linspace(-3.0, 1.0, 7))
-    zetas = (0.0, 0.001, 0.01, 0.1, 1.0, 10.0)
-    path = out_dir / "table3.csv"
-    grids = []
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["noise_level", "l1_error", "weakly_convex_error"])
-        for level, sigma in enumerate(noise_levels):
-            base = SynthSpec(d=50, n_train=200, k=5, n_test=1000,
-                             amplitude="normal", noise_sigma=sigma, seed=0)
-            grid = CvGrid(betas=betas, zetas=zetas, repeats=repeats,
-                          seed=2000 + 100 * level)
-            error_grid = run_cv_grid(
-                grid, _error_grid_synth_pairs(base, seed=3000 + 100 * level),
-                max_iters=max_iters)
-            grids.append(error_grid)
-            l1 = error_grid.best_row(l1=True)
-            wc = error_grid.best_row(l1=False)
-            writer.writerow([repr(sigma), repr(l1.mean_test_error),
-                             repr(wc.mean_test_error)])
-            if not quiet:
-                print(f"noise {sigma:g}: l1 error {l1.mean_test_error:.4f}, "
-                      f"weakly convex error {wc.mean_test_error:.4f}")
-    if not quiet:
-        print(f"table written to {path}")
-        _notify_unconverged(grids, max_iters, lambda msg: print(msg, file=sys.stderr))
-    return EXIT_OK
-
 
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.preset in ("fig1", "fig2"):
-        max_iters = args.max_iters if args.max_iters is not None else 1000
-        return _reproduce_convergence(out_dir, accelerate=args.preset == "fig2",
-                                      max_iters=max_iters, quiet=args.quiet)
-    repeats = args.repeats if args.repeats is not None else 10
-    max_iters = args.max_iters if args.max_iters is not None else 1000
-    if args.preset == "fig3":
-        return _reproduce_error_grid(out_dir, repeats, max_iters, args.quiet)
-    return _reproduce_noise_table(out_dir, repeats, max_iters, args.quiet)
+        reproduce_convergence(out_dir, args.preset == "fig2", args.max_iters, args.quiet)
+    elif args.preset == "fig3":
+        reproduce_error_grid(out_dir, args.repeats, args.max_iters, args.quiet)
+    else:
+        reproduce_noise_table(out_dir, args.repeats, args.max_iters, args.quiet)
+    return EXIT_OK
 
 
 # --- parser -------------------------------------------------------------------------
@@ -689,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="experiment presets emitting plot-ready CSVs")
     reproduce.add_argument("preset", choices=("fig1", "fig2", "fig3", "table3"))
     reproduce.add_argument("--out-dir", default=".")
-    reproduce.add_argument("--max-iters", type=int, default=None)
-    reproduce.add_argument("--repeats", type=int, default=None)
+    reproduce.add_argument("--max-iters", type=int, default=1000)
+    reproduce.add_argument("--repeats", type=int, default=10)
     reproduce.add_argument("--quiet", action="store_true")
     reproduce.set_defaults(func=cmd_reproduce)
 

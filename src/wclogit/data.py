@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, NumericalError
 
 __all__ = [
     "DataError",
@@ -36,6 +36,9 @@ __all__ = [
 # child-stream order of the generator seed; fixed so that draws stay put
 _STREAMS = ("latent_left", "latent_right", "features", "support",
             "amplitudes", "signs", "train_noise", "test_noise")
+
+# the most entries N*d a sparse file may expand to (512 MiB of float64)
+MAX_DENSE_ENTRIES = 2 ** 26
 
 AMPLITUDE_UNIFORM = "uniform"
 AMPLITUDE_NORMAL = "normal"
@@ -150,11 +153,13 @@ def center(data: Dataset) -> Dataset:
     held-out data can be mapped the same way.  Centering twice is a no-op
     up to rounding.
     """
-    X = data.features.copy()
-    shift = X.mean(axis=0)
-    if data.has_intercept:
-        shift[-1] = 0.0
-    X -= shift
+    def column_means(X):
+        shift = X.mean(axis=0)
+        if data.has_intercept:
+            shift[-1] = 0.0
+        return shift
+
+    X, shift = _shifted(data.features, column_means)
     return Dataset(X, data.labels, centered=True, center=data.center + shift,
                    has_intercept=data.has_intercept)
 
@@ -166,9 +171,24 @@ def apply_center(data: Dataset, shift: np.ndarray) -> Dataset:
         raise ValueError(
             f"center has shape {shift.shape} but the dataset has {data.n_features} features"
         )
-    delta = shift - data.center
-    return Dataset(data.features - delta, data.labels, centered=True, center=shift,
+    X, _ = _shifted(data.features, lambda X: shift - data.center)
+    return Dataset(X, data.labels, centered=True, center=shift,
                    has_intercept=data.has_intercept)
+
+
+def _shifted(features: np.ndarray, shift_of):
+    """``(features - shift, shift)`` with ``shift = shift_of(features)``; a value
+    beyond the float range raises :class:`NumericalError` naming its column."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            shift = shift_of(features)
+            return features - shift, shift
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = shift_of(features)
+            finite = np.isfinite(shift) & np.isfinite(features - shift).all(axis=0)
+    raise NumericalError(f"centering leaves the float range in feature column "
+                         f"{int(np.argmin(finite)) + 1}; rescale the features")
 
 
 def train_test_split(data: Dataset, test_fraction: float, seed: int,
@@ -396,7 +416,7 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
 
     Indices are 1-based; absent features are zero.  The dimension is the
     largest index seen unless ``num_features`` pins it (needed to keep
-    train and test files aligned).
+    train and test files aligned), up to ``MAX_DENSE_ENTRIES`` entries in all.
     """
     entries = []
     labels = []
@@ -434,6 +454,10 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
         raise DataError(f"{path}: cannot infer the feature dimension from an all-empty file")
     if max_idx > d:
         raise DataError(f"{path}: feature index {max_idx} exceeds num_features = {d}")
+    if len(entries) * d > MAX_DENSE_ENTRIES:
+        what = f"num_features = {d}" if num_features is not None else f"feature index {d}"
+        raise DataError(f"{path}: {what} needs a dense {len(entries)} x {d} matrix, above "
+                        f"the limit of {MAX_DENSE_ENTRIES} entries")
     X = np.zeros((len(entries), d))
     for i, row in enumerate(entries):
         for idx, val in row.items():

@@ -34,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "Dataset",
+    "NumericalError",
     "sigmoid",
     "loss",
     "loss_gradient",
@@ -42,6 +43,10 @@ __all__ = [
     "predict",
     "predict_many",
 ]
+
+
+class NumericalError(RuntimeError):
+    """A computation produced a non-finite quantity."""
 
 
 @dataclass(frozen=True)

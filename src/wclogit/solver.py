@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dataset, _kernels, _margins, loss, loss_gradient, spectral_norm
+from .model import Dataset, NumericalError, _kernels, _margins, loss, loss_gradient, spectral_norm
 from .penalty import (
     PenaltySpec,
     _repeat_rows,
@@ -107,10 +107,6 @@ _MAX_BACKTRACK_REDUCTIONS = 100
 # iterates whose trace rows fit computes together: a few numpy calls per
 # block instead of ~20 per iteration, and O(_TRACE_BLOCK * d) memory
 _TRACE_BLOCK = 64
-
-
-class NumericalError(RuntimeError):
-    """The iteration produced a non-finite quantity."""
 
 
 @dataclass

@@ -135,6 +135,31 @@ def test_train_overflowing_feature_scale_is_a_numerical_error(tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_train_center_overflow_is_a_numerical_error(tmp_path, capsys):
+    # finite cells whose column sum overflows: no warning escapes, exit 3
+    data = tmp_path / "d.csv"
+    data.write_text("label,f1,f2\n1,0.5,1.7e308\n0,1.5,1.7e308\n")
+    code = run("train", data, "--beta", 0.1, "--center", "--out", tmp_path / "m.txt")
+    assert code == 3
+    assert capsys.readouterr().err == ("error: centering leaves the float range in "
+                                       "feature column 2; rescale the features\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_sparse_file_above_the_dense_limit_is_a_data_error(tmp_path, capsys, monkeypatch):
+    sparse = tmp_path / "s.txt"
+    sparse.write_text("1 1:2.0 6:1.0\n0 2:1.5\n")
+    monkeypatch.setattr("wclogit.data.MAX_DENSE_ENTRIES", 11)
+    for flags, what, d in (([], "feature index 6", 6),
+                           (["--num-features", 8], "num_features = 8", 8)):
+        code = run("train", sparse, "--sparse-format", *flags, "--beta", 0.1,
+                   "--out", tmp_path / "m.txt")
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {sparse}: {what} needs a dense 2 x {d} "
+                                           "matrix, above the limit of 11 entries\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_train_rejects_inadmissible_alpha(synth, tmp_path, capsys):
     code = run("train", synth["train"], "--beta", 0.3, "--zeta", 0.5,
                "--alpha", 50, "--out", tmp_path / "m.txt")
@@ -600,6 +625,23 @@ def test_reproduce_error_grid_preset(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 7 * 4
     assert all(0.0 <= float(r["converged_fraction"]) <= 1.0 for r in rows)
+
+
+def test_cv_and_fig3_share_one_draw_path(tmp_path, capsys):
+    # cv on fig3's problem, grid, seed and stepsize draws fig3's repeats
+    assert run("reproduce", "fig3", "--out-dir", tmp_path, "--max-iters", 40,
+               "--repeats", 1) == 0
+    fig3 = capsys.readouterr()
+    betas = ",".join(repr(float(b)) for b in 10.0 ** np.linspace(-2.8, 0.6, 7))
+    assert run("cv", "--d", 50, "--n-train", 200, "--k", 5, "--n-test", 1000,
+               "--seed", 1000, "--betas", betas, "--zetas", "0,0.01,0.1,1",
+               "--alpha", 0.1, "--max-iters", 40, "--repeats", 1,
+               "--out", tmp_path / "cv.csv") == 0
+    cv = capsys.readouterr()
+    assert (tmp_path / "cv.csv").read_bytes() == (tmp_path / "fig3_grid.csv").read_bytes()
+    assert cv.err == fig3.err and "notice:" in cv.err
+    # the same best rows, after the line that names the output path
+    assert cv.out.splitlines()[1:] == fig3.out.splitlines()[1:]
 
 
 def test_reproduce_noise_table_preset(tmp_path):

@@ -16,7 +16,7 @@ from wclogit.data import (
     save_csv,
     train_test_split,
 )
-from wclogit.model import Dataset
+from wclogit.model import Dataset, NumericalError
 
 
 # --- centering --------------------------------------------------------------
@@ -82,6 +82,25 @@ def test_apply_center_composes_with_prior_shift():
     direct = apply_center(data, target)
     via = apply_center(center(data), target)
     assert np.allclose(via.features, direct.features, atol=1e-12)
+
+
+def test_centering_beyond_the_float_range_names_the_column():
+    # a column whose sum overflows, and a finite column mean (-1.7e307) that
+    # 1.7e308 cannot be shifted by without overflowing
+    labels = np.array([1, 0, 1])
+    for X, column in ((np.array([[0.5, 1.7e308], [1.5, 1.7e308], [2.0, 1.0]]), 2),
+                      (np.array([[1.7e308, 1.0], [-1.7e308, 2.0], [-0.5e308, 3.0]]), 1)):
+        with pytest.raises(NumericalError) as err:
+            center(Dataset(X, labels))
+        assert str(err.value) == (f"centering leaves the float range in feature "
+                                  f"column {column}; rescale the features")
+    test = Dataset(np.array([[1.0, 1.7e308]]), np.array([1]))
+    with pytest.raises(NumericalError, match="feature column 2;"):
+        apply_center(test, np.array([0.0, -1.7e308]))
+    # a shift beyond the float range: target minus the data's own center
+    shifted = apply_center(test, np.array([0.0, 1.7e308]))
+    with pytest.raises(NumericalError, match="feature column 2;"):
+        apply_center(shifted, np.array([0.0, -1.7e308]))
 
 
 # --- splitting --------------------------------------------------------------
@@ -384,6 +403,22 @@ def test_load_sparse_rejects_a_non_finite_value(tmp_path):
             load_sparse_classification_format(p)
         assert str(err.value) == (f"{p}: line 2, feature index 3: "
                                   f"feature value {value!r} is not finite")
+
+
+def test_load_sparse_limits_the_dense_size_before_allocating(tmp_path, monkeypatch):
+    p = write(tmp_path / "s.txt", "1 7:0.5\n0 1:2\n")
+    monkeypatch.setattr("wclogit.data.MAX_DENSE_ENTRIES", 14)
+    assert load_sparse_classification_format(p).features.shape == (2, 7)
+    monkeypatch.setattr("wclogit.data.MAX_DENSE_ENTRIES", 13)
+    monkeypatch.setattr(np, "zeros", None)  # nothing may be allocated
+    with pytest.raises(DataError) as err:
+        load_sparse_classification_format(p)
+    assert str(err.value) == (f"{p}: feature index 7 needs a dense 2 x 7 matrix, "
+                              "above the limit of 13 entries")
+    with pytest.raises(DataError) as err:
+        load_sparse_classification_format(p, num_features=9)
+    assert str(err.value) == (f"{p}: num_features = 9 needs a dense 2 x 9 matrix, "
+                              "above the limit of 13 entries")
 
 
 def test_load_sparse_intercept_and_label_map(tmp_path):
