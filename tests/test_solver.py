@@ -751,3 +751,144 @@ def test_fit_cells_raises_when_a_running_cell_turns_non_finite(monkeypatch):
     monkeypatch.setattr(solver, "_kernels", poisoned)
     with pytest.raises(NumericalError):
         fit_cells(data, [(0.1, 0.0), (0.1, 0.5)], [None, None])
+
+
+# --- skipping the objective ------------------------------------------------------
+
+
+def _record_evaluations(monkeypatch):
+    """Patch the solver so that each iteration's use of the objective shows:
+    ``calls["prox"]`` counts the iterations, and ``calls["evaluated"]`` holds
+    the count at each call of the kernels' evaluate (0 for the start)."""
+    calls = {"prox": 0, "evaluated": []}
+    prox, kernels = solver._prox, solver._kernels
+
+    def counting_prox(*args):
+        calls["prox"] += 1
+        return prox(*args)
+
+    def recording_kernels(data):
+        evaluate, gradient = kernels(data)
+
+        def recording(theta):
+            calls["evaluated"].append(calls["prox"])
+            return evaluate(theta)
+        return recording, gradient
+
+    monkeypatch.setattr(solver, "_prox", counting_prox)
+    monkeypatch.setattr(solver, "_kernels", recording_kernels)
+    return calls
+
+
+def _skip_cases(rng):
+    """Problems of several sizes and feature scales, each with an l1 cell, a
+    cell whose bound is 1/(2*beta*zeta) and cells between, at stepsizes from
+    0.5x to 0.9999x the bound."""
+    for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        for _ in range(3):
+            n, d = int(rng.integers(20, 301)), int(rng.integers(3, 61))
+            X = scale * rng.standard_normal((n, d))
+            data = Dataset(X - X.mean(axis=0), rng.integers(0, 2, size=n), centered=True)
+            norm = solver.spectral_norm(data)
+            betas = 10.0 ** rng.uniform(-3.0, 0.0, size=4)
+            # beta*zeta = ||X||^2/4 > ||X||^2/8: the bound is 1/(2*beta*zeta)
+            zetas = [0.0, 10.0 ** rng.uniform(-3.0, 1.0) / scale, norm * norm / (4.0 * betas[2]),
+                     0.0]
+            cells = list(zip(betas.tolist(), zetas))
+            shares = [0.5, 0.9999, rng.uniform(0.5, 0.9999), 0.99]
+            alphas = [share * max_constant_stepsize(beta, PenaltySpec(zeta=zeta), data)
+                      for share, (beta, zeta) in zip(shares, cells)]
+            yield data, cells, alphas, rng.standard_normal(d) / scale
+
+
+def _assert_rows_are_the_oracle(result, expected):
+    """A stack, or fit's one row, has the bits of the oracle loop's rows."""
+    assert np.ravel(result.theta).tobytes() == expected.theta.tobytes()
+    assert np.ravel(result.final_objective).tobytes() == expected.final_objective.tobytes()
+    assert np.array_equal(np.ravel(result.iterations), expected.iterations)
+    assert np.array_equal(np.ravel(result.converged), expected.converged)
+
+
+def test_skipping_the_objective_keeps_the_oracle_loop_bitwise(monkeypatch):
+    # an untraced plain stack may skip the objective only where the stall
+    # test would fail: iterates, objectives, counts and stall flags keep the
+    # bits of the oracle loop, which evaluates it on every iteration
+    calls = _record_evaluations(monkeypatch)
+    paths = {"skipped": 0, "exact": 0, "stalled": 0}
+
+    def check(run, expected):
+        calls["prox"], calls["evaluated"] = 0, []
+        result = run()
+        _assert_rows_are_the_oracle(result, expected)
+        evaluated = set(calls["evaluated"]) - {0}
+        paths["exact"] += len(evaluated)
+        paths["skipped"] += calls["prox"] - len(evaluated)
+        paths["stalled"] += int(np.sum(result.converged))
+
+    rng = np.random.default_rng(48)
+    for case, (data, cells, alphas, theta0) in enumerate(_skip_cases(rng)):
+        eps_tol, iters = (1e-12, 1e-9, 1e-6)[case % 3], 200
+        specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
+        config = SolverConfig(eps_tol=eps_tol, max_iters=iters, record_trace=False)
+        check(lambda: fit_cells(data, cells, alphas, eps_tol=eps_tol, max_iters=iters),
+              stacked_fit_oracle(data, cells, alphas, eps_tol, iters))
+        check(lambda: solver._fit_stack(data, specs, alphas, config,
+                                        np.repeat(theta0[None], len(cells), axis=0)),
+              stacked_fit_oracle(data, cells, alphas, eps_tol, iters, theta0=theta0))
+        # fit's constant rule is a one-row stack
+        cell, alpha = cells[case % 4], alphas[case % 4]
+        for start in (None, theta0):
+            check(lambda: fit(data, cell[0], PenaltySpec(zeta=cell[1]),
+                              replace(config, alpha=alpha), theta0=start),
+                  stacked_fit_oracle(data, [cell], [alpha], eps_tol, iters, theta0=start))
+    assert paths["skipped"] > 4000 and paths["exact"] > 500 and paths["stalled"] > 40, paths
+
+
+def test_a_plain_grid_skips_most_objectives_and_a_traced_fit_none(monkeypatch):
+    # fig3's grid on draw 1000 at its eps_tol and cap: at most a quarter of
+    # the iterations evaluate the objective; a traced or accelerated fit
+    # evaluates it on every iteration
+    calls = _record_evaluations(monkeypatch)
+    cells = [(beta, zeta) for beta in 10.0 ** np.linspace(-2.8, 0.6, 7)
+             for zeta in (0.0, 0.01, 0.1, 1.0)]
+    spec = SynthSpec(d=50, n_train=200, k=5, n_test=1000, amplitude="normal", seed=1000)
+    train = center(gen_noisy(spec)[0])
+    result = fit_cells(train, cells, [None] * len(cells), eps_tol=1e-9, max_iters=1000)
+    assert calls["prox"] == 1000 and not result.converged.all()
+    assert len(calls["evaluated"]) <= 250
+    for config in (SolverConfig(eps_tol=1e-9, max_iters=300),
+                   SolverConfig(accelerate=True, eps_tol=1e-9, max_iters=300,
+                                record_trace=False)):
+        calls["prox"], calls["evaluated"] = 0, []
+        fit(train, 0.1, PenaltySpec(zeta=0.1), config)
+        assert calls["evaluated"] == list(range(calls["prox"] + 1))
+
+
+@pytest.mark.parametrize("at", [1, 2, 40, 150])
+def test_a_nan_in_one_rows_prox_output_raises_at_that_iteration(monkeypatch, at):
+    # the certificate fails on NaN, so the iteration that made it takes the
+    # exact path and raises there, after a run of skipped objectives too
+    prox = solver._prox
+    calls = [0]
+
+    def poisoned(v, *args):
+        calls[0] += 1
+        out = prox(v, *args)
+        if calls[0] == at:
+            out[-1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "_prox", poisoned)
+    rng = np.random.default_rng(49)
+    # separable: no cell stalls before the cap, and all but two of its
+    # objectives are skipped
+    data = centered_instance(rng, 40, 20)
+    with pytest.raises(NumericalError):
+        fit_cells(data, [(0.01, 0.0), (0.01, 0.5), (0.05, 0.1)], [None] * 3,
+                  eps_tol=1e-12, max_iters=300)
+    assert calls[0] == at
+    calls[0] = 0
+    with pytest.raises(NumericalError):
+        fit(data, 0.01, PenaltySpec(zeta=0.5),
+            SolverConfig(eps_tol=1e-12, max_iters=300, record_trace=False))
+    assert calls[0] == at
