@@ -16,9 +16,9 @@ matrix rank from the same vector.
 The public functions check their inputs and then call the private kernels
 below, which the solver calls directly.  ``_margins`` makes the one pass
 ``z = X @ theta`` of a point and computes its one ``e = exp(-|z|)`` in
-place; that pair serves both the loss (``_margins_loss``) and the gradient
-(``_gradient_from_margins``, through the sigmoid ``max(e, [z >= 0]) /
-(1 + e)``).  The kernels also take points stacked as the rows of a
+place; that pair serves both the loss (``_loss_from_margins``) and the
+gradient (``_gradient_from_margins``, through the sigmoid
+``max(e, [z >= 0]) / (1 + e)``).  The kernels also take points stacked as the rows of a
 matrix, one pass for all of them; their label operands are then the first
 rows of a block of repeated label rows, so that every elementwise step
 has operands of one shape.  Each step keeps the bits of the plain
@@ -174,21 +174,27 @@ def _margins(X, theta):
     return _exp_pair(theta @ X.T)
 
 
-def _margins_loss(X, neg_signs: _RepeatedRows, theta):
-    """The margins pair of a point and its loss, from one exp per margin.
+def _loss_from_margins(neg_signs: _RepeatedRows, margins):
+    """The loss of a point from its margins pair (z, exp(-|z|)), or an array
+    of C losses from stacked margins, each summed over its contiguous row
+    exactly as the loss of that point alone.  The pair is left as it is.
 
     ``neg_signs`` repeats 1 - 2*y, so each term log(1 + exp(-s_i * z_i)) is
-    max(neg_signs_i * z_i, 0) + log1p(exp(-|z_i|)).  ``theta`` may also
-    stack C points as the rows of a (C, d) array; the loss is then an array
-    of C values, each summed over its contiguous row exactly as the loss of
-    that point alone.
+    max(neg_signs_i * z_i, 0) + log1p(exp(-|z_i|)).
     """
-    margins = z, e = _margins(X, theta)
+    z, e = margins
     terms = neg_signs.like(z) * z
     np.maximum(terms, 0.0, out=terms)
     terms += np.log1p(e)
     losses = terms.sum(axis=-1)
-    return margins, losses if losses.ndim else float(losses)
+    return losses if losses.ndim else float(losses)
+
+
+def _margins_loss(X, neg_signs: _RepeatedRows, theta):
+    """The margins pair of a point, or of a (C, d) stack of points, and its
+    loss, from one exp per margin."""
+    margins = _margins(X, theta)
+    return margins, _loss_from_margins(neg_signs, margins)
 
 
 def _gradient_from_margins(X, labels: _RepeatedRows, margins) -> np.ndarray:
@@ -200,14 +206,18 @@ def _gradient_from_margins(X, labels: _RepeatedRows, margins) -> np.ndarray:
 
 
 def _kernels(data: Dataset):
-    """Unchecked ``(evaluate, gradient)`` for data: ``evaluate(theta)`` returns
-    ``((z, exp(-|z|)), loss)`` and ``gradient`` turns that margins pair into
-    the loss gradient at the same point.  Both accept a (C, d) stack of
-    points as well as a single one; each pair keeps its own blocks of
-    repeated label rows."""
+    """Unchecked ``(evaluate, gradient, loss_of)`` for data:
+    ``evaluate(theta)`` returns ``((z, exp(-|z|)), loss)``, and ``gradient``
+    and ``loss_of`` turn such a margins pair into the loss gradient and the
+    loss at the same point; ``evaluate`` is ``_margins`` then ``loss_of``, so
+    a loss from margins computed apart has its bits.  All accept a (C, d)
+    stack of points as well as a single one; each label operand keeps its
+    own blocks of repeated rows."""
     labels = data.labels.astype(float)
-    return (partial(_margins_loss, data.features, _RepeatedRows(1.0 - 2.0 * labels)),
-            partial(_gradient_from_margins, data.features, _RepeatedRows(labels)))
+    neg_signs = _RepeatedRows(1.0 - 2.0 * labels)
+    return (partial(_margins_loss, data.features, neg_signs),
+            partial(_gradient_from_margins, data.features, _RepeatedRows(labels)),
+            partial(_loss_from_margins, neg_signs))
 
 
 def sigmoid(t):
@@ -228,13 +238,13 @@ def _check_theta(theta, data: Dataset) -> np.ndarray:
 
 def loss(theta, data: Dataset) -> float:
     """Negative log-likelihood of the dataset under theta."""
-    evaluate, _ = _kernels(data)
+    evaluate, _, _ = _kernels(data)
     return evaluate(_check_theta(theta, data))[1]
 
 
 def loss_gradient(theta, data: Dataset) -> np.ndarray:
     """Gradient of the loss: X^T (sigmoid(X theta) - y)."""
-    _, gradient = _kernels(data)
+    _, gradient, _ = _kernels(data)
     return gradient(_margins(data.features, _check_theta(theta, data)))
 
 

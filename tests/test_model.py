@@ -175,7 +175,7 @@ def test_gradient_partition_independence():
 def test_gradient_and_sigmoid_from_the_shared_margins_bitwise():
     rng = np.random.default_rng(13)
     data = random_instance(rng, 40, 6)
-    evaluate, gradient = _kernels(data)
+    evaluate, gradient, loss_of = _kernels(data)
     y = data.labels.astype(float)
     for scale in (0.0, 1.0, 30.0, 1e3):
         theta = scale * rng.standard_normal(6)
@@ -183,7 +183,7 @@ def test_gradient_and_sigmoid_from_the_shared_margins_bitwise():
         z, e = margins
         assert z.tobytes() == (data.features @ theta).tobytes()
         assert e.tobytes() == np.exp(-np.abs(z)).tobytes()
-        assert value == loss(theta, data)
+        assert value == loss(theta, data) == loss_of(margins)
         # the one-division sigmoid the gradient has always used, written out
         p = np.where(z >= 0, 1.0, np.exp(-np.abs(z))) / (1.0 + np.exp(-np.abs(z)))
         assert sigmoid(z).tobytes() == p.tobytes()
@@ -193,7 +193,7 @@ def test_gradient_and_sigmoid_from_the_shared_margins_bitwise():
 
 def test_non_finite_margins_give_a_non_finite_loss_without_warnings():
     # the solver's finiteness check needs the NaN to reach the objective
-    evaluate, gradient = _kernels(Dataset(np.array([[1.0], [-1.0]]), np.array([1, 0])))
+    evaluate, gradient, _ = _kernels(Dataset(np.array([[1.0], [-1.0]]), np.array([1, 0])))
     margins, value = evaluate(np.array([np.nan]))
     assert math.isnan(value) and np.isnan(gradient(margins)).all()
     # infinite margins on the right side of both labels cost nothing, as in logaddexp

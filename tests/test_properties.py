@@ -102,7 +102,7 @@ def test_stacked_kernels_equal_one_spec_calls_bitwise(stack):
     taken = _StackedSpec.of([s for s, k in zip(specs, kept) if k], width)
     assert all(map(np.array_equal, taken, stacked.take(kept)))
 
-    evaluate, gradient = _kernels(data)
+    evaluate, gradient, _ = _kernels(data)
     (z, e), losses = evaluate(values)
     grads = gradient((z, e))
     for c, point in enumerate(values):
@@ -202,7 +202,7 @@ def margin_stacks(draw):
 def test_model_kernels_equal_the_oracle_formulas_bitwise(case):
     data, thetas = case
     X, labels = data.features, data.labels.astype(float)
-    evaluate, gradient = _kernels(data)
+    evaluate, gradient, loss_of = _kernels(data)
     with np.errstate(all="ignore"):
         # every height evaluated after a higher one reads the first rows of
         # the label blocks; a point is a stack of height one without its axis
@@ -212,6 +212,7 @@ def test_model_kernels_equal_the_oracle_formulas_bitwise(case):
             (z_new, e_new), losses = evaluate(theta)
             assert same_bits(z_new, z) and same_bits(e_new, e)
             assert same_bits(losses, loss_oracle(labels, z, e))
+            assert same_bits(loss_of((z, e)), losses)
             assert same_bits(gradient((z_new, e_new)), gradient_oracle(X, labels, z, e))
             # the pair is left as it is, and a laid-out one gives the same bits
             assert same_bits(e_new, e)

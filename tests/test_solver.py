@@ -739,14 +739,14 @@ def test_fit_cells_raises_when_a_running_cell_turns_non_finite(monkeypatch):
     kernels = solver._kernels
 
     def poisoned(data):
-        evaluate, gradient = kernels(data)
+        evaluate, gradient, loss_of = kernels(data)
 
-        def evaluate_nan_after_start(theta):
-            z, losses = evaluate(theta)
-            if theta.any():  # every point but the zero start
+        def loss_nan_after_start(margins):
+            losses = loss_of(margins)
+            if margins[0].any():  # every point but the zero start
                 losses[-1] = np.nan
-            return z, losses
-        return evaluate_nan_after_start, gradient
+            return losses
+        return evaluate, gradient, loss_nan_after_start
 
     monkeypatch.setattr(solver, "_kernels", poisoned)
     with pytest.raises(NumericalError):
@@ -759,7 +759,7 @@ def test_fit_cells_raises_when_a_running_cell_turns_non_finite(monkeypatch):
 def _record_evaluations(monkeypatch):
     """Patch the solver so that each iteration's use of the objective shows:
     ``calls["prox"]`` counts the iterations, and ``calls["evaluated"]`` holds
-    the count at each call of the kernels' evaluate (0 for the start)."""
+    the count at each call of the kernels' loss (0 for the start)."""
     calls = {"prox": 0, "evaluated": []}
     prox, kernels = solver._prox, solver._kernels
 
@@ -768,12 +768,12 @@ def _record_evaluations(monkeypatch):
         return prox(*args)
 
     def recording_kernels(data):
-        evaluate, gradient = kernels(data)
+        evaluate, gradient, loss_of = kernels(data)
 
-        def recording(theta):
+        def recording(margins):
             calls["evaluated"].append(calls["prox"])
-            return evaluate(theta)
-        return recording, gradient
+            return loss_of(margins)
+        return evaluate, gradient, recording
 
     monkeypatch.setattr(solver, "_prox", counting_prox)
     monkeypatch.setattr(solver, "_kernels", recording_kernels)
@@ -810,9 +810,9 @@ def _assert_rows_are_the_oracle(result, expected):
 
 
 def test_skipping_the_objective_keeps_the_oracle_loop_bitwise(monkeypatch):
-    # an untraced plain stack may skip the objective only where the stall
-    # test would fail: iterates, objectives, counts and stall flags keep the
-    # bits of the oracle loop, which evaluates it on every iteration
+    # a grid's stack may skip the objective only where the stall test would
+    # fail: iterates, objectives, counts and stall flags keep the bits of the
+    # oracle loop, which evaluates it on every iteration
     calls = _record_evaluations(monkeypatch)
     paths = {"skipped": 0, "exact": 0, "stalled": 0}
 
@@ -835,7 +835,7 @@ def test_skipping_the_objective_keeps_the_oracle_loop_bitwise(monkeypatch):
         check(lambda: solver._fit_stack(data, specs, alphas, config,
                                         np.repeat(theta0[None], len(cells), axis=0)),
               stacked_fit_oracle(data, cells, alphas, eps_tol, iters, theta0=theta0))
-        # fit's constant rule is a one-row stack
+        # fit's constant rule is a one-row stack that skips nothing
         cell, alpha = cells[case % 4], alphas[case % 4]
         for start in (None, theta0):
             check(lambda: fit(data, cell[0], PenaltySpec(zeta=cell[1]),
@@ -844,10 +844,10 @@ def test_skipping_the_objective_keeps_the_oracle_loop_bitwise(monkeypatch):
     assert paths["skipped"] > 4000 and paths["exact"] > 500 and paths["stalled"] > 40, paths
 
 
-def test_a_plain_grid_skips_most_objectives_and_a_traced_fit_none(monkeypatch):
+def test_a_grid_skips_most_objectives_and_a_fit_none(monkeypatch):
     # fig3's grid on draw 1000 at its eps_tol and cap: at most a quarter of
-    # the iterations evaluate the objective; a traced or accelerated fit
-    # evaluates it on every iteration
+    # the iterations evaluate the objective; a fit, traced or not, plain or
+    # accelerated, evaluates it on every iteration
     calls = _record_evaluations(monkeypatch)
     cells = [(beta, zeta) for beta in 10.0 ** np.linspace(-2.8, 0.6, 7)
              for zeta in (0.0, 0.01, 0.1, 1.0)]
@@ -857,6 +857,7 @@ def test_a_plain_grid_skips_most_objectives_and_a_traced_fit_none(monkeypatch):
     assert calls["prox"] == 1000 and not result.converged.all()
     assert len(calls["evaluated"]) <= 250
     for config in (SolverConfig(eps_tol=1e-9, max_iters=300),
+                   SolverConfig(eps_tol=1e-9, max_iters=300, record_trace=False),
                    SolverConfig(accelerate=True, eps_tol=1e-9, max_iters=300,
                                 record_trace=False)):
         calls["prox"], calls["evaluated"] = 0, []
@@ -867,7 +868,8 @@ def test_a_plain_grid_skips_most_objectives_and_a_traced_fit_none(monkeypatch):
 @pytest.mark.parametrize("at", [1, 2, 40, 150])
 def test_a_nan_in_one_rows_prox_output_raises_at_that_iteration(monkeypatch, at):
     # the certificate fails on NaN, so the iteration that made it takes the
-    # exact path and raises there, after a run of skipped objectives too
+    # exact path and raises there, after a run of skipped objectives too;
+    # fit evaluates every objective and raises there as well
     prox = solver._prox
     calls = [0]
 
