@@ -50,18 +50,55 @@ The backtracking rule keeps ``fit``'s own loop, one point at a time.
 
 Iterations stop once the objective change falls to ``eps_tol`` or
 ``max_iters`` is reached.  The iterates never depend on the objective: it
-only feeds that stall test.  So a stack of two or more rows without
-momentum and without a trace (a grid's :func:`fit_cells`) skips it on
-every iteration where a sufficient-decrease certificate proves that no
-running row can stall; see "Skipping the objective" below.
+only feeds that stall test and the trace.  So a one-row stack (every
+constant-rule :func:`fit`) computes it per block of iterates, off the step
+path; see "Objectives per block" below.  A stack of two or more rows
+without momentum (a grid's :func:`fit_cells`) skips it on every iteration
+where a sufficient-decrease certificate proves that no running row can
+stall; see "Skipping the objective" below.
 
-Every iteration of a ``fit`` can be recorded as
-a trace row (objective, step norm, criticality residual, stepsize) and
-exported as CSV.  The loop only stores each iterate with the gradient,
-objective and stepsize it already has; the rows are computed after the
-iterations, per block of 64 iterates, so a traced iteration costs about
-what an untraced one does and the trace holds at most 64 iterates at a
-time.  Each row has the bits a per-iteration computation gives.
+Every iteration of a ``fit`` can be recorded as a trace row (objective,
+step norm, criticality residual, stepsize) and exported as CSV.  The loop
+only stores each iterate with the gradient, objective and stepsize it
+already has; the rows are computed after the iterations, per block of
+iterates (the constant rule's blocks of objectives, or 64 iterates of the
+backtracking loop), so a traced iteration costs about what an untraced one
+does and the trace holds one block of iterates at a time.  Each row has the
+bits a per-iteration computation gives.
+
+Objectives per block
+--------------------
+At one row the objective and its stall test cost about a dozen numpy calls
+on (1,)- and (1, N)-shaped arrays, about 17 us of a 90 us iteration at
+N = 1000, d = 50.  So each iterate goes, with its margins pair and (traced)
+its gradient, into a small preallocated block, and one stacked loss pass
+and one stacked penalty pass give the whole block's objectives.  A stacked
+row sum is the sum of that row alone, so each objective has the bits of a
+per-iteration one.  The stall tests then run in order on Python floats;
+the first stalled iterate ends the fit with its point, objective, count
+and trace rows, and the steps taken past it are dropped.  A block that
+starts at iteration s holds min(s, cap, the iterations left) iterates, the
+cap being 16 or fewer for N > 2048 (its margins take at most 0.5 MB): the
+blocks grow 1, 2, 4, 8, 16, 16, ..., so a fit that stalls at k takes at
+most min(k, cap) - 1 extra steps.
+
+A non-finite objective must still raise :class:`NumericalError` at the
+iteration that made it.  The objective is bounded by the iterate's norm:
+each loss term is at most |z_i| + log 2, sum_i |z_i| <= sqrt(N)*||X||*||theta||
+and J(theta) <= ||theta||_1 <= sqrt(d)*||theta||, so
+
+    F(theta) <= (sqrt(N)*||X|| + beta*sqrt(d))*||theta|| + N*log(2).
+
+Each iteration compares ||theta||^2 (one dot product) with the square of
+1e300 over that factor, which leaves the rounding of every step of F a
+margin of 1e8; an iterate that fails it, NaN included, has its block
+evaluated at once, and the fit goes on if the objective is finite after
+all.
+
+A stack of two or more rows does not use blocks: a row that stalls inside
+a block would have to be taken back out of the later products, whose bits
+depend on the stack height (see above), so it keeps the exact path and the
+certificate below.
 
 Skipping the objective
 ----------------------
@@ -130,10 +167,11 @@ and a larger floor would only cost skips.
 
 The check is a fixed run of about 25 small numpy calls on (C, d) arrays.
 On a grid's stack (28 rows, N = 200, d = 50) it costs about 25 us against
-the 40 us of the objective it skips; on one row (N = 1000, d = 50) it
-costs about 17 us against 16 us, and a fit's last iterations before its
-stall fail it.  So a one-row stack, every :func:`fit`, evaluates the
-objective on every iteration.
+the 40 us of the objective it skips.  Failures come in runs while a row
+nears its stall, so after n failed checks in a row the next
+min(2^(n-1), 64) iterations take the exact path unchecked; a row leaving
+the stack resets that, and the first check after a wait takes
+||theta_{k-1}||_1 afresh.
 """
 
 from __future__ import annotations
@@ -182,9 +220,21 @@ __all__ = [
 # not a hard problem instance
 _MAX_BACKTRACK_REDUCTIONS = 100
 
-# iterates whose trace rows fit computes together: a few numpy calls per
-# block instead of ~20 per iteration, and O(_TRACE_BLOCK * d) memory
+# iterates whose trace rows the backtracking loop computes together: a few
+# numpy calls per block instead of ~20 per iteration, and O(_TRACE_BLOCK * d)
+# memory
 _TRACE_BLOCK = 64
+# most iterates whose objectives a one-row stack computes together: at
+# fig1's size (N = 1000, d = 50) the objective costs about 17 us per iterate
+# one at a time and 5-6 us stacked 8-32 high, and whole fits ran as fast
+# with blocks of 8, 16 or 32; the margins pairs of a block take at most
+# _OBJECTIVE_BLOCK_BYTES
+_OBJECTIVE_BLOCK = 16
+_OBJECTIVE_BLOCK_BYTES = 2 ** 19
+
+# the most iterations a stack's decrease check waits after failing, as it
+# does in runs while a row nears its stall
+_MAX_CHECK_WAIT = 64
 
 # twice the unit roundoff: every first-order rounding bound of the decrease
 # certificate uses it, which leaves each room for its second-order terms
@@ -416,16 +466,30 @@ def _prepare_theta0(theta0, data: Dataset) -> np.ndarray:
     return theta0
 
 
-class _TraceBuffer:
-    """The trace rows of one :func:`fit`, computed per block of iterates.
+def _trace_rows(before, points, grads, objectives, stepsizes, beta: float,
+                spec: PenaltySpec) -> list[TraceRow]:
+    """The trace rows of the (K, d) iterates ``points`` with their gradients,
+    objectives and stepsizes, ``before`` holding each one's predecessor.
 
-    The loop hands over each iterate with the gradient, objective and
-    stepsize it already holds; when ``_TRACE_BLOCK`` of them are stored, and
-    once more for the rest in :meth:`rows`, one elementwise pass gives the
-    criticality violations of the whole (K, d) block and one subtraction its
-    steps.  One ``np.vecdot`` per block gives every row's squared step norm
-    and squared residual; it computes each row's sum as ``v.dot(v)`` does,
-    so every column has the bits a per-iteration ``_norm`` gives.
+    One elementwise pass gives the criticality violations of the block and
+    one subtraction its steps; one ``np.vecdot`` gives every row's squared
+    step norm and squared residual.  It computes each row's sum as
+    ``v.dot(v)`` does, so every column has the bits a per-iteration
+    ``_norm`` gives.
+    """
+    steps = points - before
+    violations = _violation(points, grads, beta, spec)
+    step_norms = np.sqrt(np.vecdot(steps, steps)).tolist()
+    residuals = (beta * np.sqrt(np.vecdot(violations, violations))).tolist()
+    return list(map(TraceRow, objectives, step_norms, residuals, stepsizes))
+
+
+class _TraceBuffer:
+    """The trace rows of a backtracking :func:`fit`, computed per block of
+    iterates: the loop hands over each iterate with the gradient, objective
+    and stepsize it already holds, and when ``_TRACE_BLOCK`` of them are
+    stored, and once more for the rest in :meth:`rows`, :func:`_trace_rows`
+    turns them into rows.
     """
 
     def __init__(self, theta, grad, objective, beta: float, spec: PenaltySpec):
@@ -449,14 +513,9 @@ class _TraceBuffer:
 
     def _flush(self) -> None:
         k = len(self.pending)
-        points = self.points[1:k + 1]
-        steps = points - self.points[:k]
-        violations = _violation(points, self.grads[:k], self.beta, self.spec)
-        step_norms = np.sqrt(np.vecdot(steps, steps)).tolist()
-        residuals = (self.beta * np.sqrt(np.vecdot(violations, violations))).tolist()
-        self.done.extend(TraceRow(objective, step_norm, residual, stepsize)
-                         for (objective, stepsize), step_norm, residual
-                         in zip(self.pending, step_norms, residuals))
+        objectives, stepsizes = zip(*self.pending)
+        self.done += _trace_rows(self.points[:k], self.points[1:k + 1], self.grads[:k],
+                                 objectives, stepsizes, self.beta, self.spec)
         self.points[0] = self.points[k]
         self.pending.clear()
 
@@ -464,6 +523,90 @@ class _TraceBuffer:
         if self.pending:
             self._flush()
         return self.done
+
+
+class _Block:
+    """The iterates of a one-row stack whose objectives are still pending
+    (see "Objectives per block" in the module docs).
+
+    Each iterate's point, margins pair and, for a traced fit, gradient go
+    into preallocated rows.  A block that starts at iteration s holds
+    min(s, cap, the iterations left) iterates; it is evaluated when full,
+    and at once when an iterate fails the finiteness guard.  One stacked
+    loss pass and one stacked penalty pass give the block's objectives, and
+    the stall tests run on them in order.  The first stalled iterate, or a
+    non-finite objective, ends the fit there.  Row 0 of ``points`` holds
+    the last evaluated iterate, and ``obj`` its objective.
+    """
+
+    def __init__(self, data: Dataset, spec: PenaltySpec, stepsize: float,
+                 config: SolverConfig, loss_of, theta, grad, obj: float):
+        n, d = data.features.shape
+        self.cap = max(1, min(_OBJECTIVE_BLOCK, _OBJECTIVE_BLOCK_BYTES // (16 * n)))
+        self.points = np.empty((self.cap + 1, d))
+        self.points[0] = theta
+        self.z, self.e = np.empty((self.cap, n)), np.empty((self.cap, n))
+        self.grads = np.empty((self.cap, d)) if config.record_trace else None
+        self.spec, self.stepsize, self.loss_of = spec, stepsize, loss_of
+        self.eps_tol, self.max_iters = config.eps_tol, config.max_iters
+        # ||theta||^2 below this keeps the objective below 1e300 (see the
+        # module docs); ||theta|| < 1e154 keeps its square finite
+        root = min(1e300 / (math.sqrt(n) * spectral_norm(data) + spec.beta * math.sqrt(d)),
+                   1e154)
+        self.limit = root * root
+        self.obj, self.iterations, self.converged = obj, config.max_iters, False
+        # the first iteration of the block, its stored iterates and its length
+        self.first, self.count, self.size = 1, 0, 1
+        self.trace = []
+        if self.grads is not None:
+            # the starting point's step is theta - theta = 0 and its stepsize 0
+            self.trace = _trace_rows(self.points[:1], self.points[:1], grad, [obj], [0.0],
+                                     spec.beta, spec)
+
+    def add(self, theta, margins, grad) -> bool:
+        """Store the next iterate (a (1, d) row with its (1, N) margins and
+        gradient); whether an evaluated block ended the fit."""
+        j = self.count
+        point = self.points[j + 1]
+        point[...] = theta
+        self.z[j], self.e[j] = margins
+        if self.grads is not None:
+            self.grads[j] = grad
+        self.count = j + 1
+        if self.count < self.size and point.dot(point) < self.limit:
+            return False
+        return self._evaluate()
+
+    def _evaluate(self) -> bool:
+        m = self.count
+        points = self.points[1:m + 1]
+        objectives = (self.loss_of((self.z[:m], self.e[:m]))
+                      + self.spec.beta * _penalty_sum(points, self.spec)).tolist()
+        last, eps_tol = self.obj, self.eps_tol
+        for j, obj in enumerate(objectives):
+            # objectives are >= 0 and the last one was finite, so a change is
+            # finite exactly when obj is (NaN fails both comparisons)
+            if not eps_tol < abs(obj - last) < math.inf:
+                _require_finite(math.isfinite(obj))
+                m, self.converged = j + 1, True
+                break
+            last = obj
+        if self.grads is not None:
+            self.trace += _trace_rows(self.points[:m], self.points[1:m + 1], self.grads[:m],
+                                      objectives[:m], [self.stepsize] * m, self.spec.beta,
+                                      self.spec)
+        self.points[0], self.obj = self.points[m], objectives[m - 1]
+        self.first += m
+        self.count = 0
+        if self.converged:
+            self.iterations = self.first - 1
+            return True
+        self.size = min(self.first, self.cap, self.max_iters + 1 - self.first)
+        return False
+
+    def result(self) -> FitResult:
+        return FitResult(self.points[:1].copy(), np.array([self.iterations]),
+                         np.array([self.converged]), np.array([self.obj]), self.trace)
 
 
 class _Descent:
@@ -514,7 +657,10 @@ class _Descent:
         self.sums = 2.0 * (n + d + 16) * eps
         self.norm_root = 1.0 + (n + 4) * eps
         self.ones = np.ones(d)
+        # ||theta||_1 of the last iterate, None when it was not checked
         self.norm1 = np.vecdot(np.abs(theta), self.ones)
+        # iterations left unchecked, and the last such wait
+        self.wait = self.backoff = 0
         self.rebase(obj)
 
     def rebase(self, obj) -> None:
@@ -522,13 +668,24 @@ class _Descent:
         self.base = self.tol + self.sums * (1.0 + obj)
 
     def take(self, rows) -> None:
-        """Keep the rows at ``rows`` (a mask) only; :meth:`rebase` follows."""
-        for name in ("tight", "loose", "tol", "e1", "e2", "norm1"):
+        """Keep the rows at ``rows`` (a mask) only; :meth:`rebase` follows.
+        The next iteration is checked."""
+        for name in ("tight", "loose", "tol", "e1", "e2"):
             setattr(self, name, getattr(self, name)[rows])
+        if self.norm1 is not None:
+            self.norm1 = self.norm1[rows]
+        self.wait = self.backoff = 0
 
     def proves(self, theta, new, z, z_new) -> bool:
         """Whether no row can stall at the step ``theta`` -> ``new``, whose
-        margins are ``z`` and ``z_new``."""
+        margins are ``z`` and ``z_new``.  After n failed checks in a row the
+        next min(2^(n-1), _MAX_CHECK_WAIT) iterations are not checked."""
+        if self.wait:
+            self.wait -= 1
+            self.norm1 = None
+            return False
+        if self.norm1 is None:
+            self.norm1 = np.vecdot(np.abs(theta), self.ones)
         # a vecdot with ones costs less than a sum here; a row of NaN or inf
         # fails every comparison below
         norm1 = np.vecdot(np.abs(new), self.ones)
@@ -537,13 +694,18 @@ class _Descent:
         sq = np.vecdot(step, step)
         floor = self.base + both * (self.e1 + self.e2 * both)
         if np.count_nonzero(floor < self.loose * sq) == len(sq):
+            self.backoff = 0
             return True
         diff = z_new - z
         # ||X Delta|| from above: the margins' rounding at both iterates
         image = np.sqrt(np.vecdot(diff, diff)) * self.norm_root + self.margin * both
         image *= image
-        return np.count_nonzero(
-            floor < self.tight * sq - image * (1.0 + 4.0 * _EPS) / 8.0) == len(sq)
+        if np.count_nonzero(
+                floor < self.tight * sq - image * (1.0 + 4.0 * _EPS) / 8.0) == len(sq):
+            self.backoff = 0
+            return True
+        self.wait = self.backoff = min(2 * self.backoff, _MAX_CHECK_WAIT) or 1
+        return False
 
 
 def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
@@ -554,9 +716,12 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     the momentum schedule; the objective, the trace and the returned point
     are then those of the prox outputs, not of the extrapolated base points.
     The constant rule runs as a one-row stack of the loop that
-    :func:`fit_cells` runs, and computes the objective on every iteration:
-    at one row the decrease certificate that lets a grid skip it costs
-    about as much as the objective (see the module docs).
+    :func:`fit_cells` runs, and computes the objectives per block of
+    iterates (see "Objectives per block" in the module docs): a fit that
+    stalls at k has taken at most min(k, 16) - 1 steps past it, which it
+    drops, and a cheap bound on ||theta|| makes a non-finite objective
+    raise at the iteration that made it.  Results keep the bits of a
+    per-iteration objective.
     """
     beta = _check_beta(beta, spec)
     theta = _prepare_theta0(theta0, data)
@@ -618,7 +783,8 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
     checked before the first iteration, and a non-finite objective of any
     running cell raises :class:`NumericalError`.
 
-    The objective only feeds the stall test, so with two or more cells an
+    One cell runs as :func:`fit` does, with its objectives per block.  The
+    objective only feeds the stall test, so with two or more cells an
     iteration skips it when, for every running cell, the sufficient decrease
     F(theta_k) <= F(theta_{k-1}) - D of the module docs (the loose bound
     D >= (1/alpha - beta*zeta - ||X||^2/8)*||Delta||^2 first, the tight D
@@ -643,8 +809,10 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
     """The constant-stepsize iteration of C cells from the rows of ``theta``,
     cell c with ``specs[c]`` (its beta included) and the stepsize
     ``steps[c]``.  ``config`` gives ``accelerate``, ``eps_tol``,
-    ``max_iters`` and ``record_trace``; the trace is row 0's, for a one-row
-    stack.  The result holds one entry per cell in each field."""
+    ``max_iters`` and ``record_trace``.  A one-row stack computes its
+    objectives, and its trace if recorded, per :class:`_Block`; more rows
+    take the exact path or the certificate, with no trace.  The result
+    holds one entry per cell in each field."""
     _, gradient, loss_of = _kernels(data)
     weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
 
@@ -660,16 +828,16 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
     obj = loss_of(margins) + beta * _penalty_sum(theta, stacked)
     _require_finite(np.isfinite(obj).all())
     grad = gradient(margins)
-    trace = None
-    if config.record_trace:
-        trace = _TraceBuffer(theta[0], grad[0], obj.item(0), specs[0].beta, specs[0])
+    block = None
+    if len(specs) == 1:
+        block = _Block(data, specs[0], steps[0], config, loss_of, theta, grad, obj.item(0))
 
     thetas, objectives = np.empty_like(theta), np.empty_like(obj)
     iterations = np.full(len(specs), config.max_iters)
     converged = np.zeros(len(specs), dtype=bool)
-    eps_tol, accelerate = config.eps_tol, config.accelerate
+    eps_tol, accelerate, traced = config.eps_tol, config.accelerate, config.record_trace
     descent = None
-    if len(specs) > 1 and not accelerate and trace is None:
+    if block is None and not accelerate:
         descent = _Descent(data, alpha[:, 0], beta, stacked.zeta[:, 0], denominator[:, 0],
                            eps_tol, theta, obj)
     # whether obj is still that of an earlier iterate than theta
@@ -681,47 +849,47 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
         np.subtract(base, grad, out=grad)
         new = _prox(grad, weight, stacked, denominator)
         margins_new = _margins(X, new)
-        if (descent is not None and k < config.max_iters
+        if block is not None:
+            # one row: the objective waits for the iterate's block
+            prev, theta, margins = theta, new, margins_new
+            grad = gradient(margins) if traced or not accelerate else None
+            if block.add(theta, margins, grad):
+                break
+        elif (descent is not None and k < config.max_iters
                 and descent.proves(theta, new, margins[0], margins_new[0])):
             base = theta = new
             margins, stale = margins_new, True
             grad = gradient(margins)
             continue
-        if stale:
-            # from theta's margins, the product on this same stack
-            obj = loss_of(margins) + beta * _penalty_sum(theta, stacked)
-            stale = False
-        margins = margins_new
-        obj_new = loss_of(margins) + beta * _penalty_sum(new, stacked)
-        change = (obj_new - obj).tolist()
-        prev, theta, obj = theta, new, obj_new
-        # objectives are >= 0 and were finite, so a change is finite exactly
-        # when the new objective is (NaN fails both comparisons)
-        running = all(eps_tol < abs(c) < math.inf for c in change)
-        if not running:
-            _require_finite(np.isfinite(obj).all())
-        grad = None
-        if trace is not None:
-            grad = gradient(margins)
-            trace.add(theta[0], grad[0], obj.item(0), steps[0])
-        if not running:
-            stalled = np.abs(change) <= eps_tol
-            done = rows[stalled]
-            thetas[done], objectives[done] = theta[stalled], obj[stalled]
-            iterations[done], converged[done] = k, True
-            run = ~stalled
-            rows, beta, alpha = rows[run], beta[run], alpha[run]
-            weight, denominator = weight[run], denominator[run]
-            stacked, theta, obj, prev = stacked.take(run), theta[run], obj[run], prev[run]
-            margins = tuple(part[run] for part in margins)
-            if grad is not None:
-                grad = grad[run]
+        else:
+            if stale:
+                # from theta's margins, the product on this same stack
+                obj = loss_of(margins) + beta * _penalty_sum(theta, stacked)
+                stale = False
+            margins = margins_new
+            obj_new = loss_of(margins) + beta * _penalty_sum(new, stacked)
+            change = (obj_new - obj).tolist()
+            prev, theta, obj = theta, new, obj_new
+            grad = None
+            # objectives are >= 0 and were finite, so a change is finite exactly
+            # when the new objective is (NaN fails both comparisons)
+            if not all(eps_tol < abs(c) < math.inf for c in change):
+                _require_finite(np.isfinite(obj).all())
+                stalled = np.abs(change) <= eps_tol
+                done = rows[stalled]
+                thetas[done], objectives[done] = theta[stalled], obj[stalled]
+                iterations[done], converged[done] = k, True
+                run = ~stalled
+                rows, beta, alpha = rows[run], beta[run], alpha[run]
+                weight, denominator = weight[run], denominator[run]
+                stacked, theta, obj, prev = stacked.take(run), theta[run], obj[run], prev[run]
+                margins = tuple(part[run] for part in margins)
+                if descent is not None:
+                    descent.take(run)
+                if not rows.size:
+                    break
             if descent is not None:
-                descent.take(run)
-            if not rows.size:
-                break
-        if descent is not None:
-            descent.rebase(obj)
+                descent.rebase(obj)
         if accelerate:
             base, t = _extrapolate(theta, prev, t)
             grad = gradient(_margins(X, base))
@@ -729,9 +897,10 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
             base = theta
             if grad is None:
                 grad = gradient(margins)
+    if block is not None:
+        return block.result()
     thetas[rows], objectives[rows] = theta, obj
-    return FitResult(thetas, iterations, converged, objectives,
-                     trace.rows() if trace is not None else [])
+    return FitResult(thetas, iterations, converged, objectives)
 
 
 def _require_finite(finite: bool) -> None:

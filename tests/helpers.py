@@ -21,7 +21,8 @@ from scipy.optimize import minimize
 from wclogit.data import _read_rows, load_csv
 from wclogit.model import Dataset, loss, loss_gradient
 from wclogit.penalty import PenaltySpec, _repeat_rows, _StackedSpec
-from wclogit.solver import FitResult, SolverConfig, _initial_alpha
+from wclogit.solver import (FitResult, SolverConfig, TraceRow, _initial_alpha,
+                            criticality_residual)
 
 
 def _outcome(read):
@@ -159,12 +160,14 @@ def penalty_values_oracle(t, spec):
 
 
 def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000, theta0=None,
-                       accelerate=False):
+                       accelerate=False, record_trace=False):
     """``fit_cells``' loop on the oracle kernels: every cell a row of one
     (C, d) stack, each stalled cell leaving it with its iterate, objective
     and iteration count.  Every row starts at ``theta0`` (zeros when None);
     with ``accelerate`` each step starts from the momentum schedule's
-    extrapolated point."""
+    extrapolated point.  ``record_trace`` (one cell only) computes each
+    iteration's trace row on its own, with ``np.linalg.norm`` and the checked
+    ``criticality_residual``."""
     X, labels = data.features, data.labels.astype(float)
     config = SolverConfig(eps_tol=eps_tol, max_iters=max_iters, accelerate=accelerate,
                           record_trace=False)
@@ -188,6 +191,15 @@ def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000, theta
     if theta0 is not None:
         theta[:] = theta0
     z, e, obj = evaluate(theta)
+    trace = []
+
+    def record(theta, prev, stepsize):
+        if record_trace:
+            assert len(specs) == 1
+            trace.append(TraceRow(obj.item(0), float(np.linalg.norm(theta[0] - prev[0])),
+                                  criticality_residual(theta[0], None, specs[0], data),
+                                  stepsize))
+    record(theta, theta, 0.0)
     thetas, objectives = np.empty_like(theta), np.empty_like(obj)
     iterations = np.full(len(specs), max_iters)
     converged = np.zeros(len(specs), dtype=bool)
@@ -198,6 +210,7 @@ def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000, theta
         stalled = np.abs(obj_new - obj) <= eps_tol
         prev, theta, obj = theta, new, obj_new
         assert np.isfinite(obj).all()
+        record(theta, prev, steps[0])
         if stalled.any():
             done = rows[stalled]
             thetas[done], objectives[done] = theta[stalled], obj[stalled]
@@ -217,7 +230,7 @@ def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000, theta
             z = base @ X.T
             e = exp_oracle(z)
     thetas[rows], objectives[rows] = theta, obj
-    return FitResult(thetas, iterations, converged, objectives)
+    return FitResult(thetas, iterations, converged, objectives, trace)
 
 
 def write_trace_oracle(result, path):

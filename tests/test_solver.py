@@ -758,9 +758,10 @@ def test_fit_cells_raises_when_a_running_cell_turns_non_finite(monkeypatch):
 
 def _record_evaluations(monkeypatch):
     """Patch the solver so that each iteration's use of the objective shows:
-    ``calls["prox"]`` counts the iterations, and ``calls["evaluated"]`` holds
-    the count at each call of the kernels' loss (0 for the start)."""
-    calls = {"prox": 0, "evaluated": []}
+    ``calls["prox"]`` counts the iterations, ``calls["evaluated"]`` holds
+    the count at each call of the kernels' loss (0 for the start), and
+    ``calls["rows"]`` the rows of the margins each call takes."""
+    calls = {"prox": 0, "evaluated": [], "rows": []}
     prox, kernels = solver._prox, solver._kernels
 
     def counting_prox(*args):
@@ -772,6 +773,7 @@ def _record_evaluations(monkeypatch):
 
         def recording(margins):
             calls["evaluated"].append(calls["prox"])
+            calls["rows"].append(len(margins[0]))
             return loss_of(margins)
         return evaluate, gradient, recording
 
@@ -847,7 +849,9 @@ def test_skipping_the_objective_keeps_the_oracle_loop_bitwise(monkeypatch):
 def test_a_grid_skips_most_objectives_and_a_fit_none(monkeypatch):
     # fig3's grid on draw 1000 at its eps_tol and cap: at most a quarter of
     # the iterations evaluate the objective; a fit, traced or not, plain or
-    # accelerated, evaluates it on every iteration
+    # accelerated, evaluates it on every iteration, per block of iterates:
+    # a call on m rows of a one-row stack covers the m iterates up to the
+    # current one
     calls = _record_evaluations(monkeypatch)
     cells = [(beta, zeta) for beta in 10.0 ** np.linspace(-2.8, 0.6, 7)
              for zeta in (0.0, 0.01, 0.1, 1.0)]
@@ -860,9 +864,65 @@ def test_a_grid_skips_most_objectives_and_a_fit_none(monkeypatch):
                    SolverConfig(eps_tol=1e-9, max_iters=300, record_trace=False),
                    SolverConfig(accelerate=True, eps_tol=1e-9, max_iters=300,
                                 record_trace=False)):
-        calls["prox"], calls["evaluated"] = 0, []
+        calls["prox"], calls["evaluated"], calls["rows"] = 0, [], []
         fit(train, 0.1, PenaltySpec(zeta=0.1), config)
-        assert calls["evaluated"] == list(range(calls["prox"] + 1))
+        covered = [k for last, m in zip(calls["evaluated"], calls["rows"])
+                   for k in range(last - m + 1, last + 1)]
+        assert covered == list(range(calls["prox"] + 1))
+
+
+def _block_start(k, cap, max_iters):
+    """The first iteration of the block of objectives that holds iteration
+    k: a block that starts at iteration s holds min(s, cap, the iterations
+    left) iterates."""
+    start = 1
+    while k >= start + min(start, cap, max_iters + 1 - start):
+        start += min(start, cap, max_iters + 1 - start)
+    return start
+
+
+def test_one_row_objectives_per_block_keep_the_oracle_loop_bitwise(monkeypatch):
+    # fit's constant rule computes its objectives per block of iterates and
+    # drops the steps it took past a stall: stalls at every offset of a block
+    # and on both of its ends, in a last block that the cap cuts short, and
+    # capped fits keep the bits of the oracle loop (theta, objective, count,
+    # flag and every trace row), and a stall at k costs at most
+    # min(k, cap) - 1 extra steps
+    calls = _record_evaluations(monkeypatch)
+    cap = solver._OBJECTIVE_BLOCK
+    max_iters = 2 * cap + 5
+    rng = np.random.default_rng(50)
+    data = centered_instance(rng, 30, 5)
+    beta, zeta = 0.4, 0.3
+    offsets, last_block = set(), 0
+    for accelerate in (False, True):
+        for start in (None, rng.standard_normal(5)):
+            config = SolverConfig(accelerate=accelerate, eps_tol=1e-300, max_iters=max_iters)
+            # eps_tol at the k-th objective change stalls the fit at k or before
+            objectives = [row.objective for row in fit(data, beta, PenaltySpec(zeta=zeta), config,
+                                                       theta0=start).trace]
+            changes = np.abs(np.diff(objectives)).tolist()
+            every = 1 if start is None else 3
+            for eps_tol in [max(c, 1e-300) for c in changes[::every]] + [1e-300]:
+                for traced in (False, True):
+                    run = replace(config, eps_tol=eps_tol, record_trace=traced)
+                    calls["prox"] = 0
+                    result = fit(data, beta, PenaltySpec(zeta=zeta), run, theta0=start)
+                    expected = stacked_fit_oracle(data, [(beta, zeta)], [None], eps_tol,
+                                                  max_iters, theta0=start,
+                                                  accelerate=accelerate, record_trace=traced)
+                    _assert_rows_are_the_oracle(result, expected)
+                    assert type(result.final_objective) is float
+                    assert result.trace == expected.trace
+                    k = result.iterations
+                    if not result.converged:
+                        assert k == max_iters == calls["prox"]
+                        continue
+                    assert calls["prox"] - k <= min(k, cap) - 1
+                    if k >= cap:
+                        offsets.add(k - _block_start(k, cap, max_iters))
+                    last_block += _block_start(k, cap, max_iters) == 2 * cap
+    assert offsets == set(range(cap)) and last_block > 0
 
 
 @pytest.mark.parametrize("at", [1, 2, 40, 150])
@@ -894,3 +954,36 @@ def test_a_nan_in_one_rows_prox_output_raises_at_that_iteration(monkeypatch, at)
         fit(data, 0.01, PenaltySpec(zeta=0.5),
             SolverConfig(eps_tol=1e-12, max_iters=300, record_trace=False))
     assert calls[0] == at
+
+
+@pytest.mark.parametrize("at", [1, 2, 17, 40])
+def test_an_objective_that_only_the_penalty_makes_non_finite_raises_there(monkeypatch, at):
+    # l1 on data with two all-zero feature columns: a prox output of 1.7e308
+    # in both columns leaves every margin and the loss finite, and J
+    # overflows (numpy warns on its sum); the iteration that made it raises,
+    # whether or not its block of objectives was due
+    prox = solver._prox
+    calls = [0]
+
+    def poisoned(v, *args):
+        calls[0] += 1
+        out = prox(v, *args)
+        if calls[0] == at:
+            out[:, [1, 3]] = 1.7e308
+        return out
+
+    monkeypatch.setattr(solver, "_prox", poisoned)
+    rng = np.random.default_rng(51)
+    X = rng.standard_normal((40, 5))
+    X[:, [1, 3]] = 0.0
+    # separable: the fits run to the cap
+    data = Dataset(X, (X[:, 0] + X[:, 2] > 0).astype(int))
+    for accelerate in (False, True):
+        for traced in (False, True):
+            calls[0] = 0
+            config = SolverConfig(accelerate=accelerate, eps_tol=1e-15, max_iters=300,
+                                  record_trace=traced)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                with pytest.raises(NumericalError):
+                    fit(data, 0.01, PenaltySpec(zeta=0.0), config)
+            assert calls[0] == at
