@@ -27,16 +27,16 @@ Both rules keep each subproblem strongly convex (alpha*beta*zeta < 1/2);
 without momentum they make the objective non-increasing and drive the
 steps and the criticality residual to zero.
 
-One loop per stepsize rule.  Each checks its inputs once at entry and
-then calls the unchecked kernels of ``model`` and ``penalty``: each point
-it evaluates (iterate, base point, backtracking candidate) costs one pass
-z = X @ point and one exp(-|z|), which give both the loss and the gradient
-X^T (sigmoid(z) - y), and the accepted point's gradient carries over to
-the next step and to its trace row.  ||X|| comes from the per-dataset
-cache of ``spectral_norm``.
+One loop serves both stepsize rules.  It checks its inputs once at entry
+and then calls the unchecked kernels of ``model`` and ``penalty``: each
+point it evaluates (iterate, base point, backtracking candidate) costs one
+pass z = X @ point and one exp(-|z|), which give both the loss and the
+gradient X^T (sigmoid(z) - y), and the accepted point's gradient carries
+over to the next step and to its trace row.  The constant rule's bound
+takes ||X|| from the per-dataset cache of ``spectral_norm``.
 
-The constant rule runs a stack of C cells (beta, zeta, alpha) on one
-dataset: the iterates are the rows of a (C, d) matrix, so each iteration
+The loop runs a stack of C cells (beta, zeta, alpha) on one dataset: the
+iterates are the rows of a (C, d) matrix, so each constant-rule iteration
 costs one product Theta @ X^T and one (sigmoid(Z) - y) @ X for all rows,
 and the penalty kernels take per-row weights and zetas.  :func:`fit` runs
 it with one row, :func:`fit_cells` with the cells of a grid.  The
@@ -46,54 +46,67 @@ iteration count, and every per-row array loses its row; the others go
 on.  The operands of the two products are left as they are: the bits of
 a product's row depend on the stack height and the operand layout (at
 one row they are the 1-D product's), and so would the iteration counts.
-The backtracking rule keeps ``fit``'s own loop, one point at a time.
+A backtracking fit is a one-row stack whose step is the search above on
+the row's 1-D point; the accepted candidate's loss, which the search
+computes anyway, is the iterate's loss and the next plain step's loss at
+its base point.
 
 Iterations stop once the objective change falls to ``eps_tol`` or
 ``max_iters`` is reached.  The iterates never depend on the objective: it
 only feeds that stall test and the trace.  So a one-row stack (every
-constant-rule :func:`fit`) computes it per block of iterates, off the step
-path; see "Objectives per block" below.  A stack of two or more rows
-without momentum (a grid's :func:`fit_cells`) skips it on every iteration
-where a sufficient-decrease certificate proves that no running row can
-stall; see "Skipping the objective" below.
+:func:`fit`) computes it per block of iterates, off the step path; see
+"Objectives per block" below.  A stack of two or more rows without
+momentum (a grid's :func:`fit_cells`) skips it on every iteration where a
+sufficient-decrease certificate proves that no running row can stall; see
+"Skipping the objective" below.
 
 Every iteration of a ``fit`` can be recorded as a trace row (objective,
 step norm, criticality residual, stepsize) and exported as CSV.  The loop
-only stores each iterate with the gradient, objective and stepsize it
-already has; the rows are computed after the iterations, per block of
-iterates (the constant rule's blocks of objectives, or 64 iterates of the
-backtracking loop), so a traced iteration costs about what an untraced one
-does and the trace holds one block of iterates at a time.  Each row has the
-bits a per-iteration computation gives.
+only stores each iterate with its gradient and stepsize in the block of
+objectives; the rows are computed with the block's objectives, so a traced
+iteration costs about what an untraced one does and the trace holds one
+block of iterates at a time.  Each row has the bits a per-iteration
+computation gives.
 
 Objectives per block
 --------------------
 At one row the objective and its stall test cost about a dozen numpy calls
 on (1,)- and (1, N)-shaped arrays, about 17 us of a 90 us iteration at
-N = 1000, d = 50.  So each iterate goes, with its margins pair and (traced)
-its gradient, into a small preallocated block, and one stacked loss pass
-and one stacked penalty pass give the whole block's objectives.  A stacked
-row sum is the sum of that row alone, so each objective has the bits of a
-per-iteration one.  The stall tests then run in order on Python floats;
-the first stalled iterate ends the fit with its point, objective, count
-and trace rows, and the steps taken past it are dropped.  A block that
-starts at iteration s holds min(s, cap, the iterations left) iterates, the
-cap being 16 or fewer for N > 2048 (its margins take at most 0.5 MB): the
-blocks grow 1, 2, 4, 8, 16, 16, ..., so a fit that stalls at k takes at
-most min(k, cap) - 1 extra steps.
+N = 1000, d = 50.  So each iterate goes, with its margins pair, stepsize
+and (traced) its gradient, into a small preallocated block, and one
+stacked loss pass and one stacked penalty pass give the whole block's
+objectives.  A stacked row sum is the sum of that row alone, so each
+objective has the bits of a per-iteration one.  Under backtracking the
+block keeps instead the loss that the search computed from the same
+margins: a second loss pass would add about 4 us to a backtracking
+iteration of about 45 us at that size.  The stall tests then run in
+order on Python floats; the first stalled iterate ends the fit with its
+point, objective, count and trace rows, and the steps taken past it are
+dropped.  A block that starts at iteration s holds
+min(s, cap, the iterations left) iterates, the cap being 16 or fewer for
+N > 2048 (its margins take at most 0.5 MB): the blocks grow 1, 2, 4, 8,
+16, 16, ..., so a fit that stalls at k takes at most min(k, cap) - 1 extra
+steps.  A backtracking step past the stall may find no stepsize and raise
+:class:`NumericalError`; the block pending then is evaluated first, and
+if it stalled, the fit ends there as it would have without that step.
 
 A non-finite objective must still raise :class:`NumericalError` at the
 iteration that made it.  The objective is bounded by the iterate's norm:
-each loss term is at most |z_i| + log 2, sum_i |z_i| <= sqrt(N)*||X||*||theta||
-and J(theta) <= ||theta||_1 <= sqrt(d)*||theta||, so
+each loss term is at most |z_i| + log 2,
+sum_i |z_i| <= sqrt(N)*||X||*||theta|| <= sqrt(N)*||X||_F*||theta|| and
+J(theta) <= ||theta||_1 <= sqrt(d)*||theta||, so
 
-    F(theta) <= (sqrt(N)*||X|| + beta*sqrt(d))*||theta|| + N*log(2).
+    F(theta) <= (sqrt(N)*||X||_F + beta*sqrt(d))*||theta|| + N*log(2).
 
-Each iteration compares ||theta||^2 (one dot product) with the square of
-1e300 over that factor, which leaves the rounding of every step of F a
-margin of 1e8; an iterate that fails it, NaN included, has its block
-evaluated at once, and the fit goes on if the objective is finite after
-all.
+The Frobenius norm takes one pass over X, so a backtracking fit needs no
+SVD.  Each iteration compares ||theta||^2 (one ``np.vdot``, which does not
+warn when it overflows) with the square of 1e300 over that factor, which
+leaves the rounding of every step of F a margin of 1e8; an iterate that
+fails it, NaN included, has its block evaluated at once, and the fit goes
+on if the objective is finite after all.  Every objective is computed with
+numpy's overflow warning off, because an overflow there gives an infinite
+objective, which raises :class:`NumericalError` with the library's own
+message.
 
 A stack of two or more rows does not use blocks: a row that stalls inside
 a block would have to be taken back out of the later products, whose bits
@@ -220,10 +233,6 @@ __all__ = [
 # not a hard problem instance
 _MAX_BACKTRACK_REDUCTIONS = 100
 
-# iterates whose trace rows the backtracking loop computes together: a few
-# numpy calls per block instead of ~20 per iteration, and O(_TRACE_BLOCK * d)
-# memory
-_TRACE_BLOCK = 64
 # most iterates whose objectives a one-row stack computes together: at
 # fig1's size (N = 1000, d = 50) the objective costs about 17 us per iterate
 # one at a time and 5-6 us stacked 8-32 high, and whole fits ran as fast
@@ -484,75 +493,42 @@ def _trace_rows(before, points, grads, objectives, stepsizes, beta: float,
     return list(map(TraceRow, objectives, step_norms, residuals, stepsizes))
 
 
-class _TraceBuffer:
-    """The trace rows of a backtracking :func:`fit`, computed per block of
-    iterates: the loop hands over each iterate with the gradient, objective
-    and stepsize it already holds, and when ``_TRACE_BLOCK`` of them are
-    stored, and once more for the rest in :meth:`rows`, :func:`_trace_rows`
-    turns them into rows.
-    """
-
-    def __init__(self, theta, grad, objective, beta: float, spec: PenaltySpec):
-        self.beta, self.spec = beta, spec
-        # row 0 holds the iterate before the block: row j+1 - row j is step j
-        self.points = np.empty((_TRACE_BLOCK + 1, theta.size))
-        self.points[0] = theta
-        self.grads = np.empty((_TRACE_BLOCK, theta.size))
-        self.pending = []  # (objective, stepsize) of each stored iterate
-        self.done = []
-        # the starting point's step is theta - theta = 0 and its stepsize 0
-        self.add(theta, grad, objective, 0.0)
-
-    def add(self, theta, grad, objective, stepsize) -> None:
-        k = len(self.pending)
-        self.points[k + 1] = theta
-        self.grads[k] = grad
-        self.pending.append((objective, stepsize))
-        if k + 1 == _TRACE_BLOCK:
-            self._flush()
-
-    def _flush(self) -> None:
-        k = len(self.pending)
-        objectives, stepsizes = zip(*self.pending)
-        self.done += _trace_rows(self.points[:k], self.points[1:k + 1], self.grads[:k],
-                                 objectives, stepsizes, self.beta, self.spec)
-        self.points[0] = self.points[k]
-        self.pending.clear()
-
-    def rows(self) -> list[TraceRow]:
-        if self.pending:
-            self._flush()
-        return self.done
-
-
 class _Block:
     """The iterates of a one-row stack whose objectives are still pending
     (see "Objectives per block" in the module docs).
 
-    Each iterate's point, margins pair and, for a traced fit, gradient go
-    into preallocated rows.  A block that starts at iteration s holds
-    min(s, cap, the iterations left) iterates; it is evaluated when full,
-    and at once when an iterate fails the finiteness guard.  One stacked
-    loss pass and one stacked penalty pass give the block's objectives, and
-    the stall tests run on them in order.  The first stalled iterate, or a
-    non-finite objective, ends the fit there.  Row 0 of ``points`` holds
-    the last evaluated iterate, and ``obj`` its objective.
+    Each iterate's point, margins pair (under backtracking, its loss),
+    stepsize and, for a traced fit, gradient go into preallocated rows.  A
+    block that starts at iteration s holds min(s, cap, the iterations left)
+    iterates; it is evaluated when full, at once when an iterate fails the
+    finiteness guard, and when the backtracking search of the next step
+    fails.  One stacked loss pass (none under backtracking) and one stacked
+    penalty pass give the block's objectives, and the stall tests run on
+    them in order.  The first stalled iterate, or a non-finite objective,
+    ends the fit there.  Row 0 of ``points`` holds the last evaluated
+    iterate, and ``obj`` its objective.
     """
 
-    def __init__(self, data: Dataset, spec: PenaltySpec, stepsize: float,
-                 config: SolverConfig, loss_of, theta, grad, obj: float):
-        n, d = data.features.shape
+    def __init__(self, data: Dataset, spec: PenaltySpec, config: SolverConfig, loss_of,
+                 theta, grad, obj: float):
+        X = data.features
+        n, d = X.shape
         self.cap = max(1, min(_OBJECTIVE_BLOCK, _OBJECTIVE_BLOCK_BYTES // (16 * n)))
         self.points = np.empty((self.cap + 1, d))
         self.points[0] = theta
         self.z, self.e = np.empty((self.cap, n)), np.empty((self.cap, n))
         self.grads = np.empty((self.cap, d)) if config.record_trace else None
-        self.spec, self.stepsize, self.loss_of = spec, stepsize, loss_of
+        self.stepsizes = [0.0] * self.cap
+        # a backtracking search has computed each iterate's loss, from the
+        # margins the constant rule's block stores instead
+        self.losses = [0.0] * self.cap if config.stepsize_rule == BACKTRACKING else None
+        self.spec, self.loss_of = spec, loss_of
         self.eps_tol, self.max_iters = config.eps_tol, config.max_iters
         # ||theta||^2 below this keeps the objective below 1e300 (see the
-        # module docs); ||theta|| < 1e154 keeps its square finite
-        root = min(1e300 / (math.sqrt(n) * spectral_norm(data) + spec.beta * math.sqrt(d)),
-                   1e154)
+        # module docs); ||theta|| < 1e154 keeps its square finite.  ||X||_F
+        # overflows to inf only when every limit would be 0 anyway.
+        frobenius = math.sqrt(np.vdot(X, X))
+        root = min(1e300 / (math.sqrt(n) * frobenius + spec.beta * math.sqrt(d)), 1e154)
         self.limit = root * root
         self.obj, self.iterations, self.converged = obj, config.max_iters, False
         # the first iteration of the block, its stored iterates and its length
@@ -563,25 +539,34 @@ class _Block:
             self.trace = _trace_rows(self.points[:1], self.points[:1], grad, [obj], [0.0],
                                      spec.beta, spec)
 
-    def add(self, theta, margins, grad) -> bool:
-        """Store the next iterate (a (1, d) row with its (1, N) margins and
-        gradient); whether an evaluated block ended the fit."""
+    def add(self, theta, margins, loss, grad, stepsize: float) -> bool:
+        """Store the next iterate with its margins or, under backtracking,
+        its loss, and its gradient and stepsize; whether an evaluated block
+        ended the fit."""
         j = self.count
-        point = self.points[j + 1]
-        point[...] = theta
-        self.z[j], self.e[j] = margins
+        self.points[j + 1] = theta
+        if self.losses is None:
+            self.z[j], self.e[j] = margins
+        else:
+            self.losses[j] = loss
         if self.grads is not None:
             self.grads[j] = grad
+        self.stepsizes[j] = stepsize
         self.count = j + 1
-        if self.count < self.size and point.dot(point) < self.limit:
+        # unlike dot, vdot does not warn when the square overflows to inf
+        if self.count < self.size and np.vdot(theta, theta) < self.limit:
             return False
-        return self._evaluate()
+        return self.evaluate()
 
-    def _evaluate(self) -> bool:
+    def evaluate(self) -> bool:
+        """Compute the stored iterates' objectives; whether one stalled."""
         m = self.count
         points = self.points[1:m + 1]
-        objectives = (self.loss_of((self.z[:m], self.e[:m]))
-                      + self.spec.beta * _penalty_sum(points, self.spec)).tolist()
+        # an overflow gives an infinite objective, which raises below
+        with np.errstate(over="ignore"):
+            losses = (self.loss_of((self.z[:m], self.e[:m])) if self.losses is None
+                      else np.array(self.losses[:m]))
+            objectives = (losses + self.spec.beta * _penalty_sum(points, self.spec)).tolist()
         last, eps_tol = self.obj, self.eps_tol
         for j, obj in enumerate(objectives):
             # objectives are >= 0 and the last one was finite, so a change is
@@ -593,7 +578,7 @@ class _Block:
             last = obj
         if self.grads is not None:
             self.trace += _trace_rows(self.points[:m], self.points[1:m + 1], self.grads[:m],
-                                      objectives[:m], [self.stepsize] * m, self.spec.beta,
+                                      objectives[:m], self.stepsizes[:m], self.spec.beta,
                                       self.spec)
         self.points[0], self.obj = self.points[m], objectives[m - 1]
         self.first += m
@@ -715,56 +700,20 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     ``beta`` may be None to use ``spec.beta``.  ``config.accelerate`` adds
     the momentum schedule; the objective, the trace and the returned point
     are then those of the prox outputs, not of the extrapolated base points.
-    The constant rule runs as a one-row stack of the loop that
+    Either stepsize rule runs as a one-row stack of the loop that
     :func:`fit_cells` runs, and computes the objectives per block of
     iterates (see "Objectives per block" in the module docs): a fit that
     stalls at k has taken at most min(k, 16) - 1 steps past it, which it
-    drops, and a cheap bound on ||theta|| makes a non-finite objective
-    raise at the iteration that made it.  Results keep the bits of a
-    per-iteration objective.
+    drops, together with a backtracking failure among them, and a cheap
+    bound on ||theta|| makes a non-finite objective raise at the iteration
+    that made it.  Results keep the bits of a per-iteration objective.
     """
     beta = _check_beta(beta, spec)
     theta = _prepare_theta0(theta0, data)
     alpha = _initial_alpha(config, beta, spec, data)
-    if config.stepsize_rule == CONSTANT:
-        stack = _fit_stack(data, [replace(spec, beta=beta)], [alpha], config, theta[None])
-        return FitResult(stack.theta[0], int(stack.iterations[0]), bool(stack.converged[0]),
-                         stack.final_objective.item(0), stack.trace)
-
-    momentum = config.accelerate
-    record = config.record_trace
-    evaluate, gradient, _ = _kernels(data)
-    margins, loss_val = evaluate(theta)
-    grad = gradient(margins)
-    obj = loss_val + beta * _penalty_sum(theta, spec)
-    _require_finite(math.isfinite(obj))
-    trace = _TraceBuffer(theta, grad, obj, beta, spec) if record else None
-
-    # the point the next step starts from, with its loss and gradient
-    base, base_loss, base_grad = theta, loss_val, grad
-    t = 1.0
-    iterations, converged = config.max_iters, False
-    for k in range(1, config.max_iters + 1):
-        alpha, new, margins, loss_new = _backtrack(base, base_grad, base_loss, alpha,
-                                                   config.eta, beta, spec, evaluate)
-        obj_new = loss_new + beta * _penalty_sum(new, spec)
-        _require_finite(math.isfinite(obj_new))
-        grad = gradient(margins) if record or not momentum else None
-        if record:
-            trace.add(new, grad, obj_new, alpha)
-        stalled = abs(obj_new - obj) <= config.eps_tol
-        prev, theta, obj = theta, new, obj_new
-        if stalled:
-            iterations, converged = k, True
-            break
-        if momentum:
-            base, t = _extrapolate(theta, prev, t)
-            margins, base_loss = evaluate(base)
-            base_grad = gradient(margins)
-        else:
-            base, base_loss, base_grad = theta, loss_new, grad
-
-    return FitResult(theta, iterations, converged, obj, trace.rows() if record else [])
+    stack = _fit_stack(data, [replace(spec, beta=beta)], [alpha], config, theta[None])
+    return FitResult(stack.theta[0], int(stack.iterations[0]), bool(stack.converged[0]),
+                     stack.final_objective.item(0), stack.trace)
 
 
 def accelerated_fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
@@ -806,15 +755,20 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
 
 def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
                theta: np.ndarray) -> FitResult:
-    """The constant-stepsize iteration of C cells from the rows of ``theta``,
-    cell c with ``specs[c]`` (its beta included) and the stepsize
-    ``steps[c]``.  ``config`` gives ``accelerate``, ``eps_tol``,
+    """The iteration of C cells from the rows of ``theta``, cell c with
+    ``specs[c]`` (its beta included) and the stepsize ``steps[c]``, the
+    first one of a backtracking search.  ``config`` gives the stepsize rule
+    (backtracking takes one cell), ``eta``, ``accelerate``, ``eps_tol``,
     ``max_iters`` and ``record_trace``.  A one-row stack computes its
     objectives, and its trace if recorded, per :class:`_Block`; more rows
     take the exact path or the certificate, with no trace.  The result
     holds one entry per cell in each field."""
-    _, gradient, loss_of = _kernels(data)
+    evaluate, gradient, loss_of = _kernels(data)
     weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
+    backtrack = config.stepsize_rule == BACKTRACKING
+    if backtrack:
+        # _backtrack steps the one row as a 1-D point
+        theta = theta[0]
 
     # the running cells: their indices, parameters and iterates, one per row
     d = data.n_features
@@ -825,12 +779,13 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
     denominator = 1.0 - 2.0 * weight * stacked.zeta
     X = data.features
     margins = _margins(X, theta)
-    obj = loss_of(margins) + beta * _penalty_sum(theta, stacked)
+    # the loss at the point the next backtracking step starts from
+    base_loss, obj = _objectives(loss_of, margins, theta, beta, stacked)
     _require_finite(np.isfinite(obj).all())
     grad = gradient(margins)
     block = None
     if len(specs) == 1:
-        block = _Block(data, specs[0], steps[0], config, loss_of, theta, grad, obj.item(0))
+        block = _Block(data, specs[0], config, loss_of, theta, grad, obj.item(0))
 
     thetas, objectives = np.empty_like(theta), np.empty_like(obj)
     iterations = np.full(len(specs), config.max_iters)
@@ -843,17 +798,28 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
     # whether obj is still that of an earlier iterate than theta
     stale = False
     # the points the next step starts from; grad holds their gradients
-    base, t = theta, 1.0
+    base, step, t = theta, steps[0], 1.0
     for k in range(1, config.max_iters + 1):
-        grad *= alpha
-        np.subtract(base, grad, out=grad)
-        new = _prox(grad, weight, stacked, denominator)
-        margins_new = _margins(X, new)
+        if backtrack:
+            try:
+                step, new, margins_new, base_loss = _backtrack(
+                    base, grad, base_loss, step, config.eta, specs[0].beta, specs[0], evaluate)
+            except NumericalError:
+                # a step past a stall is dropped, and its failure with it
+                if block.count and block.evaluate():
+                    break
+                raise
+        else:
+            grad *= alpha
+            np.subtract(base, grad, out=grad)
+            new = _prox(grad, weight, stacked, denominator)
+            margins_new = _margins(X, new)
         if block is not None:
             # one row: the objective waits for the iterate's block
             prev, theta, margins = theta, new, margins_new
             grad = gradient(margins) if traced or not accelerate else None
-            if block.add(theta, margins, grad):
+            # base_loss is the iterate's loss under backtracking
+            if block.add(theta, margins, base_loss, grad, step):
                 break
         elif (descent is not None and k < config.max_iters
                 and descent.proves(theta, new, margins[0], margins_new[0])):
@@ -864,10 +830,10 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
         else:
             if stale:
                 # from theta's margins, the product on this same stack
-                obj = loss_of(margins) + beta * _penalty_sum(theta, stacked)
+                obj = _objectives(loss_of, margins, theta, beta, stacked)[1]
                 stale = False
             margins = margins_new
-            obj_new = loss_of(margins) + beta * _penalty_sum(new, stacked)
+            obj_new = _objectives(loss_of, margins, new, beta, stacked)[1]
             change = (obj_new - obj).tolist()
             prev, theta, obj = theta, new, obj_new
             grad = None
@@ -892,7 +858,10 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
                 descent.rebase(obj)
         if accelerate:
             base, t = _extrapolate(theta, prev, t)
-            grad = gradient(_margins(X, base))
+            margins_base = _margins(X, base)
+            grad = gradient(margins_base)
+            if backtrack:
+                base_loss = loss_of(margins_base)
         else:
             base = theta
             if grad is None:
@@ -901,6 +870,15 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
         return block.result()
     thetas[rows], objectives[rows] = theta, obj
     return FitResult(thetas, iterations, converged, objectives)
+
+
+def _objectives(loss_of, margins, points, beta, spec):
+    """The losses and the objectives loss + beta*J of ``points`` from their
+    margins.  An overflow makes an objective inf, which the caller raises as
+    :class:`NumericalError`, so numpy does not warn of it."""
+    with np.errstate(over="ignore"):
+        losses = loss_of(margins)
+        return losses, losses + beta * _penalty_sum(points, spec)
 
 
 def _require_finite(finite: bool) -> None:

@@ -9,6 +9,8 @@ The kernel oracles are the plain formulas the stacked kernels had before
 they worked in place: nested ``where`` selections, fresh arrays for every
 step and label rows broadcast over a stack.  The kernels must reproduce
 their bits, and ``stacked_fit_oracle`` runs the stacked loop on them.
+``backtracking_fit_oracle`` runs the backtracking rule one iteration at a
+time on the checked public functions.
 """
 
 import csv
@@ -20,9 +22,9 @@ from scipy.optimize import minimize
 
 from wclogit.data import _read_rows, load_csv
 from wclogit.model import Dataset, loss, loss_gradient
-from wclogit.penalty import PenaltySpec, _repeat_rows, _StackedSpec
+from wclogit.penalty import PenaltySpec, _repeat_rows, _StackedSpec, penalty_total
 from wclogit.solver import (FitResult, SolverConfig, TraceRow, _initial_alpha,
-                            criticality_residual)
+                            backtrack_stepsize, criticality_residual)
 
 
 def _outcome(read):
@@ -231,6 +233,40 @@ def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000, theta
             e = exp_oracle(z)
     thetas[rows], objectives[rows] = theta, obj
     return FitResult(thetas, iterations, converged, objectives, trace)
+
+
+def backtracking_fit_oracle(data, beta, spec, config, theta0=None):
+    """``fit``'s backtracking rule one iteration at a time on the checked
+    public functions: each step is ``backtrack_stepsize`` from the base
+    point, each objective ``loss`` + beta*``penalty_total``, each trace row
+    ``np.linalg.norm`` of the step with ``criticality_residual``, and with
+    ``config.accelerate`` the base point follows Beck & Teboulle's
+    t-sequence."""
+    def objective(theta):
+        value = loss(theta, data) + beta * penalty_total(theta, spec)
+        assert np.isfinite(value)
+        return value
+
+    theta = np.zeros(data.n_features) if theta0 is None else np.array(theta0, dtype=float)
+    alpha = _initial_alpha(config, beta, spec, data)
+    obj = objective(theta)
+    trace = [TraceRow(obj, 0.0, criticality_residual(theta, beta, spec, data), 0.0)]
+    iterations, converged = config.max_iters, False
+    base, t = theta, 1.0
+    for k in range(1, config.max_iters + 1):
+        alpha, new = backtrack_stepsize(base, alpha, config, beta, spec, data)
+        prev, theta, obj_prev, obj = theta, new, obj, objective(new)
+        trace.append(TraceRow(obj, float(np.linalg.norm(theta - prev)),
+                              criticality_residual(theta, beta, spec, data), alpha))
+        if abs(obj - obj_prev) <= config.eps_tol:
+            iterations, converged = k, True
+            break
+        base = theta
+        if config.accelerate:
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            base = theta + ((t - 1.0) / t_next) * (theta - prev)
+            t = t_next
+    return FitResult(theta, iterations, converged, obj, trace if config.record_trace else [])
 
 
 def write_trace_oracle(result, path):

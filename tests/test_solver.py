@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    backtracking_fit_oracle,
     l1_global_oracle,
     l1_objective,
     prox_grid_oracle,
@@ -30,6 +31,7 @@ from wclogit.solver import (
     NumericalError,
     SolverConfig,
     TraceRow,
+    _initial_alpha,
     accelerated_fit,
     backtrack_stepsize,
     criticality_residual,
@@ -188,6 +190,98 @@ def test_backtracking_alpha_non_increasing_across_iterations():
     result = fit(data, 0.5, spec, config)
     steps = [row.stepsize for row in result.trace[1:]]
     assert all(b <= a + 1e-15 for a, b in zip(steps, steps[1:]))
+
+
+def _assert_is_the_backtracking_oracle(result, expected):
+    assert result.theta.tobytes() == expected.theta.tobytes()
+    assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
+    assert result.final_objective == expected.final_objective
+    assert result.trace == expected.trace
+    # train prints these with repr, which differs for numpy scalars
+    assert type(result.iterations) is int and type(result.converged) is bool
+    assert type(result.final_objective) is float
+    assert all(type(value) is float for row in result.trace for value in row)
+
+
+def test_backtracking_fit_is_the_one_point_oracle_bitwise():
+    # fit's backtracking rule against the oracle loop on the checked public
+    # functions: stalls at every offset of a block of objectives and on both
+    # of its ends, capped fits from max_iters 1 up, traced and untraced, plain
+    # and momentum, zero and random theta0, with stepsize reductions at the
+    # first step and later ones
+    cap = solver._OBJECTIVE_BLOCK
+    max_iters = 2 * cap + 5
+    rng = np.random.default_rng(52)
+    data = centered_instance(rng, 30, 5)
+    beta, spec = 0.4, PenaltySpec(zeta=0.3)
+    offsets, reductions = set(), set()
+    for accelerate in (False, True):
+        for start in (None, rng.standard_normal(5)):
+            config = SolverConfig(stepsize_rule=BACKTRACKING, accelerate=accelerate,
+                                  eps_tol=1e-300, max_iters=max_iters)
+            full = backtracking_fit_oracle(data, beta, spec, config, theta0=start)
+            steps = [row.stepsize for row in full.trace[1:]]
+            reductions.update(k for k in range(1, len(steps)) if steps[k] < steps[k - 1])
+            reductions.add(0 if steps[0] < _initial_alpha(config, beta, spec, data) else None)
+            # eps_tol at the k-th objective change stalls the fit at k or before
+            changes = np.abs(np.diff([row.objective for row in full.trace])).tolist()
+            every = 1 if start is None else 3
+            runs = [replace(config, eps_tol=max(c, 1e-300)) for c in changes[::every]]
+            runs += [replace(config, max_iters=m) for m in (1, 2, 3, 5, cap, cap + 1)]
+            for run in runs:
+                expected = backtracking_fit_oracle(data, beta, spec, run, theta0=start)
+                for traced in (False, True):
+                    result = fit(data, beta, spec, replace(run, record_trace=traced),
+                                 theta0=start)
+                    _assert_is_the_backtracking_oracle(
+                        result, replace(expected, trace=expected.trace if traced else []))
+                k = expected.iterations
+                if expected.converged and k >= cap:
+                    offsets.add(k - _block_start(k, cap, run.max_iters))
+    assert offsets == set(range(cap))
+    assert 0 in reductions and len(reductions - {0, None}) > 0
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_a_backtracking_failure_past_the_stall_is_dropped(monkeypatch, accelerate):
+    # fit may take steps past a stall before it computes their objectives,
+    # and drops them; a step that fails there (no stepsize accepted) is one
+    # the fit never takes, so it returns the stalled result; a failure at or
+    # before the stall raises after exactly that many steps
+    rng = np.random.default_rng(53)
+    data = centered_instance(rng, 30, 5)
+    beta, spec = 0.4, PenaltySpec(zeta=0.3)
+    config = SolverConfig(stepsize_rule=BACKTRACKING, accelerate=accelerate, eps_tol=1e-300,
+                          max_iters=100, record_trace=False)
+    changes = np.abs(np.diff([row.objective for row in fit(
+        data, beta, spec, replace(config, record_trace=True)).trace])).tolist()
+    # the first stall after 32 iterations that some eps_tol gives: at most 15
+    # iterations into a block of 16, so the fit takes steps past it
+    stall = next(k for k in range(33, len(changes)) if changes[k - 1] < min(changes[:k - 1]))
+    assert stall - _block_start(stall, solver._OBJECTIVE_BLOCK, 100) < 15
+    config = replace(config, eps_tol=changes[stall - 1])
+    expected = fit(data, beta, spec, config)
+    assert (expected.iterations, expected.converged) == (stall, True)
+    backtrack, calls, fail_at = solver._backtrack, [0], [0]
+
+    def failing(*args):
+        calls[0] += 1
+        if calls[0] == fail_at[0]:
+            raise NumericalError("no stepsize accepted")
+        return backtrack(*args)
+
+    monkeypatch.setattr(solver, "_backtrack", failing)
+    for n in range(1, stall + 17):
+        calls[0], fail_at[0] = 0, n
+        if n <= stall:
+            with pytest.raises(NumericalError, match="no stepsize accepted"):
+                fit(data, beta, spec, config)
+            assert calls[0] == n
+            continue
+        result = fit(data, beta, spec, config)
+        assert result.theta.tobytes() == expected.theta.tobytes()
+        assert (result.iterations, result.converged) == (stall, True)
+        assert result.final_objective == expected.final_objective
 
 
 # --- full fit -------------------------------------------------------------------
@@ -526,9 +620,10 @@ def _assert_rows_are_those_of_the_iterates(data, beta, spec, config, theta0, res
 @pytest.mark.parametrize("start", ["zeros", "theta0"])
 @pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
 def test_trace_rows_across_blocks_are_those_of_each_iterate(name, start):
-    # fit computes trace rows per block of 64 iterates after the fact: the
-    # rows on both sides of the first block boundary, the first and the last
-    # keep the bits of the checked public functions at each iterate
+    # fit computes trace rows after the fact, with its blocks of up to 16
+    # objectives: the rows on both sides of a block boundary (iterations 63
+    # and 64), the first and the last keep the bits of the checked public
+    # functions at each iterate
     rng = np.random.default_rng(44)
     data = centered_instance(rng, 20, 10)
     theta0 = rng.standard_normal(10) if start == "theta0" else None
@@ -572,8 +667,8 @@ def test_trace_leaves_the_iteration_unchanged(name):
 
 def test_trace_memory_does_not_grow_with_the_iterations():
     # keeping every iterate and gradient of this fit would take
-    # 2 * 2000 * 5000 * 8 B = 160 MB; the trace holds one block of 64 of
-    # them, and its peak (~24 MB) is mostly that block's temporaries
+    # 2 * 2000 * 5000 * 8 B = 160 MB; the trace holds one block of up to 16
+    # of them, and its peak (~7 MB) is mostly that block's temporaries
     rng = np.random.default_rng(46)
     data = random_instance(rng, 20, 5000)
     config = SolverConfig(eps_tol=1e-300, max_iters=2000)
@@ -960,8 +1055,8 @@ def test_a_nan_in_one_rows_prox_output_raises_at_that_iteration(monkeypatch, at)
 def test_an_objective_that_only_the_penalty_makes_non_finite_raises_there(monkeypatch, at):
     # l1 on data with two all-zero feature columns: a prox output of 1.7e308
     # in both columns leaves every margin and the loss finite, and J
-    # overflows (numpy warns on its sum); the iteration that made it raises,
-    # whether or not its block of objectives was due
+    # overflows; the iteration that made it raises, whether or not its block
+    # of objectives was due, and no numpy warning comes before the error
     prox = solver._prox
     calls = [0]
 
@@ -983,7 +1078,6 @@ def test_an_objective_that_only_the_penalty_makes_non_finite_raises_there(monkey
             calls[0] = 0
             config = SolverConfig(accelerate=accelerate, eps_tol=1e-15, max_iters=300,
                                   record_trace=traced)
-            with pytest.warns(RuntimeWarning, match="overflow"):
-                with pytest.raises(NumericalError):
-                    fit(data, 0.01, PenaltySpec(zeta=0.0), config)
+            with pytest.raises(NumericalError):
+                fit(data, 0.01, PenaltySpec(zeta=0.0), config)
             assert calls[0] == at
