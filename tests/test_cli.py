@@ -194,8 +194,6 @@ def test_train_backtracking_and_accelerate(synth, tmp_path):
     assert model.accelerate
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
 def test_train_numerical_failure_exit_code(synth, tmp_path, capsys):
     code = run("train", synth["train"], "--beta", 0.3, "--zeta", 0,
                "--backtracking", "--alpha0", "1e300", "--out", tmp_path / "m.txt")

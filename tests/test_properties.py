@@ -1,6 +1,7 @@
 """Property tests: the stacked penalty and model kernels against the
 one-point calls and, bit for bit, against the oracle formulas of
-``helpers``, the loss kernel against ``np.logaddexp``, the prox against
+``helpers``, batched one-row products against one-point products, the
+loss kernel against ``np.logaddexp``, the prox against
 its closed form, the loaders' error positions, ``load_csv`` against its
 Python row loop, and the CSV, sparse-format and model-file round trips.
 
@@ -43,6 +44,7 @@ from wclogit.penalty import (
     prox_scalar,
     prox_vector,
 )
+from wclogit.solver import _OBJECTIVE_BLOCK
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -220,6 +222,30 @@ def test_model_kernels_equal_the_oracle_formulas_bitwise(case):
             assert same_bits(_exp_pair(margins[0])[1], e)
             assert same_bits(_probabilities(*margins), sigmoid_oracle(z, e))
             assert same_bits(sigmoid(margins[0]), sigmoid_oracle(z, e))
+
+
+@PROPERTY
+@given(st.one_of(st.integers(1, 2048), st.integers(2049, 9000)), st.integers(1, 60),
+       st.integers(1, _OBJECTIVE_BLOCK), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(4097, 50, 7, False, 0)  # the block cap at this N: 7 iterates
+def test_batched_one_row_products_are_one_point_products_bitwise(n, d, height, fortran, seed):
+    # a momentum fit's block computes its iterates' margins and gradients as
+    # batches of (1, d) @ (d, N) and (1, N) @ (N, d) products into its own
+    # rows: each row must have the bits of the 1-D product of that point
+    # alone, and of its one-row stack, whatever the height and the layout of X
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if fortran:
+        X = np.asfortranarray(X)
+    points, residuals = rng.standard_normal((height, d)), rng.standard_normal((height, n))
+    margins, grads = np.empty((_OBJECTIVE_BLOCK, n)), np.empty((_OBJECTIVE_BLOCK, d))
+    np.matmul(points[:, None, :], X.T, out=margins[:height, None, :])
+    np.matmul(residuals[:, None, :], X, out=grads[:height, None, :])
+    for k in range(height):
+        assert margins[k].tobytes() == (points[k] @ X.T).tobytes()
+        assert margins[k].tobytes() == (points[k:k + 1] @ X.T).tobytes()
+        assert grads[k].tobytes() == (residuals[k] @ X).tobytes()
+        assert grads[k].tobytes() == (residuals[k:k + 1] @ X).tobytes()
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 0.3, -0.3, 0.5, 2.5, -2.5, 3.0,

@@ -682,6 +682,22 @@ def test_trace_memory_does_not_grow_with_the_iterations():
     assert peak < 40e6
 
 
+def test_momentum_trace_memory_does_not_grow_with_the_iterations():
+    # with momentum the block computes its iterates' margins and gradients
+    # itself, into its own rows: the peak stays that of one block
+    rng = np.random.default_rng(46)
+    data = random_instance(rng, 20, 5000)
+    config = SolverConfig(accelerate=True, eps_tol=1e-300, max_iters=2000)
+    tracemalloc.start()
+    try:
+        result = fit(data, 0.01, PenaltySpec(zeta=0.0), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 2000 and len(result.trace) == 2001
+    assert peak < 40e6
+
+
 @pytest.mark.parametrize("rule", [CONSTANT, BACKTRACKING])
 def test_accelerated_fit_is_fit_with_momentum(rule):
     rng = np.random.default_rng(39)
@@ -1018,6 +1034,90 @@ def test_one_row_objectives_per_block_keep_the_oracle_loop_bitwise(monkeypatch):
                         offsets.add(k - _block_start(k, cap, max_iters))
                     last_block += _block_start(k, cap, max_iters) == 2 * cap
     assert offsets == set(range(cap)) and last_block > 0
+
+
+def test_a_traced_momentum_fit_under_a_short_block_cap_is_the_oracle_loop_bitwise():
+    # at N > 2048 a block holds fewer than 16 iterates; with momentum it
+    # computes its iterates' margins and trace gradients as one batch of
+    # one-point products per block: stalls at every offset of a full block
+    # and capped fits keep the bits of the oracle loop, trace rows included
+    rng = np.random.default_rng(54)
+    n = 3000
+    cap = solver._OBJECTIVE_BLOCK_BYTES // (16 * n)
+    assert 1 < cap < solver._OBJECTIVE_BLOCK
+    X = rng.standard_normal((n, 6))
+    X -= X.mean(axis=0)
+    # separable: the objective keeps falling, so each change stalls the fit there
+    data = Dataset(X, (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int), centered=True)
+    beta, zeta = 0.05, 0.3
+    max_iters = 16 + 3 * cap + 2
+    config = SolverConfig(accelerate=True, eps_tol=1e-300, max_iters=max_iters)
+    objectives = [row.objective for row in fit(data, beta, PenaltySpec(zeta=zeta),
+                                               config).trace]
+    changes = np.abs(np.diff(objectives)).tolist()
+    offsets = set()
+    for eps_tol in [max(c, 1e-300) for c in changes[15:]] + [1e-300]:
+        result = fit(data, beta, PenaltySpec(zeta=zeta), replace(config, eps_tol=eps_tol))
+        expected = stacked_fit_oracle(data, [(beta, zeta)], [None], eps_tol, max_iters,
+                                      accelerate=True, record_trace=True)
+        _assert_rows_are_the_oracle(result, expected)
+        assert result.trace == expected.trace
+        k = result.iterations
+        if result.converged and k >= 16:
+            offsets.add(k - _block_start(k, cap, max_iters))
+    assert offsets == set(range(cap))
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("at", [1, 6, 21])
+def test_a_momentum_iterate_past_the_norm_bound_has_its_block_evaluated_there(
+        monkeypatch, at, traced):
+    # a momentum fit computes its iterates' margins per block; an iterate
+    # that fails the ||theta||^2 bound mid-block has its block evaluated at
+    # once: an overflowing objective raises at that iteration, with no numpy
+    # warning, and a finite one (a huge theta on all-zero feature columns,
+    # whose penalty terms MCP caps) lets the fit go on
+    prox, evaluate = solver._prox, solver._Block.evaluate
+    calls, evaluated, poison = [0], [], {}
+
+    def poisoned(v, *args):
+        calls[0] += 1
+        out = prox(v, *args)
+        if calls[0] == at:
+            out[:, poison["columns"]] = poison["value"]
+        return out
+
+    def recording(block):
+        evaluated.append(block.first + block.count - 1)
+        return evaluate(block)
+
+    monkeypatch.setattr(solver, "_prox", poisoned)
+    monkeypatch.setattr(solver._Block, "evaluate", recording)
+    rng = np.random.default_rng(51)
+    X = rng.standard_normal((40, 5))
+    X[:, [1, 3]] = 0.0
+    # separable: the fits run to the cap
+    data = Dataset(X, (X[:, 0] + X[:, 2] > 0).astype(int))
+    config = SolverConfig(accelerate=True, eps_tol=1e-15, max_iters=40, record_trace=traced)
+    poison.update(columns=[0], value=1.7e308)
+    with pytest.raises(NumericalError):
+        fit(data, 0.01, PenaltySpec(zeta=0.0), config)
+    assert calls[0] == at and evaluated[-1] == at
+    poison.update(columns=[1, 3], value=1e200)
+    calls[0], evaluated[:] = 0, []
+    spec = PenaltySpec(zeta=0.5)
+    result = fit(data, 0.01, spec, config)
+    assert (result.iterations, result.converged) == (40, False)
+    assert at in evaluated and math.isfinite(result.final_objective)
+    # every iterate from there on fails the bound and is evaluated alone
+    assert evaluated[evaluated.index(at):] == list(range(at, 41))
+    calls[0] = 0
+    capped = fit(data, 0.01, spec, replace(config, max_iters=at))
+    assert capped.theta[1] == 1e200
+    if traced:
+        # the public penalty squares 1e200 on its way to MCP's cap
+        with np.errstate(over="ignore"):
+            assert result.trace[at].objective == objective(capped.theta, data, 0.01, spec)
 
 
 @pytest.mark.parametrize("at", [1, 2, 40, 150])
