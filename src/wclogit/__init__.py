@@ -49,7 +49,6 @@ from .solver import (
     NumericalError,
     SolverConfig,
     TraceRow,
-    accelerated_fit,
     backtrack_stepsize,
     criticality_residual,
     fit,

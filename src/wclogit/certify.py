@@ -25,7 +25,6 @@ import numpy as np
 
 from .model import Dataset, loss_gradient, spectral_norm
 from .penalty import (
-    MCP,
     PenaltySpec,
     _as_float_array,
     _convexified_derivatives,
@@ -237,7 +236,7 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
             case, ok = CASE_INNER_REGION, False
         rows.append(CoordinateVerdict(j, case, ta, ga, ok))
 
-    applicable = spec.kind == MCP and beta * spec.zeta > 0.125 * norm * norm
+    applicable = beta * spec.zeta > 0.125 * norm * norm
     verdict = all(r.passes for r in rows) if applicable else None
     slack = grad_tol / beta
 

@@ -109,9 +109,8 @@ def cmd_train(args) -> int:
     result = fit(data, args.beta, spec, config, theta0=theta0)
 
     save_model(args.out, ModelFile(
-        theta=result.theta, beta=args.beta, zeta=args.zeta, kind=spec.kind,
-        centered=data.centered, center=data.center,
-        has_intercept=data.has_intercept, stepsize_rule=rule,
+        theta=result.theta, beta=args.beta, zeta=args.zeta, centered=data.centered,
+        center=data.center, has_intercept=data.has_intercept, stepsize_rule=rule,
         accelerate=args.accelerate, iterations=result.iterations,
         converged=result.converged, final_objective=result.final_objective))
     if args.trace_out:

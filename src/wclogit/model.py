@@ -248,12 +248,9 @@ def loss_gradient(theta, data: Dataset) -> np.ndarray:
     return gradient(_margins(data.features, _check_theta(theta, data)))
 
 
-def spectral_norm(data: Dataset, tol: float = 1e-10) -> float:
+def spectral_norm(data: Dataset) -> float:
     """Spectral norm ||X|| of the feature matrix: its largest singular value,
-    exact up to the rounding of the SVD that the dataset caches.
-
-    ``tol`` is accepted for compatibility and unused.
-    """
+    exact up to the rounding of the SVD that the dataset caches."""
     return float(data._singular_values[0])
 
 

@@ -14,7 +14,8 @@ Floats are written with ``repr`` so loading reproduces them exactly.
 Loading rejects a malformed file with :class:`~wclogit.data.DataError`:
 a bad header, a missing, repeated or unknown field, an unparsable or
 non-finite number, or a ``kind``/``stepsize_rule`` outside the values the
-library writes.
+library writes.  ``kind`` names the penalty, always ``mcp``: loading checks
+it, and :class:`ModelFile` does not keep it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class ModelFile:
     theta: np.ndarray
     beta: float
     zeta: float
-    kind: str
     centered: bool
     center: np.ndarray
     has_intercept: bool
@@ -61,7 +61,7 @@ def save_model(path, model: ModelFile) -> None:
         f"dimension {model.theta.size}",
         f"beta {model.beta!r}",
         f"zeta {model.zeta!r}",
-        f"kind {model.kind}",
+        f"kind {MCP}",
         f"centered {str(model.centered).lower()}",
         f"has_intercept {str(model.has_intercept).lower()}",
         f"stepsize_rule {model.stepsize_rule}",
@@ -134,11 +134,11 @@ def load_model(path) -> ModelFile:
         centervec = np.array([_parse_number(t, "center") for t in fields["center"].split()])
         if theta.size != dim or centervec.size != dim:
             raise DataError(f"vector lengths disagree with dimension {dim}")
+        _parse_choice(fields["kind"], "kind", (MCP,))
         return ModelFile(
             theta=theta,
             beta=_parse_number(fields["beta"], "beta"),
             zeta=_parse_number(fields["zeta"], "zeta"),
-            kind=_parse_choice(fields["kind"], "kind", (MCP,)),
             centered=_parse_bool(fields["centered"], "centered"),
             center=centervec,
             has_intercept=_parse_bool(fields["has_intercept"], "has_intercept"),

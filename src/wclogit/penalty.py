@@ -64,13 +64,10 @@ class PenaltySpec:
 
     zeta: float
     beta: float = 1.0
-    kind: str = MCP
 
     def __post_init__(self):
         object.__setattr__(self, "zeta", float(self.zeta))
         object.__setattr__(self, "beta", float(self.beta))
-        if self.kind != MCP:
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
         if not np.isfinite(self.zeta) or self.zeta < 0:
             raise ValueError(f"zeta must be a finite nonnegative real, got {self.zeta}")
         if not np.isfinite(self.beta) or self.beta <= 0:
@@ -173,14 +170,23 @@ def _maybe_scalar(out, like):
     return out.item() if np.ndim(like) == 0 else out
 
 
+def _checked_values(t, spec: PenaltySpec):
+    """F elementwise at the checked ``t``.  Beyond |t| ~ 1e154 the square
+    overflows, but F there is its finite plateau value, so numpy's overflow
+    warning is not shown (at zeta = 0 the product is 0 and cannot overflow)."""
+    a = np.atleast_1d(_as_float_array(t))
+    with np.errstate(over="ignore"):
+        return _penalty_values(a, spec)
+
+
 def penalty_value(t, spec: PenaltySpec):
     """Evaluate F elementwise."""
-    return _maybe_scalar(_penalty_values(np.atleast_1d(_as_float_array(t)), spec), t)
+    return _maybe_scalar(_checked_values(t, spec), t)
 
 
 def penalty_total(theta, spec: PenaltySpec) -> float:
     """Separable penalty J(theta) = sum_i F(theta_i)."""
-    return _penalty_sum(np.atleast_1d(_as_float_array(theta)), spec)
+    return float(_checked_values(theta, spec).sum(axis=-1))
 
 
 def _check_weight(weight: float, spec: PenaltySpec) -> float:

@@ -43,8 +43,9 @@ The loop runs a stack of C cells (beta, zeta, alpha) on one dataset: the
 iterates are the rows of a (C, d) matrix, so each constant-rule iteration
 costs one product Theta @ X^T and one (sigmoid(Z) - y) @ X for all rows,
 and the penalty kernels take per-row weights and zetas.  :func:`fit` runs
-it with one row, :func:`fit_cells` with the cells of a grid.  The
-momentum coefficient depends only on k, so the rows share it.  A cell
+it with one row, under either rule, with or without momentum and the
+trace; :func:`fit_cells` runs the cells of a grid, and a stack of two or
+more rows always takes the constant rule, plain and untraced.  A cell
 whose objective stalls leaves the stack with its iterate, objective and
 iteration count, and every per-row array loses its row; the others go
 on.  The operands of the two products are left as they are: the bits of
@@ -59,8 +60,8 @@ Iterations stop once the objective change falls to ``eps_tol`` or
 ``max_iters`` is reached.  The iterates never depend on the objective: it
 only feeds that stall test and the trace.  So a one-row stack (every
 :func:`fit`) computes it per block of iterates, off the step path; see
-"Objectives per block" below.  A stack of two or more rows without
-momentum (a grid's :func:`fit_cells`) skips it on every iteration where a
+"Objectives per block" below.  A stack of two or more rows (a grid's
+:func:`fit_cells`) skips it on every iteration where a
 sufficient-decrease certificate proves that no running row can stall; see
 "Skipping the objective" below.
 
@@ -219,6 +220,7 @@ import numpy as np
 from .model import (
     Dataset,
     NumericalError,
+    _check_theta,
     _kernels,
     _margins,
     _probabilities,
@@ -253,7 +255,6 @@ __all__ = [
     "prox_grad_step",
     "backtrack_stepsize",
     "fit",
-    "accelerated_fit",
     "fit_cells",
     "criticality_residual",
     "write_trace_csv",
@@ -288,8 +289,9 @@ class SolverConfig:
     """Stepsize rule, stopping parameters, and trace switches.
 
     ``alpha`` (constant rule) defaults to 0.99x the largest admissible
-    stepsize for the problem at hand; ``alpha0`` (backtracking start)
-    defaults to 0.49/(beta*zeta), or 1.0 when zeta = 0.
+    stepsize for the problem at hand, or 1.0 when every stepsize is
+    admissible (all-zero features and zeta = 0); ``alpha0`` (backtracking
+    start) defaults to 0.49/(beta*zeta), or 1.0 when zeta = 0.
     """
 
     stepsize_rule: str = CONSTANT
@@ -388,7 +390,7 @@ def criticality_residual(theta, beta: float, spec: PenaltySpec, data: Dataset) -
     ||beta*g - 2*beta*zeta*theta + grad(theta)||_2, computed coordinatewise."""
     beta = _check_beta(beta, spec)
     g = loss_gradient(theta, data)
-    return beta * _norm(_violation(_as_float_array(theta), g, beta, spec))
+    return beta * float(np.linalg.norm(_violation(_as_float_array(theta), g, beta, spec)))
 
 
 def _violation(theta, grad, beta, spec):
@@ -399,12 +401,6 @@ def _violation(theta, grad, beta, spec):
     target = 2.0 * spec.zeta * theta - grad / beta
     # per coordinate the minimizing subgradient clamps the target into [lo, hi]
     return np.maximum(0.0, np.maximum(lo - target, target - hi))
-
-
-def _norm(v) -> float:
-    """Euclidean norm as np.linalg.norm computes it for a real vector;
-    ``v @ v`` gives the same bits at twice the call cost of ``v.dot(v)``."""
-    return math.sqrt(v.dot(v))
 
 
 def _check_beta(beta, spec: PenaltySpec) -> float:
@@ -422,8 +418,7 @@ def _default_alpha0(beta: float, spec: PenaltySpec) -> float:
 
 def _extrapolate(theta, prev, t: float):
     """The momentum schedule's next base point and t: from t = t_k it
-    returns theta + ((t_k - 1)/t_{k+1}) * (theta - prev) and t_{k+1}.  The
-    coefficient depends only on k, so one serves every row of a stack."""
+    returns theta + ((t_k - 1)/t_{k+1}) * (theta - prev) and t_{k+1}."""
     t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
     return theta + ((t - 1.0) / t_next) * (theta - prev), t_next
 
@@ -470,7 +465,9 @@ def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec,
     if config.stepsize_rule == CONSTANT:
         bound = max_constant_stepsize(beta, spec, data)
         if config.alpha is None:
-            alpha = 0.99 * bound
+            # ||X|| = 0 and zeta = 0 bound nothing (the loss is constant):
+            # take backtracking's default start there
+            alpha = 0.99 * bound if math.isfinite(bound) else 1.0
             if config.accelerate:
                 # momentum needs the quadratic majorization at every point,
                 # i.e. alpha <= 1/L; the plain-descent bound is ~2x that
@@ -496,17 +493,6 @@ def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec,
     return alpha
 
 
-def _prepare_theta0(theta0, data: Dataset) -> np.ndarray:
-    if theta0 is None:
-        return np.zeros(data.n_features)
-    theta0 = np.array(theta0, dtype=float)
-    if theta0.shape != (data.n_features,):
-        raise ValueError(
-            f"theta0 has shape {theta0.shape} but the dataset has {data.n_features} features"
-        )
-    return theta0
-
-
 def _trace_rows(before, points, grads, objectives, stepsizes, beta: float,
                 spec: PenaltySpec) -> list[TraceRow]:
     """The trace rows of the (K, d) iterates ``points`` with their gradients,
@@ -516,8 +502,9 @@ def _trace_rows(before, points, grads, objectives, stepsizes, beta: float,
     one subtraction its steps; one ``np.vecdot`` gives every row's squared
     step norm and squared residual.  It computes each row's sum as
     ``v.dot(v)`` does, so every column has the bits a per-iteration
-    ``_norm`` gives.  A norm whose square overflows reads inf, as there,
-    but without numpy's warning: a finite objective lets the fit go on.
+    ``np.linalg.norm`` gives.  A norm whose square overflows reads inf, as
+    there, but without numpy's warning: a finite objective lets the fit go
+    on.
     """
     steps = points - before
     violations = _violation(points, grads, beta, spec)
@@ -774,17 +761,12 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     per-iteration objective, margins and gradient.
     """
     beta = _check_beta(beta, spec)
-    theta = _prepare_theta0(theta0, data)
+    # the loop writes into no point it was given
+    theta = np.zeros(data.n_features) if theta0 is None else _check_theta(theta0, data)
     alpha = _initial_alpha(config, beta, spec, data)
     stack = _fit_stack(data, [replace(spec, beta=beta)], [alpha], config, theta[None])
     return FitResult(stack.theta[0], int(stack.iterations[0]), bool(stack.converged[0]),
                      stack.final_objective.item(0), stack.trace)
-
-
-def accelerated_fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
-                    theta0=None) -> FitResult:
-    """:func:`fit` with the momentum schedule switched on."""
-    return fit(data, beta, spec, replace(config, accelerate=True), theta0)
 
 
 def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
@@ -825,9 +807,10 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
     first one of a backtracking search.  ``config`` gives the stepsize rule
     (backtracking takes one cell), ``eta``, ``accelerate``, ``eps_tol``,
     ``max_iters`` and ``record_trace``.  A one-row stack computes its
-    objectives, and its trace if recorded, per :class:`_Block`; more rows
-    take the exact path or the certificate, with no trace.  The result
-    holds one entry per cell in each field."""
+    objectives, and its trace if recorded, per :class:`_Block`.  Two or
+    more rows take the constant rule without momentum or trace, and skip
+    the objective where :class:`_Descent` proves that none can stall.  The
+    result holds one entry per cell in each field."""
     evaluate, gradient, loss_of = _kernels(data)
     weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
     backtrack = config.stepsize_rule == BACKTRACKING
@@ -843,23 +826,24 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
     stacked = _StackedSpec.of(specs, d)
     denominator = 1.0 - 2.0 * weight * stacked.zeta
     X = data.features
-    margins = _margins(X, theta)
+    # an overflow gives an infinite objective, which raises below
+    with np.errstate(over="ignore"):
+        margins = _margins(X, theta)
     # the loss at the point the next backtracking step starts from
     base_loss, obj = _objectives(loss_of, margins, theta, beta, stacked)
     _require_finite(np.isfinite(obj).all())
     grad = gradient(margins)
-    block = None
+    eps_tol, accelerate = config.eps_tol, config.accelerate
+    block = descent = None
     if len(specs) == 1:
         block = _Block(data, specs[0], config, loss_of, theta, grad, obj.item(0))
+    else:
+        descent = _Descent(data, alpha[:, 0], beta, stacked.zeta[:, 0], denominator[:, 0],
+                           eps_tol, theta, obj)
 
     thetas, objectives = np.empty_like(theta), np.empty_like(obj)
     iterations = np.full(len(specs), config.max_iters)
     converged = np.zeros(len(specs), dtype=bool)
-    eps_tol, accelerate = config.eps_tol, config.accelerate
-    descent = None
-    if block is None and not accelerate:
-        descent = _Descent(data, alpha[:, 0], beta, stacked.zeta[:, 0], denominator[:, 0],
-                           eps_tol, theta, obj)
     # whether obj is still that of an earlier iterate than theta
     stale = False
     # the points the next step starts from; grad holds their gradients
@@ -878,8 +862,8 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
             grad *= alpha
             np.subtract(base, grad, out=grad)
             new = _prox(grad, weight, stacked, denominator)
-            # with momentum a one-row block computes the iterate's margins
-            margins_new = None if accelerate and block is not None else _margins(X, new)
+            # with momentum the block computes the iterate's margins
+            margins_new = None if accelerate else _margins(X, new)
         if block is not None:
             # one row: the objective waits for the iterate's block
             prev, theta, margins = theta, new, margins_new
@@ -887,8 +871,7 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
             # base_loss is the iterate's loss under backtracking
             if block.add(theta, margins, base_loss, grad, step):
                 break
-        elif (descent is not None and k < config.max_iters
-                and descent.proves(theta, new, margins[0], margins_new[0])):
+        elif k < config.max_iters and descent.proves(theta, new, margins[0], margins_new[0]):
             base = theta = new
             margins, stale = margins_new, True
             grad = gradient(margins)
@@ -901,7 +884,7 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
             margins = margins_new
             obj_new = _objectives(loss_of, margins, new, beta, stacked)[1]
             change = (obj_new - obj).tolist()
-            prev, theta, obj = theta, new, obj_new
+            theta, obj = new, obj_new
             grad = None
             # objectives are >= 0 and were finite, so a change is finite exactly
             # when the new objective is (NaN fails both comparisons)
@@ -914,14 +897,12 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
                 run = ~stalled
                 rows, beta, alpha = rows[run], beta[run], alpha[run]
                 weight, denominator = weight[run], denominator[run]
-                stacked, theta, obj, prev = stacked.take(run), theta[run], obj[run], prev[run]
+                stacked, theta, obj = stacked.take(run), theta[run], obj[run]
                 margins = tuple(part[run] for part in margins)
-                if descent is not None:
-                    descent.take(run)
+                descent.take(run)
                 if not rows.size:
                     break
-            if descent is not None:
-                descent.rebase(obj)
+            descent.rebase(obj)
         if accelerate:
             base, t = _extrapolate(theta, prev, t)
             margins_base = _margins(X, base)

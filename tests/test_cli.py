@@ -168,6 +168,18 @@ def test_train_rejects_inadmissible_alpha(synth, tmp_path, capsys):
     assert "not admissible" in err and "(0, " in err  # message carries the bound
 
 
+def test_train_on_all_zero_features_at_zeta_zero_takes_the_default_stepsize(tmp_path):
+    # ||X|| = 0 and zeta = 0 bound no stepsize; the default is 1.0
+    path = tmp_path / "zeros.csv"
+    path.write_text("label,f1,f2\n1,0,0\n0,0,0\n")
+    for flags in ([], ["--accelerate"], ["--backtracking"]):
+        model_path = tmp_path / "m.txt"
+        assert run("train", path, "--beta", 0.1, *flags, "--out", model_path, "--quiet") == 0
+        model = load_model(model_path)
+        assert model.theta.tolist() == [0.0, 0.0]
+        assert (model.iterations, model.converged) == (1, True)
+
+
 def test_train_threshold_warning_and_zero_stall(synth, tmp_path, capsys):
     model_path = tmp_path / "m.txt"
     code = run("train", synth["train"], "--beta", 100, "--zeta", 0.1, "--center",
@@ -273,7 +285,7 @@ def test_predict_reports_error_rate(synth, tmp_path, capsys):
 def test_predict_zero_model_predicts_ones_at_half(synth, tmp_path):
     model_path = tmp_path / "zero.txt"
     save_model(model_path, ModelFile(
-        theta=np.zeros(8), beta=1.0, zeta=0.1, kind="mcp", centered=False,
+        theta=np.zeros(8), beta=1.0, zeta=0.1, centered=False,
         center=np.zeros(8), has_intercept=False, stepsize_rule="constant",
         accelerate=False, iterations=0, converged=True, final_objective=0.0))
     pred_path = tmp_path / "pred.csv"
@@ -288,7 +300,7 @@ def test_predict_zero_model_predicts_ones_at_half(synth, tmp_path):
 def test_predict_dimension_mismatch(synth, tmp_path, capsys):
     model_path = tmp_path / "m.txt"
     save_model(model_path, ModelFile(
-        theta=np.zeros(5), beta=1.0, zeta=0.0, kind="mcp", centered=False,
+        theta=np.zeros(5), beta=1.0, zeta=0.0, centered=False,
         center=np.zeros(5), has_intercept=False, stepsize_rule="constant",
         accelerate=False, iterations=0, converged=True, final_objective=0.0))
     assert run("predict", model_path, synth["test"], "--out", tmp_path / "p.csv") == 2
@@ -412,7 +424,7 @@ def test_certify_rejects_data_with_another_feature_count(synth, tmp_path, capsys
                                                          centered, flags):
     model_path = tmp_path / "m.txt"
     save_model(model_path, ModelFile(
-        theta=np.zeros(5), beta=1.0, zeta=0.0, kind="mcp", centered=centered,
+        theta=np.zeros(5), beta=1.0, zeta=0.0, centered=centered,
         center=np.zeros(5), has_intercept=False, stepsize_rule="constant",
         accelerate=False, iterations=0, converged=True, final_objective=0.0))
     data_path = tmp_path / "four.csv"

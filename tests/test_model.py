@@ -219,9 +219,9 @@ def test_gradient_lipschitz_bound_holds():
 
 def test_spectral_norm_known_matrices():
     eye = Dataset(np.eye(3), np.array([0, 1, 0]))
-    assert spectral_norm(eye, tol=1e-12) == pytest.approx(1.0, abs=1e-9)
+    assert spectral_norm(eye) == pytest.approx(1.0, abs=1e-9)
     diag = Dataset(np.diag([3.0, 1.0]), np.array([1, 0]))
-    assert spectral_norm(diag, tol=1e-12) == pytest.approx(3.0, abs=1e-9)
+    assert spectral_norm(diag) == pytest.approx(3.0, abs=1e-9)
     zero = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
     assert spectral_norm(zero) == 0.0
 
@@ -234,7 +234,7 @@ def test_spectral_norm_matches_svd():
         X = rng.standard_normal((n, d))
         data = Dataset(X, rng.integers(0, 2, size=n))
         exact = np.linalg.svd(X, compute_uv=False)[0]
-        assert spectral_norm(data, tol=1e-12) == exact
+        assert spectral_norm(data) == exact
 
 
 def test_spectral_norm_deterministic():
@@ -334,7 +334,7 @@ def test_one_svd_per_dataset(monkeypatch):
     fit(data, 0.5, spec, SolverConfig(accelerate=True, max_iters=5))
     check_mcp_local_opt(theta, 0.5, spec, data)
     is_problem_nonconvex(data)
-    norms = {spectral_norm(data, tol=tol) for tol in (1e-12, 1e-10, 1e-3, 1e-12)}
+    norms = {spectral_norm(data) for _ in range(3)}
     assert calls == ["svd"]
     assert len(bounds) == 1 and len(norms) == 1
     assert norms.pop() == svd(data.features, compute_uv=False)[0]

@@ -5,6 +5,8 @@ grid minimization of  w*F(u) + (u - v)^2 / 2  over a wide interval, which
 never touches the closed-form region logic.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from helpers import mcp_value_reference, prox_grid_oracle, random_prox_case
@@ -52,6 +54,16 @@ def test_penalty_total_sums_coordinates():
     assert penalty_total(np.array([1.0, -1.0]), spec) == pytest.approx(1.8, abs=1e-15)
     assert penalty_total(np.array([10.0, 10.0, 10.0]), spec) == pytest.approx(7.5, abs=1e-15)
     assert penalty_total(np.zeros(4), spec) == 0.0
+
+
+def test_penalty_past_the_square_overflow_is_its_cap_without_a_warning():
+    # |t| = 1e200 squares to inf on its way to MCP's finite plateau value
+    spec = PenaltySpec(zeta=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert penalty_total([1e200, 1.0], spec) == 2.5 + 0.9
+        assert penalty_value(-1e200, spec) == 2.5
+        assert penalty_value([1e200, 1e-200], spec).tolist() == [2.5, 1e-200]
 
 
 def test_penalty_properties():
@@ -224,7 +236,5 @@ def test_spec_validation():
         PenaltySpec(zeta=-0.1)
     with pytest.raises(ValueError):
         PenaltySpec(zeta=0.1, beta=0.0)
-    with pytest.raises(ValueError):
-        PenaltySpec(zeta=0.1, kind="scad")
     assert PenaltySpec(zeta=0.0).plateau_start == np.inf
     assert PenaltySpec(zeta=0.1).plateau_start == pytest.approx(5.0)

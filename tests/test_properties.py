@@ -457,7 +457,7 @@ def model_files(draw):
     d = draw(st.integers(1, 6))
     vector = arrays(float, d, elements=finite_floats)
     return ModelFile(
-        theta=draw(vector), beta=draw(finite_floats), zeta=draw(finite_floats), kind="mcp",
+        theta=draw(vector), beta=draw(finite_floats), zeta=draw(finite_floats),
         centered=draw(st.booleans()), center=draw(vector), has_intercept=draw(st.booleans()),
         stepsize_rule=draw(st.sampled_from(["constant", "backtracking"])),
         accelerate=draw(st.booleans()), iterations=draw(st.integers(0, 10**9)),

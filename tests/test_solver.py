@@ -32,7 +32,6 @@ from wclogit.solver import (
     SolverConfig,
     TraceRow,
     _initial_alpha,
-    accelerated_fit,
     backtrack_stepsize,
     criticality_residual,
     fit,
@@ -434,12 +433,64 @@ def test_constant_stepsize_bound_on_fig1_uses_the_exact_norm():
         fit(train, beta, spec, SolverConfig(alpha=alpha, max_iters=1))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_fit_raises_on_numerical_blowup():
     data = Dataset(np.array([[1e3], [-1e3]]), np.array([0, 1]))
     spec = PenaltySpec(zeta=0.0)
     with pytest.raises(NumericalError):
         fit(data, 1.0, spec, SolverConfig(max_iters=5), theta0=np.array([1e307]))
+
+
+@pytest.mark.parametrize("rule, accelerate",
+                         [(CONSTANT, True), (BACKTRACKING, False), (BACKTRACKING, True)])
+def test_a_start_whose_margins_overflow_raises_without_a_numpy_warning(rule, accelerate):
+    # the start's objective is inf, which raises NumericalError; the pytest
+    # configuration turns numpy's overflow warning into an error
+    data = Dataset(np.array([[1e3], [-1e3]]), np.array([0, 1]))
+    config = SolverConfig(stepsize_rule=rule, accelerate=accelerate, max_iters=5)
+    with pytest.raises(NumericalError, match="non-finite"):
+        fit(data, 1.0, PenaltySpec(zeta=0.0), config, theta0=[1e307])
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+@pytest.mark.parametrize("traced", [False, True])
+def test_the_default_constant_stepsize_on_all_zero_features_at_zeta_zero(accelerate, traced):
+    # ||X|| = 0 and zeta = 0 bound no stepsize: the default is 1.0, backtracking's
+    # start there, and the fit stalls at theta = 0 after one iteration as the
+    # backtracking fit does
+    data = Dataset(np.zeros((2, 2)), np.array([1, 0]))
+    spec = PenaltySpec(zeta=0.0)
+    config = SolverConfig(accelerate=accelerate, record_trace=traced)
+    assert max_constant_stepsize(0.1, spec, data) == math.inf
+    assert _initial_alpha(config, 0.1, spec, data) == 1.0
+    result = fit(data, 0.1, spec, config)
+    expected = fit(data, 0.1, spec, replace(config, stepsize_rule=BACKTRACKING))
+    for r in (result, expected):
+        assert r.theta.tolist() == [0.0, 0.0]
+        assert (r.iterations, r.converged) == (1, True)
+        assert r.final_objective == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+    assert result.final_objective == expected.final_objective
+    assert len(result.trace) == (2 if traced else 0)
+    cells = fit_cells(data, [(0.1, 0.0), (0.5, 0.0)], [None, None])
+    assert cells.theta.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert cells.iterations.tolist() == [1, 1] and cells.converged.all()
+    assert cells.final_objective.tolist() == [result.final_objective] * 2
+    assert fit_cells(data, [(0.1, 0.0)], [None]).iterations.tolist() == [1]
+
+
+@pytest.mark.parametrize("rule", [CONSTANT, BACKTRACKING])
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_fit_reads_its_start_point_without_copying_or_writing_it(rule, accelerate):
+    # the checked theta0 is the caller's array: a write would raise here
+    rng = np.random.default_rng(44)
+    data = random_instance(rng, 30, 4)
+    theta0 = rng.standard_normal(4)
+    theta0.flags.writeable = False
+    config = SolverConfig(stepsize_rule=rule, accelerate=accelerate, max_iters=40)
+    result = fit(data, 0.5, PenaltySpec(zeta=0.1), config, theta0=theta0)
+    expected = fit(data, 0.5, PenaltySpec(zeta=0.1), config, theta0=theta0.tolist())
+    assert result.theta.tobytes() == expected.theta.tobytes()
+    assert result.trace == expected.trace
+    assert result.theta is not theta0 and result.theta.flags.writeable
 
 
 def test_solver_config_validation():
@@ -698,20 +749,6 @@ def test_momentum_trace_memory_does_not_grow_with_the_iterations():
     assert peak < 40e6
 
 
-@pytest.mark.parametrize("rule", [CONSTANT, BACKTRACKING])
-def test_accelerated_fit_is_fit_with_momentum(rule):
-    rng = np.random.default_rng(39)
-    data = random_instance(rng, 40, 5)
-    spec = PenaltySpec(zeta=0.2)
-    config = SolverConfig(stepsize_rule=rule, eps_tol=1e-12, max_iters=200)
-    alias = accelerated_fit(data, 0.5, spec, config)
-    direct = fit(data, 0.5, spec, replace(config, accelerate=True))
-    assert alias.theta.tobytes() == direct.theta.tobytes()
-    assert alias.trace == direct.trace
-    assert (alias.iterations, alias.converged) == (direct.iterations, direct.converged)
-    assert alias.final_objective == direct.final_objective
-
-
 def test_fit_checks_stay_at_the_boundary():
     rng = np.random.default_rng(40)
     data = random_instance(rng, 20, 3)
@@ -802,26 +839,6 @@ def test_fit_cells_is_the_stacked_oracle_loop_bitwise():
         assert np.array_equal(result.converged, expected.converged)
         stalled += int(result.converged.sum())
     assert 0 < stalled < 4 * len(cells)
-
-
-def test_stacked_momentum_rows_leave_with_their_previous_iterates():
-    # fit runs the stacked loop with one row; with many rows and momentum,
-    # the rows of cells that stall leave every per-row array, the previous
-    # iterates included, and the rest go on with the shared schedule
-    cells = [(beta, zeta) for beta in (0.01, 0.1, 1.0) for zeta in (0.0, 0.1, 1.0)]
-    spec = SynthSpec(d=50, n_train=200, k=5, n_test=1000, amplitude="normal", seed=1000)
-    train = center(gen_noisy(spec)[0])
-    config = SolverConfig(accelerate=True, eps_tol=1e-6, max_iters=300, record_trace=False)
-    specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
-    steps = [solver._initial_alpha(config, s.beta, s, train) for s in specs]
-    result = solver._fit_stack(train, specs, steps, config, np.zeros((len(cells), 50)))
-    expected = stacked_fit_oracle(train, cells, [None] * len(cells), eps_tol=1e-6,
-                                  max_iters=300, accelerate=True)
-    assert result.theta.tobytes() == expected.theta.tobytes()
-    assert result.final_objective.tobytes() == expected.final_objective.tobytes()
-    assert np.array_equal(result.iterations, expected.iterations)
-    assert np.array_equal(result.converged, expected.converged)
-    assert 1 < len(set(result.iterations.tolist())) and not result.converged.all()
 
 
 def test_fit_cells_checks_every_cell_before_iterating():
@@ -1115,9 +1132,7 @@ def test_a_momentum_iterate_past_the_norm_bound_has_its_block_evaluated_there(
     capped = fit(data, 0.01, spec, replace(config, max_iters=at))
     assert capped.theta[1] == 1e200
     if traced:
-        # the public penalty squares 1e200 on its way to MCP's cap
-        with np.errstate(over="ignore"):
-            assert result.trace[at].objective == objective(capped.theta, data, 0.01, spec)
+        assert result.trace[at].objective == objective(capped.theta, data, 0.01, spec)
 
 
 @pytest.mark.parametrize("at", [1, 2, 40, 150])
