@@ -246,6 +246,8 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
         threshold = None
 
     conditions = _conditions(theta, grad, beta, spec)
+    with np.errstate(over="ignore"):  # a norm beyond the float range reads inf
+        escape = bool(np.linalg.norm(theta) > SEPARABLE_ESCAPE_NORM)
     return CertificateReport(
         per_coordinate=rows,
         is_critical_point=_is_critical(*conditions, slack),
@@ -258,5 +260,5 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
         mcp_iff_verdict=verdict,
         beta_threshold=threshold,
         problem_nonconvex=is_problem_nonconvex(data),
-        possible_separable_escape=bool(np.linalg.norm(theta) > SEPARABLE_ESCAPE_NORM),
+        possible_separable_escape=escape,
     )

@@ -64,7 +64,31 @@ def _add_dataset_flags(parser, required_path=True):
                         help="whether the CSV starts with a header row")
 
 
-def _load_dataset(args, path, add_intercept: bool) -> Dataset:
+def _check_dataset_flags(args, labeled: bool = True) -> None:
+    """Refuse a dataset flag that the chosen reader would not read."""
+    if args.data is None:
+        read, why = (), "without --data: synthetic data reads no file"
+    elif not labeled:
+        read, why = ("--header",), "with --no-labels, which reads dense CSV features only"
+    elif args.sparse_format:
+        read, why = ("--sparse-format", "--num-features", "--pm1-labels"), "to sparse input"
+    else:
+        read, why = ("--label-col", "--pm1-labels", "--header"), "without --sparse-format"
+    given = (("--sparse-format", args.sparse_format),
+             ("--num-features", args.num_features is not None),
+             ("--label-col", args.label_col is not None),
+             ("--pm1-labels", args.pm1_labels),
+             ("--header", args.header != "auto"))
+    for flag, on in given:
+        if on and flag not in read:
+            raise ValueError(f"{flag} does not apply {why}")
+
+
+def _load_dataset(args, path, add_intercept: bool, labeled: bool = True) -> Dataset:
+    _check_dataset_flags(args, labeled)
+    if not labeled:
+        return load_csv(path, add_intercept=add_intercept, header=args.header,
+                        labeled=False)
     label_map = {"-1": 0, "1": 1, "+1": 1} if args.pm1_labels else None
     if args.sparse_format:
         return load_sparse_classification_format(
@@ -84,16 +108,16 @@ def _load_dataset(args, path, add_intercept: bool) -> Dataset:
 
 
 def cmd_train(args) -> int:
+    rule = BACKTRACKING if args.backtracking else CONSTANT
+    config = SolverConfig(stepsize_rule=rule, alpha=args.alpha, eta=args.eta,
+                          accelerate=args.accelerate, eps_tol=args.eps_tol,
+                          max_iters=args.max_iters,
+                          record_trace=args.trace_out is not None)
     data = _load_dataset(args, args.data, args.add_intercept)
     if args.center:
         data = center(data)
 
     spec = PenaltySpec(zeta=args.zeta, beta=args.beta)
-    rule = BACKTRACKING if args.backtracking else CONSTANT
-    config = SolverConfig(stepsize_rule=rule, alpha=args.alpha, alpha0=args.alpha0,
-                          eta=args.eta, accelerate=args.accelerate,
-                          eps_tol=args.eps_tol, max_iters=args.max_iters,
-                          record_trace=args.trace_out is not None)
 
     theta0 = None
     if args.init == "small-random":
@@ -132,11 +156,7 @@ def cmd_train(args) -> int:
 def _load_for_model(args, model: ModelFile, labeled: bool = True) -> Dataset:
     """The data file, checked against the model's feature count (another
     count is a data error) and centered with the model's center."""
-    if labeled:
-        data = _load_dataset(args, args.data, model.has_intercept)
-    else:
-        data = load_csv(args.data, add_intercept=model.has_intercept,
-                        header=args.header, labeled=False)
+    data = _load_dataset(args, args.data, model.has_intercept, labeled)
     if data.n_features != model.theta.size:
         raise DataError(f"model has {model.theta.size} features but the data has "
                         f"{data.n_features}")
@@ -145,8 +165,6 @@ def _load_for_model(args, model: ModelFile, labeled: bool = True) -> Dataset:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    if args.no_labels and args.sparse_format:
-        raise ValueError("--no-labels applies to dense CSV input only")
     data = _load_for_model(args, model, labeled=not args.no_labels)
     labels = None if args.no_labels else data.labels
 
@@ -221,6 +239,7 @@ def cmd_cv(args) -> int:
                                         center_split=False)
             return train_test_split(train, args.validation_fraction, seed=grid.seed + r)
     else:
+        _check_dataset_flags(args)
         if args.validation_fraction is not None:
             raise ValueError("--validation-fraction needs --data; synthetic runs "
                              "already draw fresh test points per repeat")
@@ -299,15 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="regularization weight (> 0)")
     train.add_argument("--zeta", type=float, default=0.0,
                        help="nonconvexity parameter (0 gives the l1 penalty)")
-    step = train.add_mutually_exclusive_group()
-    step.add_argument("--alpha", type=float, default=None,
-                      help="constant stepsize (default: just under the bound)")
-    step.add_argument("--backtracking", action="store_true",
-                      help="use the backtracking stepsize rule")
+    train.add_argument("--alpha", type=float, default=None,
+                       help="first stepsize: the constant stepsize (default: just "
+                            "under the bound), or with --backtracking the first one "
+                            "the search tries (default: 0.49/(beta*zeta), or 1 at "
+                            "zeta = 0)")
+    train.add_argument("--backtracking", action="store_true",
+                       help="use the backtracking stepsize rule")
     train.add_argument("--eta", type=float, default=0.5,
-                       help="backtracking reduction factor in (0, 1)")
-    train.add_argument("--alpha0", type=float, default=None,
-                       help="initial backtracking stepsize")
+                       help="backtracking reduction factor in (0, 1); "
+                            "needs --backtracking")
     train.add_argument("--accelerate", action="store_true",
                        help="use the momentum schedule")
     train.add_argument("--eps-tol", type=float, default=1e-8,

@@ -295,6 +295,8 @@ def _label_index(path, names, label_column, labeled: bool, width: int):
     if not (0 <= label_idx < width):
         raise DataError(f"{path}: label column index {label_idx} out of range for "
                         f"{width} columns")
+    if width == 1:
+        raise DataError(f"{path}: the file has a label column but no feature column")
     return label_idx
 
 
@@ -323,6 +325,8 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     ``labeled=False`` the file holds features only (data to predict on):
     every column is a feature, the returned labels are all-zero
     placeholders, and ``label_column`` and ``label_map`` must stay unset.
+    A labeled file needs a feature column besides the label, with or
+    without ``add_intercept``.
     """
     if not labeled and (label_column is not None or label_map is not None):
         raise ValueError("a file without labels takes no label column or label map")

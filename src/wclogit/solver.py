@@ -288,15 +288,19 @@ _NORM_SLACK = 1e-8
 class SolverConfig:
     """Stepsize rule, stopping parameters, and trace switches.
 
-    ``alpha`` (constant rule) defaults to 0.99x the largest admissible
-    stepsize for the problem at hand, or 1.0 when every stepsize is
-    admissible (all-zero features and zeta = 0); ``alpha0`` (backtracking
-    start) defaults to 0.49/(beta*zeta), or 1.0 when zeta = 0.
+    ``alpha`` is the run's first stepsize under either rule.  Under the
+    constant rule it is the stepsize, and defaults to 0.99x the largest
+    admissible stepsize for the problem at hand (with momentum, at most
+    0.99 * 4/||X||^2), or 1.0 when every stepsize is admissible (all-zero
+    features and zeta = 0).  Under backtracking it is the first stepsize the
+    search tries, and defaults to 0.49/(beta*zeta), or 1.0 when zeta = 0.
+    ``eta``, the factor by which the search shrinks a stepsize, is read
+    only by backtracking, so the constant rule refuses any value but its
+    default.
     """
 
     stepsize_rule: str = CONSTANT
     alpha: float | None = None
-    alpha0: float | None = None
     eta: float = 0.5
     accelerate: bool = False
     eps_tol: float = 1e-8
@@ -311,14 +315,17 @@ class SolverConfig:
         for name in ("accelerate", "record_trace"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        for name in ("alpha", "alpha0", "eta", "eps_tol"):
+        for name in ("alpha", "eta", "eps_tol"):
             value = getattr(self, name)
-            if value is None and name in ("alpha", "alpha0"):
+            if value is None and name == "alpha":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+        if self.stepsize_rule == CONSTANT and self.eta != 0.5:
+            raise ValueError(f"eta = {self.eta} has no effect under the constant "
+                             "stepsize rule; only backtracking reads it")
         if not (np.isfinite(self.eps_tol) and self.eps_tol > 0):
             raise ValueError(f"eps_tol must be a positive real, got {self.eps_tol}")
         # a bool is an int, and int() would truncate 2.5 or parse '7'
@@ -410,12 +417,6 @@ def _check_beta(beta, spec: PenaltySpec) -> float:
     return beta
 
 
-def _default_alpha0(beta: float, spec: PenaltySpec) -> float:
-    if spec.zeta > 0:
-        return 0.49 / (beta * spec.zeta)
-    return 1.0
-
-
 def _extrapolate(theta, prev, t: float):
     """The momentum schedule's next base point and t: from t = t_k it
     returns theta + ((t_k - 1)/t_{k+1}) * (theta - prev) and t_{k+1}."""
@@ -462,9 +463,12 @@ def backtrack_stepsize(theta_prev, alpha_prev: float, config: SolverConfig,
 
 def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec,
                    data: Dataset) -> float:
+    """The run's first stepsize, ``config.alpha`` or the rule's default,
+    checked against the rule's bound."""
+    alpha = None if config.alpha is None else float(config.alpha)
     if config.stepsize_rule == CONSTANT:
         bound = max_constant_stepsize(beta, spec, data)
-        if config.alpha is None:
+        if alpha is None:
             # ||X|| = 0 and zeta = 0 bound nothing (the loss is constant):
             # take backtracking's default start there
             alpha = 0.99 * bound if math.isfinite(bound) else 1.0
@@ -474,20 +478,19 @@ def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec,
                 norm = spectral_norm(data)
                 if norm > 0:
                     alpha = min(alpha, 0.99 * 4.0 / (norm * norm))
-        else:
-            alpha = float(config.alpha)
         if not (0.0 < alpha < bound):
             raise ValueError(
-                f"constant stepsize {alpha} is not admissible; it must lie in "
-                f"(0, {bound}) for this problem"
+                f"constant stepsize alpha = {alpha} is not admissible; it must lie "
+                f"in (0, {bound}) for this problem"
             )
         return alpha
-    alpha = _default_alpha0(beta, spec) if config.alpha0 is None else float(config.alpha0)
+    if alpha is None:
+        alpha = 0.49 / (beta * spec.zeta) if spec.zeta > 0 else 1.0
     if alpha <= 0 or not np.isfinite(alpha):
-        raise ValueError(f"alpha0 must be a finite positive real, got {alpha}")
+        raise ValueError(f"alpha must be a finite positive real, got {alpha}")
     if beta * spec.zeta * alpha >= 0.5:
         raise ValueError(
-            f"alpha0 = {alpha} violates beta*zeta*alpha0 < 1/2 "
+            f"alpha = {alpha} violates beta*zeta*alpha < 1/2 "
             f"(beta*zeta = {beta * spec.zeta:.6g})"
         )
     return alpha

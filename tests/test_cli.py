@@ -3,6 +3,7 @@ process, checking exit codes, emitted files, and determinism."""
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,9 +209,35 @@ def test_train_backtracking_and_accelerate(synth, tmp_path):
 
 def test_train_numerical_failure_exit_code(synth, tmp_path, capsys):
     code = run("train", synth["train"], "--beta", 0.3, "--zeta", 0,
-               "--backtracking", "--alpha0", "1e300", "--out", tmp_path / "m.txt")
+               "--backtracking", "--alpha", "1e300", "--out", tmp_path / "m.txt")
     assert code == 3
     assert "backtracking" in capsys.readouterr().err
+
+
+def test_train_alpha_is_the_first_backtracking_stepsize(synth, tmp_path):
+    # --alpha is the search's first stepsize; 0.01 is small enough here that
+    # the first iteration accepts it as it is
+    trace = tmp_path / "t.csv"
+    assert run("train", synth["train"], "--beta", 0.3, "--zeta", 0.5, "--center",
+               "--backtracking", "--alpha", 0.01, "--out", tmp_path / "m.txt",
+               "--trace-out", trace, "--quiet") == 0
+    with open(trace, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[1]["stepsize"]) == 0.01
+    assert all(float(row["stepsize"]) <= 0.01 for row in rows[1:])
+
+
+def test_train_refuses_stepsize_flags_the_rule_does_not_read(synth, tmp_path, capsys):
+    base = ["train", synth["train"], "--beta", 0.3, "--zeta", 0.5,
+            "--out", tmp_path / "m.txt"]
+    assert run(*base, "--eta", 0.3) == 1
+    assert "eta = 0.3 has no effect under the constant" in capsys.readouterr().err
+    for flags in (["--alpha0", 0.3], ["--backtracking", "--alpha0", 0.3]):
+        assert run(*base, *flags) == 1
+        assert "unrecognized arguments: --alpha0" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+    # the default's own value changes nothing
+    assert run(*base, "--eta", 0.5, "--quiet") == 0
 
 
 def test_train_missing_file_exit_code(tmp_path, capsys):
@@ -246,6 +273,73 @@ def test_successive_calls_share_no_flag_values(synth, tmp_path):
     assert centered.centered and centered.has_intercept
     assert not last.centered and not last.has_intercept
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "c.txt").read_bytes()
+
+
+def test_train_csv_with_only_a_label_column_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "labels.csv"
+    path.write_text("label\n1\n0\n")
+    for flags in ([], ["--add-intercept"]):
+        assert run("train", path, "--beta", 0.1, *flags, "--out", tmp_path / "m.txt") == 2
+        assert capsys.readouterr().err == (f"error: {path}: the file has a label column "
+                                           "but no feature column\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
+# --- dataset flags the chosen reader would not read -------------------------------
+
+
+def test_num_features_needs_sparse_format(synth, tmp_path, capsys):
+    model = trained_model(synth, tmp_path)
+    outputs = [tmp_path / name for name in ("m.txt", "p.csv", "g.csv")]
+    for argv in (["train", synth["train"], "--beta", 0.3, "--out", outputs[0]],
+                 ["predict", model, synth["test"], "--out", outputs[1]],
+                 ["certify", model, synth["train"]],
+                 ["cv", "--data", synth["train"], "--repeats", 1, "--max-iters", 5,
+                  "--out", outputs[2]]):
+        assert run(*argv, "--num-features", 8) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --num-features does not apply without --sparse-format\n"
+        assert captured.out == ""
+    assert not any(path.exists() for path in outputs)
+
+
+def test_sparse_input_refuses_csv_flags(tmp_path, capsys):
+    sparse = tmp_path / "s.txt"
+    sparse.write_text("1 1:2.0 3:1.0\n0 2:1.5\n1 1:0.5\n0 3:-2.0\n")
+    train = ["train", sparse, "--sparse-format", "--beta", 0.1, "--out", tmp_path / "m.txt"]
+    for flags in (["--label-col", 0], ["--header", "yes"], ["--header", "no"]):
+        assert run(*train, *flags) == 1
+        assert capsys.readouterr().err == f"error: {flags[0]} does not apply to sparse input\n"
+    assert not (tmp_path / "m.txt").exists()
+    assert run(*train, "--header", "auto", "--quiet") == 0
+    assert run("certify", tmp_path / "m.txt", sparse, "--sparse-format", "--label-col", 0) == 1
+    assert "--label-col does not apply" in capsys.readouterr().err
+
+
+def test_predict_no_labels_refuses_label_flags(synth, tmp_path, capsys):
+    model_path = trained_model(synth, tmp_path)
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("".join(",".join(map(repr, row.tolist())) + "\n"
+                                 for row in load_csv(synth["test"]).features))
+    predict = ["predict", model_path, unlabeled, "--no-labels", "--out", tmp_path / "p.csv"]
+    for flags in (["--label-col", 0], ["--pm1-labels"], ["--sparse-format"]):
+        assert run(*predict, *flags) == 1
+        assert capsys.readouterr().err == (f"error: {flags[0]} does not apply with "
+                                           "--no-labels, which reads dense CSV features only\n")
+    assert not (tmp_path / "p.csv").exists()
+    assert run(*predict, "--header", "no", "--quiet") == 0
+
+
+def test_synthetic_cv_refuses_dataset_flags(tmp_path, capsys):
+    cv = ["cv", "--d", 5, "--n-train", 20, "--k", 2, "--n-test", 10, "--repeats", 1,
+          "--betas", 0.1, "--zetas", 0, "--max-iters", 5, "--out", tmp_path / "g.csv"]
+    for flags in (["--sparse-format"], ["--num-features", 5], ["--label-col", 0],
+                  ["--pm1-labels"], ["--header", "yes"], ["--header", "no"]):
+        assert run(*cv, *flags) == 1
+        assert capsys.readouterr().err == (f"error: {flags[0]} does not apply without "
+                                           "--data: synthetic data reads no file\n")
+    assert not (tmp_path / "g.csv").exists()
+    assert run(*cv, "--header", "auto", "--quiet") == 0
 
 
 # --- predict -------------------------------------------------------------------
@@ -403,6 +497,17 @@ def test_certify_indeterminate_at_exact_threshold(tmp_path, capsys):
                "--out", model_path, "--quiet") == 0
     assert run("certify", model_path, data_path) == 0
     assert "zero-vector status: indeterminate" in capsys.readouterr().out
+
+
+def test_certify_a_theta_whose_norm_overflows(synth, tmp_path, capsys):
+    # ||theta||^2 overflows: the escape warning shows, numpy's warning does not
+    path = edited_model(synth, tmp_path, "theta", " ".join(["1e300"] + ["0.0"] * 7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("certify", path, synth["train"]) == 0
+    captured = capsys.readouterr()
+    assert "warning: ||theta|| > 1e3, possible separable-escape run" in captured.out
+    assert captured.err == ""
 
 
 def test_certify_threshold_only_and_uncentered_error(synth, tmp_path, capsys):

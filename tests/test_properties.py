@@ -3,12 +3,17 @@ one-point calls and, bit for bit, against the oracle formulas of
 ``helpers``, batched one-row products against one-point products, the
 loss kernel against ``np.logaddexp``, the prox against
 its closed form, the loaders' error positions, ``load_csv`` against its
-Python row loop, and the CSV, sparse-format and model-file round trips.
+Python row loop, the CSV, sparse-format and model-file round trips, and
+the CLI's exit codes on damaged input files.
 
 Examples are derandomized, so every run checks the same cases.
 """
 
+import contextlib
+import functools
+import io
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -29,6 +34,7 @@ from helpers import (
     sigmoid_oracle,
 )
 
+from wclogit.cli import main
 from wclogit.data import DataError, load_csv, load_sparse_classification_format, save_csv
 from wclogit.model import Dataset, _exp_pair, _kernels, _probabilities, loss, sigmoid
 from wclogit.modelfile import ModelFile, load_model, save_model
@@ -494,3 +500,116 @@ def test_sparse_format_round_trip_is_lossless(data, extra_columns):
     # an absent entry reads +0.0, so the format cannot keep a -0.0
     assert back.features.tobytes() == (features + 0.0).tobytes()
     assert np.array_equal(back.labels, data.labels)
+
+
+
+# --- the CLI's exit-code contract on damaged input files ---------------------------
+
+_CSV = ("label,f1,f2,f3\n1,0.5,1.0,-0.3\n0,-0.2,0.4,1.1\n1,1.5,-0.7,0.2\n"
+        "0,0.3,0.9,-1.0\n1,-0.8,0.1,0.6\n0,1.2,-1.1,0.4\n1,0.1,-0.5,-0.9\n0,-1.0,0.3,0.8\n")
+# the same rows in the sparse text format
+_SPARSE = "".join(" ".join([label] + [f"{j}:{v}" for j, v in enumerate(values, 1)]) + "\n"
+                  for label, *values in (line.split(",") for line in _CSV.splitlines()[1:]))
+_TRAIN = ["--beta", "0.1", "--zeta", "0.1", "--center", "--max-iters", "30"]
+_BAD_CELLS = ["nan", "inf", "1e400", "1e300", "", "x"]
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+@functools.cache
+def _valid_model_text() -> str:
+    """A model trained on ``_CSV``, centered."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model = Path(tmp) / "d.csv", Path(tmp) / "m.txt"
+        data.write_text(_CSV)
+        assert main(["train", str(data), *_TRAIN, "--quiet", "--out", str(model)]) == 0
+        return model.read_text()
+
+
+def _cells(line: str, kind: str):
+    """(start, end) of each cell a mutation may overwrite: a CSV cell, a
+    sparse label or value (never an index), or a model file's value."""
+    if kind == "csv":
+        return [(m.start(), m.end()) for m in re.finditer(r"(?:^|(?<=,))[^,]*", line)]
+    spans = [(m.start(), m.end()) for m in re.finditer(r"\S+", line)]
+    if kind == "model":
+        return spans[1:]
+    return spans[:1] + [(a + line[a:b].index(":") + 1, b) for a, b in spans[1:]
+                        if ":" in line[a:b]]
+
+
+@st.composite
+def damaged(draw, text: str, kind: str) -> str:
+    """``text`` after one or two of: a line dropped, duplicated or swapped,
+    a cell overwritten, a stray column added, or a cut at a random byte."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        how = draw(st.sampled_from(["drop", "duplicate", "swap", "cell", "column",
+                                    "truncate"]))
+        if how == "truncate" or not lines:
+            text = "\n".join(lines) + "\n"
+            return text[:draw(st.integers(0, len(text)))]
+        i = draw(st.integers(0, len(lines) - 1))
+        if how == "drop":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        elif how == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif how == "column":
+            lines[i] += {"csv": ",1.0", "sparse": " 4:1.0", "model": " 1.0"}[kind]
+        elif spans := _cells(lines[i], kind):
+            a, b = draw(st.sampled_from(spans))
+            lines[i] = lines[i][:a] + draw(st.sampled_from(_BAD_CELLS)) + lines[i][b:]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_finite_numbers(text: str):
+    assert not re.search(r"(?i)nan|inf", text), text
+    assert all(math.isfinite(float(tok)) for tok in _NUMBER.findall(text)), text
+
+
+@st.composite
+def damaged_runs(draw):
+    """A command and its input files, exactly one of them damaged."""
+    command = draw(st.sampled_from(["train", "predict", "certify"]))
+    sparse = draw(st.booleans())
+    data = _SPARSE if sparse else _CSV
+    model = _valid_model_text()
+    if command != "train" and draw(st.booleans()):
+        model = draw(damaged(model, "model"))
+    else:
+        data = draw(damaged(data, "sparse" if sparse else "csv"))
+    return command, sparse, data, model
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(damaged_runs())
+def test_damaged_files_exit_with_a_data_or_numerical_code(run):
+    command, sparse, data_text, model_text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data, model, out, trace = (tmp / name for name in ("d", "m.txt", "o.csv", "t.csv"))
+        data.write_text(data_text)
+        argv = [command] + ([] if command == "train" else [str(model)]) + [str(data)]
+        argv += ["--sparse-format"] if sparse else []
+        if command == "train":
+            argv += [*_TRAIN, "--out", str(model), "--trace-out", str(trace)]
+        else:
+            model.write_text(model_text)
+            argv += ["--out", str(out)] if command == "predict" else []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2, 3), (code, stderr.getvalue())
+        assert "Warning" not in stderr.getvalue()
+        if code == 0:
+            _assert_finite_numbers(stdout.getvalue().replace(str(tmp), ""))
+            if command == "train":
+                _assert_finite_numbers(trace.read_text())
+                load_model(model)
+            elif command == "predict":
+                _assert_finite_numbers(out.read_text())

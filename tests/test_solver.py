@@ -521,7 +521,7 @@ def test_solver_config_keeps_integer_max_iters():
 @pytest.mark.parametrize("field, bad", [
     ("accelerate", "no"), ("accelerate", 1), ("record_trace", "no"), ("record_trace", None),
     ("eps_tol", True), ("eps_tol", "1e-3"), ("eta", "0.5"), ("eta", np.True_),
-    ("alpha", "0.1"), ("alpha", False), ("alpha0", "1.0"), ("alpha0", [0.5]),
+    ("alpha", "0.1"), ("alpha", False),
 ])
 def test_solver_config_rejects_mistyped_fields(field, bad):
     # a string switch is truthy, True would run as 1.0, and a string number
@@ -531,10 +531,35 @@ def test_solver_config_rejects_mistyped_fields(field, bad):
 
 
 def test_solver_config_keeps_typed_fields():
-    config = SolverConfig(alpha=np.float64(0.5), alpha0=2, eta=np.float32(0.25),
-                          eps_tol=1e-3, accelerate=np.True_, record_trace=False)
-    assert (config.alpha, config.alpha0, config.eta, config.eps_tol) == (0.5, 2, 0.25, 1e-3)
-    assert SolverConfig(alpha=None, alpha0=None).alpha is None
+    config = SolverConfig(stepsize_rule=BACKTRACKING, alpha=np.float64(0.5),
+                          eta=np.float32(0.25), eps_tol=1e-3, accelerate=np.True_,
+                          record_trace=False)
+    assert (config.alpha, config.eta, config.eps_tol) == (0.5, 0.25, 1e-3)
+    assert SolverConfig(alpha=None).alpha is None
+
+
+def test_alpha_is_the_first_stepsize_under_either_rule():
+    rng = np.random.default_rng(41)
+    data = random_instance(rng, 30, 4)
+    spec = PenaltySpec(zeta=0.1)
+    for rule in (CONSTANT, BACKTRACKING):
+        config = SolverConfig(stepsize_rule=rule, alpha=0.01, max_iters=5)
+        assert _initial_alpha(config, 0.5, spec, data) == 0.01
+        assert fit(data, 0.5, spec, config).trace[1].stepsize == 0.01
+    # backtracking's bound on its first stepsize names alpha
+    with pytest.raises(ValueError, match=r"alpha = 20.0 violates beta\*zeta\*alpha < 1/2"):
+        _initial_alpha(SolverConfig(stepsize_rule=BACKTRACKING, alpha=20.0), 0.5, spec, data)
+    with pytest.raises(TypeError):
+        SolverConfig(alpha0=0.01)
+
+
+def test_eta_is_refused_under_the_constant_rule():
+    for accelerate in (False, True):
+        with pytest.raises(ValueError, match="eta = 0.3 has no effect"):
+            SolverConfig(eta=0.3, accelerate=accelerate)
+    # the default's own value is harmless; backtracking reads any eta in (0, 1)
+    assert SolverConfig(eta=0.5).eta == 0.5
+    assert SolverConfig(stepsize_rule=BACKTRACKING, eta=0.3).eta == 0.3
 
 
 # --- criticality residual --------------------------------------------------------
@@ -759,7 +784,7 @@ def test_fit_checks_stay_at_the_boundary():
     with pytest.raises(ValueError):
         fit(data, 1.0, spec, SolverConfig(accelerate=True), theta0=np.zeros(2))
     with pytest.raises(ValueError):
-        fit(data, 1.0, spec, SolverConfig(stepsize_rule=BACKTRACKING, alpha0=5.0))
+        fit(data, 1.0, spec, SolverConfig(stepsize_rule=BACKTRACKING, alpha=5.0))
 
 
 # --- stacked cells ------------------------------------------------------------
