@@ -24,13 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, loss_gradient, spectral_norm
-from .penalty import (
-    PenaltySpec,
-    _as_float_array,
-    _convexified_derivatives,
-    convexified_second_derivatives,
-    penalty_derivatives,
-)
+from .penalty import PenaltySpec, _as_float_array, convexified_second_derivatives
+from .solver import _conditions, _violation
 
 CASE_ZERO_STRICT = "zero_strict"
 CASE_ZERO_BOUNDARY = "zero_boundary"
@@ -124,9 +119,9 @@ def is_problem_nonconvex(data: Dataset) -> bool:
 def beta_threshold(data: Dataset, spec: PenaltySpec) -> float:
     """Smallest beta at which theta = 0 becomes a local minimizer.
 
-    Equals ||sum of positive-class samples||_inf / F'_+(0) and is only
-    meaningful when every feature column sums to zero, i.e. on centered
-    data without an intercept column.
+    Equals ||sum of positive-class samples||_inf / F'_+(0), and MCP's slope
+    F'_+(0) is 1 for every zeta.  Only meaningful when every feature column
+    sums to zero, i.e. on centered data without an intercept column.
     """
     if not data.centered:
         raise ValueError("beta_threshold requires centered data")
@@ -136,15 +131,28 @@ def beta_threshold(data: Dataset, spec: PenaltySpec) -> float:
             "feature cannot sum to zero"
         )
     pos_sum = data.features[data.labels == 1].sum(axis=0)
-    slope = penalty_derivatives(0.0, spec)[1]
-    return float(np.max(np.abs(pos_sum)) / slope)
+    return float(np.max(np.abs(pos_sum)))
+
+
+_ZERO_LOCAL_MINIMUM = "local minimum (beta above the threshold)"
+
+
+def _zero_vector_status(beta: float, threshold: float) -> str:
+    """Whether theta = 0 is a local minimizer at ``beta``, given the
+    zero-solution threshold: a beta within 1e-12 (relative) of it is a tie,
+    which rounding in the threshold cannot decide."""
+    if abs(beta - threshold) <= 1e-12 * max(abs(beta), abs(threshold)):
+        return "indeterminate (beta equals the threshold within rounding)"
+    if beta > threshold:
+        return _ZERO_LOCAL_MINIMUM
+    return "not a critical point (beta below the threshold)"
 
 
 def check_critical_point(theta, beta: float, spec: PenaltySpec, data: Dataset,
                          tol: float = 0.0) -> bool:
     """Coordinatewise subgradient inclusion test with additive slack ``tol``."""
     theta, grad = _point_and_gradient(theta, data)
-    return _is_critical(*_conditions(theta, grad, beta, spec), tol)
+    return _is_critical(_violation(*_conditions(theta, grad, beta, spec)), tol)
 
 
 def check_sufficient_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
@@ -172,30 +180,24 @@ def _point_and_gradient(theta, data: Dataset):
     return theta, loss_gradient(theta, data)
 
 
-def _conditions(theta, grad, beta, spec):
-    """What every check compares: the target 2*zeta*theta - grad/beta and the
-    one-sided derivatives (lo, hi) of H at theta."""
-    lo, hi = _convexified_derivatives(theta, spec)
-    return 2.0 * spec.zeta * theta - grad / beta, lo, hi
-
-
 def _necessary_floor(beta, spec, norm) -> float:
     return 2.0 * spec.zeta - 0.25 * norm * norm / beta
 
 
-def _is_critical(target, lo, hi, tol) -> bool:
-    return bool(np.all(target >= lo - tol) and np.all(target <= hi + tol))
+def _is_critical(violation, tol) -> bool:
+    return bool(np.all(violation <= tol))
 
 
 def _is_local_opt(theta, target, lo, hi, spec, tol, curvature_floor, strict_kinks) -> bool:
     cl, cr = convexified_second_derivatives(theta, spec)
+    violation = _violation(target, lo, hi)
     if strict_kinks:
         kink_ok = (lo < target) & (target < hi)
     else:
-        kink_ok = (lo - tol <= target) & (target <= hi + tol)
-    # written as failures, so that a NaN comparison passes as it does coordinatewise
-    smooth_fails = ((np.abs(target - lo) > tol)
-                    | (cl < curvature_floor) | (cr < curvature_floor))
+        kink_ok = violation <= tol
+    # written as failures, so that a NaN comparison passes as it does
+    # coordinatewise; at a smooth coordinate lo = hi, so the violation is |target - lo|
+    smooth_fails = (violation > tol) | (cl < curvature_floor) | (cr < curvature_floor)
     # the penalty's one kink is at 0
     return not np.any(np.where(theta == 0.0, ~kink_ok, smooth_fails))
 
@@ -250,7 +252,7 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
         escape = bool(np.linalg.norm(theta) > SEPARABLE_ESCAPE_NORM)
     return CertificateReport(
         per_coordinate=rows,
-        is_critical_point=_is_critical(*conditions, slack),
+        is_critical_point=_is_critical(_violation(*conditions), slack),
         satisfies_sufficient=_is_local_opt(theta, *conditions, spec, slack,
                                            curvature_floor=2.0 * spec.zeta, strict_kinks=True),
         satisfies_necessary=_is_local_opt(theta, *conditions, spec, slack,

@@ -25,9 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import beta_threshold, check_mcp_local_opt
-from .data import (DataError, SynthSpec, apply_center, center, gen_noisy, load_csv,
-                   load_sparse_classification_format, save_csv, train_test_split)
+from .certify import (_ZERO_LOCAL_MINIMUM, _zero_vector_status, beta_threshold,
+                      check_mcp_local_opt)
+from .data import (AMPLITUDE_NORMAL, DataError, SynthSpec, apply_center, center, gen_noisy,
+                   load_csv, load_sparse_classification_format, save_csv, train_test_split)
 from .experiments import (CvGrid, ErrorGrid, ErrorRow, reproduce_convergence,
                           reproduce_error_grid, reproduce_noise_table, run_cv_grid,
                           synthetic_pairs)
@@ -125,7 +126,7 @@ def cmd_train(args) -> int:
         theta0 = rng.uniform(-0.01, 0.01, data.n_features)
     elif data.centered and not data.has_intercept:
         threshold = beta_threshold(data, spec)
-        if args.beta > threshold:
+        if _zero_vector_status(args.beta, threshold) == _ZERO_LOCAL_MINIMUM:
             print(f"warning: beta = {args.beta:g} exceeds the zero-solution "
                   f"threshold {threshold:.6g}; training from zeros stays at the "
                   "zero vector", file=sys.stderr)
@@ -199,14 +200,8 @@ def cmd_certify(args) -> int:
     report = check_mcp_local_opt(model.theta, model.beta, spec, data)
     print(report.to_text())
     if report.beta_threshold is not None:
-        threshold = report.beta_threshold
-        if abs(model.beta - threshold) <= 1e-12 * max(abs(model.beta), abs(threshold)):
-            print("zero-vector status: indeterminate (beta equals the threshold "
-                  "within rounding)")
-        elif model.beta > threshold:
-            print("zero-vector status: local minimum (beta above the threshold)")
-        else:
-            print("zero-vector status: not a critical point (beta below the threshold)")
+        print("zero-vector status: "
+              + _zero_vector_status(model.beta, report.beta_threshold))
     return EXIT_OK
 
 
@@ -265,7 +260,22 @@ def cmd_cv(args) -> int:
 # --- generate -----------------------------------------------------------------------
 
 
+def _check_generate_flags(args) -> None:
+    """Refuse a generate flag that the run would not read (an explicit default
+    is harmless)."""
+    if args.amplitude == AMPLITUDE_NORMAL:
+        for flag, value, default in (("--amp-low", args.amp_low, SynthSpec.amp_low),
+                                     ("--amp-high", args.amp_high, SynthSpec.amp_high)):
+            if value != default:
+                raise ValueError(f"{flag} does not apply with --amplitude normal, "
+                                 "whose amplitudes are standard normal")
+    if args.clean_test_labels and args.n_test == 0:
+        raise ValueError("--clean-test-labels does not apply without --n-test: "
+                         "the run writes no test labels")
+
+
 def cmd_generate(args) -> int:
+    _check_generate_flags(args)
     spec = SynthSpec(d=args.d, n_train=args.n_train, k=args.k, n_test=args.n_test,
                      latent_dim=args.latent_dim, amplitude=args.amplitude,
                      amp_low=args.amp_low, amp_high=args.amp_high,
@@ -321,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--alpha", type=float, default=None,
                        help="first stepsize: the constant stepsize (default: just "
                             "under the bound), or with --backtracking the first one "
-                            "the search tries (default: 0.49/(beta*zeta), or 1 at "
-                            "zeta = 0)")
+                            "the search tries (default: 0.49/(beta*zeta), or 1 where "
+                            "that is not finite, as at zeta = 0)")
     train.add_argument("--backtracking", action="store_true",
                        help="use the backtracking stepsize rule")
     train.add_argument("--eta", type=float, default=0.5,
@@ -400,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--latent-dim", type=int, default=None)
     generate.add_argument("--amplitude", choices=("uniform", "normal"),
                           default="uniform")
-    generate.add_argument("--amp-low", type=float, default=5.0)
-    generate.add_argument("--amp-high", type=float, default=15.0)
+    generate.add_argument("--amp-low", type=float, default=SynthSpec.amp_low,
+                          help="uniform amplitudes' lower end")
+    generate.add_argument("--amp-high", type=float, default=SynthSpec.amp_high,
+                          help="uniform amplitudes' upper end")
     generate.add_argument("--noise-sigma", type=float, default=0.0)
     generate.add_argument("--clean-test-labels", action="store_true",
                           help="generate test labels without label noise")

@@ -87,8 +87,13 @@ class SynthSpec:
             )
         if self.amplitude not in (AMPLITUDE_UNIFORM, AMPLITUDE_NORMAL):
             raise ValueError(f"unknown amplitude law {self.amplitude!r}")
+        for name in ("amp_low", "amp_high", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.amp_low > self.amp_high:
             raise ValueError("amp_low must not exceed amp_high")
+        if not math.isfinite(self.amp_high - self.amp_low):
+            raise ValueError("amp_high - amp_low must lie in the float range")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
@@ -120,19 +125,23 @@ def _generate(spec: SynthSpec, with_noise: bool):
     theta0 = np.zeros(spec.d)
     theta0[support] = values
 
-    margins = X_all @ theta0
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = X_all @ theta0
+    if not np.isfinite(margins).all():
+        raise NumericalError("the margins x @ theta0 leave the float range; "
+                             "lower the amplitudes")
     train_noise = np.zeros(spec.n_train)
     test_noise = np.zeros(spec.n_test)
     if with_noise and spec.noise_sigma > 0:
         train_noise = rng["train_noise"].normal(0.0, spec.noise_sigma, spec.n_train)
         if spec.noisy_test_labels:
             test_noise = rng["test_noise"].normal(0.0, spec.noise_sigma, spec.n_test)
-    labels_train = (margins[: spec.n_train] + train_noise >= 0).astype(int)
-    train = Dataset(X_all[: spec.n_train], labels_train)
-    test = None
-    if spec.n_test > 0:
+    # a sum beyond the float range rounds to an infinity of its own sign
+    with np.errstate(over="ignore"):
+        labels_train = (margins[: spec.n_train] + train_noise >= 0).astype(int)
         labels_test = (margins[spec.n_train:] + test_noise >= 0).astype(int)
-        test = Dataset(X_all[spec.n_train:], labels_test)
+    train = Dataset(X_all[: spec.n_train], labels_train)
+    test = Dataset(X_all[spec.n_train:], labels_test) if spec.n_test > 0 else None
     return train, test, theta0
 
 

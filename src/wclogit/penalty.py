@@ -40,6 +40,9 @@ import numpy as np
 
 MCP = "mcp"
 
+_MAX = float(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+
 __all__ = [
     "MCP",
     "PenaltySpec",
@@ -59,7 +62,8 @@ class PenaltySpec:
 
     ``beta`` is the weight the objective puts on ``J``; solver and
     certification entry points accept it explicitly and this field acts as
-    the bundled default.
+    the bundled default.  ``zeta`` may be at most 1/4 of the largest float
+    and ``beta`` no smaller than the smallest normal float.
     """
 
     zeta: float
@@ -70,8 +74,15 @@ class PenaltySpec:
         object.__setattr__(self, "beta", float(self.beta))
         if not np.isfinite(self.zeta) or self.zeta < 0:
             raise ValueError(f"zeta must be a finite nonnegative real, got {self.zeta}")
+        if not np.isfinite(4.0 * self.zeta):
+            # F's plateau value 1/(4*zeta) would read 0
+            raise ValueError(f"zeta must be at most {_MAX / 4.0!r}, got {self.zeta}")
         if not np.isfinite(self.beta) or self.beta <= 0:
             raise ValueError(f"beta must be a finite positive real, got {self.beta}")
+        if self.beta < _TINY:
+            # grad/beta, which every criticality check computes, would overflow
+            raise ValueError(f"beta must be at least the smallest normal float "
+                             f"{_TINY!r}, got {self.beta}")
 
     @property
     def plateau_start(self) -> float:

@@ -230,6 +230,7 @@ from .model import (
     spectral_norm,
 )
 from .penalty import (
+    _MAX,
     PenaltySpec,
     _repeat_rows,
     _StackedSpec,
@@ -293,7 +294,8 @@ class SolverConfig:
     admissible stepsize for the problem at hand (with momentum, at most
     0.99 * 4/||X||^2), or 1.0 when every stepsize is admissible (all-zero
     features and zeta = 0).  Under backtracking it is the first stepsize the
-    search tries, and defaults to 0.49/(beta*zeta), or 1.0 when zeta = 0.
+    search tries, and defaults to 0.49/(beta*zeta), or 1.0 where that is not
+    finite (zeta = 0, or beta*zeta below about 2.7e-309).
     ``eta``, the factor by which the search shrinks a stepsize, is read
     only by backtracking, so the constant rule refuses any value but its
     default.
@@ -397,24 +399,28 @@ def criticality_residual(theta, beta: float, spec: PenaltySpec, data: Dataset) -
     ||beta*g - 2*beta*zeta*theta + grad(theta)||_2, computed coordinatewise."""
     beta = _check_beta(beta, spec)
     g = loss_gradient(theta, data)
-    return beta * float(np.linalg.norm(_violation(_as_float_array(theta), g, beta, spec)))
+    return beta * float(np.linalg.norm(
+        _violation(*_conditions(_as_float_array(theta), g, beta, spec))))
 
 
-def _violation(theta, grad, beta, spec):
-    """Per coordinate, how far the target 2*zeta*theta - grad/beta lies outside
-    [H'_-(theta), H'_+(theta)]; elementwise, so theta and grad may be (K, d)
-    stacks of points and their gradients."""
+def _conditions(theta, grad, beta, spec):
+    """What every criticality check compares: the target 2*zeta*theta - grad/beta
+    and the one-sided derivatives (lo, hi) of H at theta.  Elementwise, so
+    theta and grad may be (K, d) stacks of points and their gradients."""
     lo, hi = _convexified_derivatives(theta, spec)
-    target = 2.0 * spec.zeta * theta - grad / beta
+    return 2.0 * spec.zeta * theta - grad / beta, lo, hi
+
+
+def _violation(target, lo, hi):
+    """Per coordinate, how far the target lies outside [lo, hi]: theta is
+    critical within ``tol`` exactly where this is at most ``tol``."""
     # per coordinate the minimizing subgradient clamps the target into [lo, hi]
     return np.maximum(0.0, np.maximum(lo - target, target - hi))
 
 
 def _check_beta(beta, spec: PenaltySpec) -> float:
-    beta = spec.beta if beta is None else float(beta)
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be a finite positive real, got {beta}")
-    return beta
+    """``beta``, or ``spec.beta`` for None, checked as :class:`PenaltySpec` checks it."""
+    return spec.beta if beta is None else replace(spec, beta=beta).beta
 
 
 def _extrapolate(theta, prev, t: float):
@@ -433,9 +439,13 @@ def _backtrack(point, grad, point_loss, alpha, eta, beta, spec, evaluate):
     """
     slack = 1e-12 * (1.0 + abs(point_loss))
     for _ in range(_MAX_BACKTRACK_REDUCTIONS + 1):
-        cand = _prox(point - alpha * grad, _check_weight(alpha * beta, spec), spec)
+        weight = _check_weight(alpha * beta, spec)
+        # a huge trial stepsize may take the step or the loss beyond the float
+        # range; the test below rejects a non-finite loss, without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand = _prox(point - alpha * grad, weight, spec)
+            margins, cand_loss = evaluate(cand)
         diff = cand - point
-        margins, cand_loss = evaluate(cand)
         # vdot gives dot's bits and, unlike it, does not warn when it overflows
         bound = (point_loss + float(np.vdot(diff, grad))
                  + float(np.vdot(diff, diff)) / (2.0 * alpha))
@@ -485,7 +495,8 @@ def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec,
             )
         return alpha
     if alpha is None:
-        alpha = 0.49 / (beta * spec.zeta) if spec.zeta > 0 else 1.0
+        # 1.0 also where beta*zeta is so small that 0.49/(beta*zeta) overflows
+        alpha = 0.49 / (beta * spec.zeta) if beta * spec.zeta > 0.49 / _MAX else 1.0
     if alpha <= 0 or not np.isfinite(alpha):
         raise ValueError(f"alpha must be a finite positive real, got {alpha}")
     if beta * spec.zeta * alpha >= 0.5:
@@ -510,7 +521,7 @@ def _trace_rows(before, points, grads, objectives, stepsizes, beta: float,
     on.
     """
     steps = points - before
-    violations = _violation(points, grads, beta, spec)
+    violations = _violation(*_conditions(points, grads, beta, spec))
     with np.errstate(over="ignore"):
         step_norms = np.sqrt(np.vecdot(steps, steps)).tolist()
         residuals = (beta * np.sqrt(np.vecdot(violations, violations))).tolist()
@@ -664,6 +675,10 @@ class _Descent:
     loses h_r*s^2 and the floor becomes a quadratic in n alone.
     """
 
+    # a stepsize or a weight at the edge of the float range may take a
+    # coefficient to inf or NaN: its row's floor is then inf or NaN, or its
+    # D NaN, which fails every comparison in proves
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, data: Dataset, alpha, beta, zeta, denominator, eps_tol: float,
                  theta, obj):
         X = data.features
@@ -827,7 +842,8 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
     beta = np.array([s.beta for s in specs])
     alpha, weight = _repeat_rows(steps, d), _repeat_rows(weights, d)
     stacked = _StackedSpec.of(specs, d)
-    denominator = 1.0 - 2.0 * weight * stacked.zeta
+    # weight*zeta < 1/2 is checked, while 2*weight may overflow
+    denominator = 1.0 - 2.0 * (weight * stacked.zeta)
     X = data.features
     # an overflow gives an infinite objective, which raises below
     with np.errstate(over="ignore"):

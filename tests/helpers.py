@@ -10,7 +10,9 @@ they worked in place: nested ``where`` selections, fresh arrays for every
 step and label rows broadcast over a stack.  The kernels must reproduce
 their bits, and ``stacked_fit_oracle`` runs the stacked loop on them.
 ``backtracking_fit_oracle`` runs the backtracking rule one iteration at a
-time on the checked public functions.
+time on the checked public functions.  ``certificate_oracle`` states the
+certificate's inclusions as the pairs of widened bounds they were written as
+before they shared one violation.
 """
 
 import csv
@@ -21,8 +23,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from wclogit.data import _read_rows, load_csv
-from wclogit.model import Dataset, loss, loss_gradient
-from wclogit.penalty import PenaltySpec, _repeat_rows, _StackedSpec, penalty_total
+from wclogit.model import Dataset, loss, loss_gradient, spectral_norm
+from wclogit.penalty import (PenaltySpec, _repeat_rows, _StackedSpec,
+                             convexified_derivatives, convexified_second_derivatives,
+                             penalty_total)
 from wclogit.solver import (FitResult, SolverConfig, TraceRow, _initial_alpha,
                             backtrack_stepsize, criticality_residual)
 
@@ -277,3 +281,28 @@ def write_trace_oracle(result, path):
         for k, row in enumerate(result.trace):
             writer.writerow([k, repr(row.objective), repr(row.step_norm),
                              repr(row.residual), repr(row.stepsize)])
+
+
+def certificate_oracle(theta, beta, spec, data, tol):
+    """(critical point, sufficient, necessary) for ``theta``: the target
+    2*zeta*theta - grad/beta against [lo - tol, hi + tol] at a kink (strictly
+    inside (lo, hi) for the sufficient condition), and against lo within tol
+    with enough curvature at a smooth coordinate."""
+    grad = loss_gradient(theta, data)
+    lo, hi = convexified_derivatives(theta, spec)
+    cl, cr = convexified_second_derivatives(theta, spec)
+    target = 2.0 * spec.zeta * theta - grad / beta
+    norm = spectral_norm(data)
+
+    def local_opt(curvature_floor, strict_kinks):
+        if strict_kinks:
+            kink_ok = (lo < target) & (target < hi)
+        else:
+            kink_ok = (lo - tol <= target) & (target <= hi + tol)
+        smooth_fails = ((np.abs(target - lo) > tol)
+                        | (cl < curvature_floor) | (cr < curvature_floor))
+        return not np.any(np.where(theta == 0.0, ~kink_ok, smooth_fails))
+
+    critical = bool(np.all(target >= lo - tol) and np.all(target <= hi + tol))
+    return (critical, local_opt(2.0 * spec.zeta, True),
+            local_opt(2.0 * spec.zeta - 0.25 * norm * norm / beta, False))

@@ -66,6 +66,41 @@ def test_generate_rejects_bad_spec(tmp_path, capsys):
     assert "k must lie in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--noise-sigma", "nan"), ("--amp-low", "nan"),
+                                         ("--amp-high", "inf")])
+def test_generate_rejects_non_finite_numbers(tmp_path, capsys, flag, value):
+    assert run("generate", "--d", 5, "--n-train", 20, "--k", 2, flag, value,
+               "--out-prefix", tmp_path / "g") == 1
+    assert f"error: {flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_margins_beyond_the_float_range_are_a_numerical_error(tmp_path, capsys):
+    assert run("generate", "--d", 5, "--n-train", 20, "--k", 5, "--amp-low", "1e308",
+               "--amp-high", "1e308", "--out-prefix", tmp_path / "g") == 3
+    assert "margins x @ theta0 leave the float range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, refused, harmless", [
+    ("--amp-low", ["--amplitude", "normal", "--amp-low", 3],
+     ["--amplitude", "normal", "--amp-low", 5]),
+    ("--amp-high", ["--amplitude", "normal", "--amp-high", 20],
+     ["--amplitude", "normal", "--amp-high", 15]),
+    ("--clean-test-labels", ["--clean-test-labels"],
+     ["--clean-test-labels", "--n-test", 3]),
+])
+def test_generate_refuses_flags_the_run_does_not_read(tmp_path, capsys, flag, refused,
+                                                      harmless):
+    generate = ["generate", "--d", 5, "--n-train", 20, "--k", 2, "--quiet",
+                "--out-prefix", tmp_path / "g"]
+    assert run(*generate, *refused) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} does not apply ")
+    assert list(tmp_path.iterdir()) == []
+    # an explicit default, or a test set to label
+    assert run(*generate, *harmless) == 0
+
+
 # --- train --------------------------------------------------------------------
 
 
@@ -192,6 +227,23 @@ def test_train_threshold_warning_and_zero_stall(synth, tmp_path, capsys):
     assert model.converged and model.iterations == 1
 
 
+def test_train_warns_only_where_certify_calls_zero_a_local_minimum(tmp_path, capsys):
+    # beta is the threshold 24.193396312547943 times 1 + 1e-13: inside the tie
+    # band, where certify calls the zero vector indeterminate
+    prefix = tmp_path / "tie"
+    assert run("generate", "--d", 6, "--n-train", 80, "--k", 2, "--noise-sigma", 0.5,
+               "--seed", 4, "--out-prefix", prefix, "--quiet") == 0
+    data, model = f"{prefix}_train.csv", tmp_path / "m.txt"
+    assert run("train", data, "--beta", "24.19339631255036", "--zeta", 0.1, "--center",
+               "--out", model, "--quiet") == 0
+    assert capsys.readouterr().err == ""
+    assert run("certify", model, data) == 0
+    out = capsys.readouterr().out
+    assert "zero-solution beta threshold: 24.193396312547943\n" in out
+    assert out.endswith("zero-vector status: indeterminate (beta equals the threshold "
+                        "within rounding)\n")
+
+
 def test_train_no_warning_below_threshold(synth, tmp_path, capsys):
     assert run("train", synth["train"], "--beta", 0.01, "--zeta", 0.1, "--center",
                "--out", tmp_path / "m.txt", "--quiet") == 0
@@ -238,6 +290,24 @@ def test_train_refuses_stepsize_flags_the_rule_does_not_read(synth, tmp_path, ca
     assert not (tmp_path / "m.txt").exists()
     # the default's own value changes nothing
     assert run(*base, "--eta", 0.5, "--quiet") == 0
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    # grad/beta overflows in every criticality check
+    (["--beta", "1e-320"], 1, "beta must be at least the smallest normal float"),
+    # F's plateau value 1/(4*zeta) reads 0
+    (["--zeta", "1e308"], 1, "zeta must be at most 4.4942328371557893e+307"),
+    # beta*zeta underflows to 0, so backtracking's first stepsize is 1
+    (["--beta", "1e-10", "--zeta", "1e-320", "--backtracking"], 0, ""),
+    # alpha*grad and the trial losses overflow until the search gives up
+    (["--zeta", 0, "--alpha", "1e308", "--backtracking"], 3, "did not accept a stepsize"),
+])
+def test_train_at_the_edges_of_the_float_range(synth, tmp_path, capsys, flags, code, message):
+    assert run("train", synth["train"], "--beta", 0.3, *flags, "--out", tmp_path / "m.txt",
+               "--quiet") == code
+    err = capsys.readouterr().err
+    assert message in err and "Warning" not in err
+    assert (tmp_path / "m.txt").exists() == (code == 0)
 
 
 def test_train_missing_file_exit_code(tmp_path, capsys):

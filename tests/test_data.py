@@ -15,6 +15,7 @@ from wclogit.data import (
     load_sparse_classification_format,
     save_csv,
     train_test_split,
+    _streams,
 )
 from wclogit.model import Dataset, NumericalError
 
@@ -530,3 +531,35 @@ def test_synth_spec_validation():
         SynthSpec(d=5, n_train=10, k=2, noise_sigma=-1.0)
     with pytest.raises(ValueError):
         SynthSpec(d=5, n_train=0, k=2)
+
+
+@pytest.mark.parametrize("field, value", [("noise_sigma", float("nan")),
+                                          ("amp_low", float("nan")),
+                                          ("amp_high", float("inf"))])
+def test_synth_spec_rejects_non_finite_numbers(field, value):
+    # NaN passes every comparison check, and inf reached numpy's uniform
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SynthSpec(d=5, n_train=10, k=2, **{field: value})
+
+
+def test_synth_spec_rejects_an_amplitude_range_beyond_the_float_range():
+    with pytest.raises(ValueError, match="amp_high - amp_low"):
+        SynthSpec(d=5, n_train=10, k=2, amp_low=-1e308, amp_high=1e308)
+
+
+def test_margins_beyond_the_float_range_are_a_numerical_error():
+    # amplitudes near 1e308 overflow x @ theta0, and a label taken from an
+    # overflowed sum could have the wrong sign
+    with pytest.raises(NumericalError, match="margins"):
+        gen_noisy(SynthSpec(d=5, n_train=10, k=5, amp_low=1e308, amp_high=1e308))
+
+
+def test_a_label_whose_noisy_margin_overflows_keeps_its_sign():
+    # margins and noise both near 1e308: 12 of these 200 sums overflow, each
+    # to an infinity of its own sign
+    spec = SynthSpec(d=1, n_train=200, k=1, amp_low=5e307, amp_high=5e307,
+                     noise_sigma=1e308, seed=3)
+    train, _, theta0 = gen_noisy(spec)
+    noise = _streams(3)["train_noise"].normal(0.0, 1e308, 200)
+    halves = train.features @ theta0 / 2.0 + noise / 2.0
+    assert np.array_equal(train.labels, (halves >= 0).astype(int))

@@ -3,8 +3,9 @@ one-point calls and, bit for bit, against the oracle formulas of
 ``helpers``, batched one-row products against one-point products, the
 loss kernel against ``np.logaddexp``, the prox against
 its closed form, the loaders' error positions, ``load_csv`` against its
-Python row loop, the CSV, sparse-format and model-file round trips, and
-the CLI's exit codes on damaged input files.
+Python row loop, the CSV, sparse-format and model-file round trips, the
+certificate's verdicts against their widened-bound comparisons, and the
+CLI's exit codes on damaged input files and on hostile float flags.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    certificate_oracle,
     csv_outcomes,
     exp_oracle,
     gradient_oracle,
@@ -34,9 +36,16 @@ from helpers import (
     sigmoid_oracle,
 )
 
+from wclogit.certify import (
+    check_critical_point,
+    check_mcp_local_opt,
+    check_necessary_local_opt,
+    check_sufficient_local_opt,
+)
 from wclogit.cli import main
 from wclogit.data import DataError, load_csv, load_sparse_classification_format, save_csv
-from wclogit.model import Dataset, _exp_pair, _kernels, _probabilities, loss, sigmoid
+from wclogit.model import (Dataset, _exp_pair, _kernels, _probabilities, loss, sigmoid,
+                           spectral_norm)
 from wclogit.modelfile import ModelFile, load_model, save_model
 from wclogit.penalty import (
     PenaltySpec,
@@ -503,6 +512,44 @@ def test_sparse_format_round_trip_is_lossless(data, extra_columns):
 
 
 
+# --- the certificate's verdicts ----------------------------------------------------
+
+
+@st.composite
+def certificate_cases(draw):
+    """A small centred dataset, (beta, zeta), a point whose coordinates are
+    zero, inside the kink radius or on the plateau, and a tolerance."""
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 5))
+    features = draw(arrays(float, (n, d), elements=st.floats(-3.0, 3.0)))
+    labels = draw(arrays(int, n, elements=st.integers(0, 1)))
+    data = Dataset(features - features.mean(axis=0), labels, centered=True)
+    spec = PenaltySpec(zeta=draw(st.sampled_from([0.0, 0.05, 0.5, 3.0])))
+    radius = spec.plateau_start if spec.zeta > 0 else 10.0
+    coordinate = st.one_of(
+        st.just(0.0),
+        st.floats(-radius, radius).filter(lambda t: t != 0.0),
+        st.builds(lambda sign, t: sign * (radius + t), st.sampled_from([-1.0, 1.0]),
+                  st.floats(1e-6, 10.0)))
+    theta = np.array([draw(coordinate) for _ in range(d)])
+    beta = draw(st.floats(1e-2, 30.0))
+    tol = draw(st.one_of(st.just(0.0), st.floats(1e-9, 2.0)))
+    return theta, beta, spec, data, tol
+
+
+@PROPERTY
+@given(certificate_cases())
+def test_certificate_verdicts_are_the_widened_bound_comparisons(case):
+    theta, beta, spec, data, tol = case
+    assert (check_critical_point(theta, beta, spec, data, tol),
+            check_sufficient_local_opt(theta, beta, spec, data, tol),
+            check_necessary_local_opt(theta, beta, spec, data, tol)) == \
+        certificate_oracle(theta, beta, spec, data, tol)
+    report = check_mcp_local_opt(theta, beta, spec, data)
+    slack = 1e-6 * (1.0 + spectral_norm(data)) / beta
+    assert (report.is_critical_point, report.satisfies_sufficient,
+            report.satisfies_necessary) == certificate_oracle(theta, beta, spec, data, slack)
+
+
 # --- the CLI's exit-code contract on damaged input files ---------------------------
 
 _CSV = ("label,f1,f2,f3\n1,0.5,1.0,-0.3\n0,-0.2,0.4,1.1\n1,1.5,-0.7,0.2\n"
@@ -613,3 +660,59 @@ def test_damaged_files_exit_with_a_data_or_numerical_code(run):
                 load_model(model)
             elif command == "predict":
                 _assert_finite_numbers(out.read_text())
+
+
+# --- the CLI's exit-code contract on float flags -------------------------------------
+
+_FLOAT_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "", "x"]
+# each command's float flags, and a tiny run to draw them into (cv on synthetic data)
+_FLOAT_FLAGS = {
+    "train": ["--beta", "--zeta", "--alpha", "--eta", "--eps-tol"],
+    "cv": ["--betas", "--zetas", "--alpha", "--eps-tol", "--noise-sigma"],
+    "generate": ["--amp-low", "--amp-high", "--noise-sigma"],
+}
+_FLOAT_RUNS = {
+    "train": ["{tmp}/d.csv", "--beta", "0.1", "--zeta", "0.1", "--center", "--max-iters",
+              "20", "--out", "{tmp}/m.txt", "--trace-out", "{tmp}/t.csv"],
+    "cv": ["--d", "5", "--n-train", "40", "--k", "2", "--n-test", "20", "--betas", "0.1",
+           "--zetas", "0,0.1", "--repeats", "1", "--max-iters", "20", "--out", "{tmp}/o.csv"],
+    "generate": ["--d", "5", "--n-train", "40", "--k", "2", "--n-test", "20",
+                 "--out-prefix", "{tmp}/g"],
+}
+
+
+@st.composite
+def float_flag_runs(draw):
+    """A command with one or two of its float flags set to a hostile value
+    (``--flag=value``, so that argparse hands every value to its type)."""
+    command = draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(_FLOAT_FLAGS[command]), min_size=1, max_size=2,
+                          unique=True))
+    argv = [f"{flag}={draw(st.sampled_from(_FLOAT_VALUES))}" for flag in flags]
+    if command == "train" and draw(st.booleans()):
+        argv.append("--backtracking")
+    return command, argv
+
+
+@PROPERTY
+@given(float_flag_runs())
+def test_hostile_float_flags_exit_with_a_contract_code(run):
+    command, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "d.csv").write_text(_CSV)
+        argv = [command] + [arg.format(tmp=tmp) for arg in _FLOAT_RUNS[command]] + flags
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2, 3), (code, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        assert "RuntimeWarning" not in stderr.getvalue()
+        if code == 0:
+            _assert_finite_numbers(stdout.getvalue().replace(str(tmp), ""))
+            for path in tmp.iterdir():
+                if path.name != "d.csv":
+                    _assert_finite_numbers(path.read_text())

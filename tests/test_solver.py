@@ -21,6 +21,7 @@ from helpers import (
 )
 
 from wclogit import solver
+from wclogit.certify import check_critical_point
 from wclogit.data import SynthSpec, center, gen_noisy, gen_separable
 from wclogit.model import Dataset, lipschitz_bound, loss, loss_gradient
 from wclogit.penalty import PenaltySpec, penalty_total, prox_vector
@@ -578,6 +579,26 @@ def test_residual_zero_at_exact_critical_points():
     assert criticality_residual(np.array([10.0, -7.0]), 1.0, spec, flat) == 0.0
 
 
+def test_residual_is_beta_times_the_norm_of_the_shared_violation():
+    # the trace, criticality_residual and certify's checks read one inclusion
+    # test: the residual has its bits, and certify's critical-point check
+    # holds exactly from the largest violation on
+    rng = np.random.default_rng(36)
+    data = centered_instance(rng, 25, 6)
+    theta = np.array([0.0, 0.3, -2.5, 0.0, 7.0, -0.05])  # zero, inner and plateau
+    for zeta, beta in ((0.0, 0.7), (0.4, 0.7), (0.4, 40.0)):
+        spec = PenaltySpec(zeta=zeta)
+        violation = solver._violation(*solver._conditions(
+            theta, loss_gradient(theta, data), beta, spec))
+        residual = criticality_residual(theta, beta, spec, data)
+        assert residual == beta * float(np.linalg.norm(violation))
+        worst = float(violation.max())
+        assert check_critical_point(theta, beta, spec, data, tol=worst)
+        if worst > 0:
+            assert not check_critical_point(theta, beta, spec, data,
+                                            tol=math.nextafter(worst, 0.0))
+
+
 def test_residual_positive_away_from_critical_points():
     rng = np.random.default_rng(34)
     data = centered_instance(rng, 25, 4)
@@ -864,6 +885,32 @@ def test_fit_cells_is_the_stacked_oracle_loop_bitwise():
         assert np.array_equal(result.converged, expected.converged)
         stalled += int(result.converged.sum())
     assert 0 < stalled < 4 * len(cells)
+
+
+def test_fit_cells_at_a_stepsize_whose_reciprocal_overflows_is_the_oracle_loop():
+    # 1/alpha overflows: the decrease certificate's coefficients are NaN and
+    # prove nothing, so every iteration computes its objective
+    rng = np.random.default_rng(44)
+    data = centered_instance(rng, 30, 4)
+    cells, alphas = [(0.1, 0.0), (0.1, 0.5)], [1e-320, 1e-320]
+    result = fit_cells(data, cells, alphas, eps_tol=1e-9, max_iters=50)
+    expected = stacked_fit_oracle(data, cells, alphas, eps_tol=1e-9, max_iters=50)
+    assert result.theta.tobytes() == expected.theta.tobytes()
+    assert result.final_objective.tobytes() == expected.final_objective.tobytes()
+    assert np.array_equal(result.iterations, expected.iterations)
+
+
+def test_fit_cells_at_a_prox_weight_whose_double_overflows():
+    # alpha*beta = 1e308 at zeta = 0: 2*alpha*beta overflows, and soft
+    # thresholding by 1e308 keeps the cell at zero, as it does by 1e300
+    rng = np.random.default_rng(45)
+    data = Dataset(0.1 * rng.standard_normal((30, 4)), rng.integers(0, 2, 30))
+    huge = fit_cells(data, [(1e308, 0.0), (0.1, 0.0)], [1.0, 1.0], max_iters=50)
+    large = fit_cells(data, [(1e300, 0.0), (0.1, 0.0)], [1.0, 1.0], max_iters=50)
+    assert not huge.theta[0].any() and huge.iterations[0] == 1
+    assert huge.theta.tobytes() == large.theta.tobytes()
+    assert huge.final_objective.tobytes() == large.final_objective.tobytes()
+    assert np.array_equal(huge.iterations, large.iterations)
 
 
 def test_fit_cells_checks_every_cell_before_iterating():
