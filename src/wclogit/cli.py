@@ -65,6 +65,16 @@ def _add_dataset_flags(parser, required_path=True):
                         help="whether the CSV starts with a header row")
 
 
+def _refuse_unread(args, flags, why: str) -> None:
+    """Refuse the first of ``flags`` that the command line gives, meaning its
+    value differs from its own command's default (so an explicit default is
+    harmless): the run would not read it."""
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) != args.parser.get_default(dest):
+            raise ValueError(f"{flag} does not apply {why}")
+
+
 def _check_dataset_flags(args, labeled: bool = True) -> None:
     """Refuse a dataset flag that the chosen reader would not read."""
     if args.data is None:
@@ -75,18 +85,11 @@ def _check_dataset_flags(args, labeled: bool = True) -> None:
         read, why = ("--sparse-format", "--num-features", "--pm1-labels"), "to sparse input"
     else:
         read, why = ("--label-col", "--pm1-labels", "--header"), "without --sparse-format"
-    given = (("--sparse-format", args.sparse_format),
-             ("--num-features", args.num_features is not None),
-             ("--label-col", args.label_col is not None),
-             ("--pm1-labels", args.pm1_labels),
-             ("--header", args.header != "auto"))
-    for flag, on in given:
-        if on and flag not in read:
-            raise ValueError(f"{flag} does not apply {why}")
+    flags = ("--sparse-format", "--num-features", "--label-col", "--pm1-labels", "--header")
+    _refuse_unread(args, [flag for flag in flags if flag not in read], why)
 
 
 def _load_dataset(args, path, add_intercept: bool, labeled: bool = True) -> Dataset:
-    _check_dataset_flags(args, labeled)
     if not labeled:
         return load_csv(path, add_intercept=add_intercept, header=args.header,
                         labeled=False)
@@ -109,6 +112,9 @@ def _load_dataset(args, path, add_intercept: bool, labeled: bool = True) -> Data
 
 
 def cmd_train(args) -> int:
+    _check_dataset_flags(args)
+    if args.init != "small-random":
+        _refuse_unread(args, ("--seed",), "without --init small-random, the one seeded start")
     rule = BACKTRACKING if args.backtracking else CONSTANT
     config = SolverConfig(stepsize_rule=rule, alpha=args.alpha, eta=args.eta,
                           accelerate=args.accelerate, eps_tol=args.eps_tol,
@@ -154,20 +160,27 @@ def cmd_train(args) -> int:
 # --- predict ---------------------------------------------------------------------
 
 
-def _load_for_model(args, model: ModelFile, labeled: bool = True) -> Dataset:
-    """The data file, checked against the model's feature count (another
-    count is a data error) and centered with the model's center."""
+def _load_for_model(args, labeled: bool = True) -> tuple[ModelFile, PenaltySpec, Dataset]:
+    """The model file, its penalty and the data file.  The dataset flags are
+    checked before either file is read; a beta or zeta that the penalty
+    refuses is a fault in the model file (a data error), as is a data
+    file with another feature count; the data are centered with the
+    model's center."""
+    _check_dataset_flags(args, labeled)
+    model = load_model(args.model)
+    try:
+        spec = PenaltySpec(zeta=model.zeta, beta=model.beta)
+    except ValueError as exc:
+        raise DataError(f"{args.model}: model file {exc}") from None
     data = _load_dataset(args, args.data, model.has_intercept, labeled)
     if data.n_features != model.theta.size:
         raise DataError(f"model has {model.theta.size} features but the data has "
                         f"{data.n_features}")
-    return apply_center(data, model.center) if model.centered else data
+    return model, spec, apply_center(data, model.center) if model.centered else data
 
 
 def cmd_predict(args) -> int:
-    model = load_model(args.model)
-    data = _load_for_model(args, model, labeled=not args.no_labels)
-    labels = None if args.no_labels else data.labels
+    model, _, data = _load_for_model(args, labeled=not args.no_labels)
 
     predicted, probs = predict_many(model.theta, data.features)
     with open(args.out, "w", newline="") as fh:
@@ -178,10 +191,10 @@ def cmd_predict(args) -> int:
 
     if not args.quiet:
         print(f"predictions written to {args.out}")
-    if labels is not None:
-        wrong = int(np.sum(predicted != labels))
-        print(f"error rate: {wrong / labels.size:.6f} "
-              f"({wrong}/{labels.size} misclassified)")
+    if not args.no_labels:
+        wrong = int(np.sum(predicted != data.labels))
+        print(f"error rate: {wrong / data.labels.size:.6f} "
+              f"({wrong}/{data.labels.size} misclassified)")
     return EXIT_OK
 
 
@@ -189,9 +202,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    model = load_model(args.model)
-    data = _load_for_model(args, model)
-    spec = PenaltySpec(zeta=model.zeta, beta=model.beta)
+    model, spec, data = _load_for_model(args)
 
     if args.threshold_only:
         print(f"zero-solution beta threshold: {beta_threshold(data, spec)!r}")
@@ -219,11 +230,14 @@ def _parse_float_list(text: str, what: str) -> tuple:
 
 
 def cmd_cv(args) -> int:
+    _check_dataset_flags(args)
     grid = CvGrid(betas=_parse_float_list(args.betas, "beta"),
                   zetas=_parse_float_list(args.zetas, "zeta"),
                   repeats=args.repeats, seed=args.seed)
 
     if args.data is not None:
+        _refuse_unread(args, ("--d", "--n-train", "--k", "--n-test", "--latent-dim",
+                              "--noise-sigma", "--amplitude"), "with --data: no data is drawn")
         full = _load_dataset(args, args.data, add_intercept=False)
 
         def pair_for_repeat(r):
@@ -234,10 +248,8 @@ def cmd_cv(args) -> int:
                                         center_split=False)
             return train_test_split(train, args.validation_fraction, seed=grid.seed + r)
     else:
-        _check_dataset_flags(args)
-        if args.validation_fraction is not None:
-            raise ValueError("--validation-fraction needs --data; synthetic runs "
-                             "already draw fresh test points per repeat")
+        _refuse_unread(args, ("--test-fraction", "--validation-fraction"), "without --data: "
+                       "synthetic runs already draw fresh test points per repeat")
         if args.d is None or args.n_train is None or args.k is None:
             raise ValueError("synthetic data needs --d, --n-train, and --k "
                              "(or pass --data)")
@@ -260,22 +272,15 @@ def cmd_cv(args) -> int:
 # --- generate -----------------------------------------------------------------------
 
 
-def _check_generate_flags(args) -> None:
-    """Refuse a generate flag that the run would not read (an explicit default
-    is harmless)."""
-    if args.amplitude == AMPLITUDE_NORMAL:
-        for flag, value, default in (("--amp-low", args.amp_low, SynthSpec.amp_low),
-                                     ("--amp-high", args.amp_high, SynthSpec.amp_high)):
-            if value != default:
-                raise ValueError(f"{flag} does not apply with --amplitude normal, "
-                                 "whose amplitudes are standard normal")
-    if args.clean_test_labels and args.n_test == 0:
-        raise ValueError("--clean-test-labels does not apply without --n-test: "
-                         "the run writes no test labels")
-
-
 def cmd_generate(args) -> int:
-    _check_generate_flags(args)
+    if args.amplitude == AMPLITUDE_NORMAL:
+        _refuse_unread(args, ("--amp-low", "--amp-high"), "with --amplitude normal, "
+                       "whose amplitudes are standard normal")
+    if args.n_test == 0:
+        _refuse_unread(args, ("--clean-test-labels",), "without --n-test: the run "
+                       "writes no test labels")
+    if args.noise_sigma == 0:
+        _refuse_unread(args, ("--clean-test-labels",), "without --noise-sigma: no label is noisy")
     spec = SynthSpec(d=args.d, n_train=args.n_train, k=args.k, n_test=args.n_test,
                      latent_dim=args.latent_dim, amplitude=args.amplitude,
                      amp_low=args.amp_low, amp_high=args.amp_high,
@@ -301,9 +306,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    convergence = args.preset in ("fig1", "fig2")
+    if convergence:
+        _refuse_unread(args, ("--repeats",), f"to {args.preset}: each run is one traced fit")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.preset in ("fig1", "fig2"):
+    if convergence:
         reproduce_convergence(out_dir, args.preset == "fig2", args.max_iters, args.quiet)
     elif args.preset == "fig3":
         reproduce_error_grid(out_dir, args.repeats, args.max_iters, args.quiet)
@@ -353,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", default="model.txt", help="model file path")
     train.add_argument("--trace-out", default=None, help="iteration trace CSV path")
     train.add_argument("--quiet", action="store_true")
-    train.set_defaults(func=cmd_train)
+    train.set_defaults(func=cmd_train, parser=train)
 
     predict = sub.add_parser("predict", help="apply a saved model to a dataset")
     predict.add_argument("model", help="model file path")
@@ -362,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="the CSV holds features only, no label column")
     predict.add_argument("--out", default="predictions.csv")
     predict.add_argument("--quiet", action="store_true")
-    predict.set_defaults(func=cmd_predict)
+    predict.set_defaults(func=cmd_predict, parser=predict)
 
     certify = sub.add_parser("certify",
                              help="optimality report for a model on its training data")
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(certify)
     certify.add_argument("--threshold-only", action="store_true",
                          help="print just the zero-solution beta threshold")
-    certify.set_defaults(func=cmd_certify)
+    certify.set_defaults(func=cmd_certify, parser=certify)
 
     cv = sub.add_parser("cv", help="grid search over (beta, zeta)")
     _add_dataset_flags(cv, required_path=False)
@@ -400,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--amplitude", choices=("uniform", "normal"), default="normal")
     cv.add_argument("--out", default="cv_grid.csv")
     cv.add_argument("--quiet", action="store_true")
-    cv.set_defaults(func=cmd_cv)
+    cv.set_defaults(func=cmd_cv, parser=cv)
 
     generate = sub.add_parser("generate", help="write synthetic dataset files")
     generate.add_argument("--d", type=int, required=True)
@@ -420,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out-prefix", default="synth")
     generate.add_argument("--quiet", action="store_true")
-    generate.set_defaults(func=cmd_generate)
+    generate.set_defaults(func=cmd_generate, parser=generate)
 
     reproduce = sub.add_parser("reproduce",
                                help="experiment presets emitting plot-ready CSVs")
@@ -429,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--max-iters", type=int, default=1000)
     reproduce.add_argument("--repeats", type=int, default=10)
     reproduce.add_argument("--quiet", action="store_true")
-    reproduce.set_defaults(func=cmd_reproduce)
+    reproduce.set_defaults(func=cmd_reproduce, parser=reproduce)
 
     return parser
 
@@ -443,15 +451,11 @@ def main(argv=None) -> int:
         return EXIT_OK if code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
+    except (OSError, NumericalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, (DataError, OSError)):  # a DataError is a ValueError
+            return EXIT_DATA
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -399,16 +399,20 @@ def criticality_residual(theta, beta: float, spec: PenaltySpec, data: Dataset) -
     ||beta*g - 2*beta*zeta*theta + grad(theta)||_2, computed coordinatewise."""
     beta = _check_beta(beta, spec)
     g = loss_gradient(theta, data)
-    return beta * float(np.linalg.norm(
-        _violation(*_conditions(_as_float_array(theta), g, beta, spec))))
+    return float(_residuals(_as_float_array(theta), g, beta, spec))
 
 
 def _conditions(theta, grad, beta, spec):
     """What every criticality check compares: the target 2*zeta*theta - grad/beta
     and the one-sided derivatives (lo, hi) of H at theta.  Elementwise, so
-    theta and grad may be (K, d) stacks of points and their gradients."""
+    theta and grad may be (K, d) stacks of points and their gradients.
+
+    At a tiny beta grad/beta may leave the float range; the target then
+    reads +-inf, which every comparison with lo, hi or a tolerance ranks as
+    it ranks the true value, so no warning is shown."""
     lo, hi = _convexified_derivatives(theta, spec)
-    return 2.0 * spec.zeta * theta - grad / beta, lo, hi
+    with np.errstate(over="ignore"):
+        return 2.0 * spec.zeta * theta - grad / beta, lo, hi
 
 
 def _violation(target, lo, hi):
@@ -416,6 +420,25 @@ def _violation(target, lo, hi):
     critical within ``tol`` exactly where this is at most ``tol``."""
     # per coordinate the minimizing subgradient clamps the target into [lo, hi]
     return np.maximum(0.0, np.maximum(lo - target, target - hi))
+
+
+def _residuals(theta, grad, beta, spec):
+    """The criticality residual beta * ||v|| of each point, v its violation
+    (the norm over the last axis), with the bits of ``v.dot(v)``'s square
+    root.  Where that overflows, as at a tiny beta, where v ~ |grad|/beta,
+    the norm is taken of beta*v, formed without the division, by hypot; so
+    a residual reads inf only where it lies beyond the float range itself."""
+    v = _violation(*_conditions(theta, grad, beta, spec))
+    with np.errstate(over="ignore"):
+        residuals = beta * np.sqrt(np.vecdot(v, v))
+    far = np.isinf(residuals)
+    if far.any():
+        lo, hi = _convexified_derivatives(theta, spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.hypot.reduce(_violation(2.0 * beta * spec.zeta * theta - grad,
+                                                beta * lo, beta * hi), axis=-1)
+        residuals = np.where(far, scaled, residuals)
+    return residuals
 
 
 def _check_beta(beta, spec: PenaltySpec) -> float:
@@ -516,15 +539,15 @@ def _trace_rows(before, points, grads, objectives, stepsizes, beta: float,
     one subtraction its steps; one ``np.vecdot`` gives every row's squared
     step norm and squared residual.  It computes each row's sum as
     ``v.dot(v)`` does, so every column has the bits a per-iteration
-    ``np.linalg.norm`` gives.  A norm whose square overflows reads inf, as
-    there, but without numpy's warning: a finite objective lets the fit go
-    on.
+    ``np.linalg.norm`` gives.  A step norm whose square overflows reads inf,
+    as there, but without numpy's warning: a finite objective lets the fit
+    go on.  The residuals are ``_residuals``', as ``criticality_residual``
+    gives them.
     """
     steps = points - before
-    violations = _violation(*_conditions(points, grads, beta, spec))
     with np.errstate(over="ignore"):
         step_norms = np.sqrt(np.vecdot(steps, steps)).tolist()
-        residuals = (beta * np.sqrt(np.vecdot(violations, violations))).tolist()
+    residuals = _residuals(points, grads, beta, spec).tolist()
     return list(map(TraceRow, objectives, step_norms, residuals, stepsizes))
 
 

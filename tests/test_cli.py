@@ -88,7 +88,7 @@ def test_generate_margins_beyond_the_float_range_are_a_numerical_error(tmp_path,
     ("--amp-high", ["--amplitude", "normal", "--amp-high", 20],
      ["--amplitude", "normal", "--amp-high", 15]),
     ("--clean-test-labels", ["--clean-test-labels"],
-     ["--clean-test-labels", "--n-test", 3]),
+     ["--clean-test-labels", "--n-test", 3, "--noise-sigma", 0.5]),
 ])
 def test_generate_refuses_flags_the_run_does_not_read(tmp_path, capsys, flag, refused,
                                                       harmless):
@@ -97,8 +97,19 @@ def test_generate_refuses_flags_the_run_does_not_read(tmp_path, capsys, flag, re
     assert run(*generate, *refused) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag} does not apply ")
     assert list(tmp_path.iterdir()) == []
-    # an explicit default, or a test set to label
+    # an explicit default, or a noisy test set to label
     assert run(*generate, *harmless) == 0
+
+
+def test_generate_refuses_clean_test_labels_without_noise(tmp_path, capsys):
+    generate = ["generate", "--d", 5, "--n-train", 20, "--k", 2, "--n-test", 10, "--quiet",
+                "--out-prefix", tmp_path / "g"]
+    assert run(*generate, "--clean-test-labels") == 1
+    assert capsys.readouterr().err == ("error: --clean-test-labels does not apply without "
+                                       "--noise-sigma: no label is noisy\n")
+    assert list(tmp_path.iterdir()) == []
+    # an explicit default is harmless
+    assert run(*generate, "--noise-sigma", 0) == 0
 
 
 # --- train --------------------------------------------------------------------
@@ -292,6 +303,20 @@ def test_train_refuses_stepsize_flags_the_rule_does_not_read(synth, tmp_path, ca
     assert run(*base, "--eta", 0.5, "--quiet") == 0
 
 
+def test_train_refuses_seed_without_a_random_start(synth, tmp_path, capsys):
+    base = ["train", synth["train"], "--beta", 0.3, "--out", tmp_path / "m.txt", "--quiet"]
+    for flags in (["--seed", 3], ["--backtracking", "--seed", 3]):
+        assert run(*base, *flags) == 1
+        assert capsys.readouterr().err == ("error: --seed does not apply without --init "
+                                           "small-random, the one seeded start\n")
+    assert not (tmp_path / "m.txt").exists()
+    # an explicit default is harmless, and a random start reads the seed
+    assert run(*base, "--seed", 0) == 0
+    plain = (tmp_path / "m.txt").read_bytes()
+    assert run(*base, "--init", "small-random", "--seed", 3) == 0
+    assert (tmp_path / "m.txt").read_bytes() != plain
+
+
 @pytest.mark.parametrize("flags, code, message", [
     # grad/beta overflows in every criticality check
     (["--beta", "1e-320"], 1, "beta must be at least the smallest normal float"),
@@ -308,6 +333,21 @@ def test_train_at_the_edges_of_the_float_range(synth, tmp_path, capsys, flags, c
     err = capsys.readouterr().err
     assert message in err and "Warning" not in err
     assert (tmp_path / "m.txt").exists() == (code == 0)
+
+
+def test_train_and_certify_at_a_tiny_beta(tmp_path, capsys):
+    # grad/beta leaves the float range: no warning (it would fail the test),
+    # every trace residual finite, and certify reports no critical point
+    data = tmp_path / "big.csv"
+    data.write_text("label,f1,f2\n1,1e10,2e10\n0,-1.5e10,3e9\n1,2e10,-1e10\n")
+    assert run("train", data, "--beta", "1e-300", "--max-iters", 5, "--quiet",
+               "--out", tmp_path / "m.txt", "--trace-out", tmp_path / "t.csv") == 0
+    with open(tmp_path / "t.csv", newline="") as fh:
+        residuals = [float(row["residual"]) for row in csv.DictReader(fh)]
+    assert len(residuals) == 6 and all(map(math.isfinite, residuals))
+    assert run("certify", tmp_path / "m.txt", data) == 0
+    captured = capsys.readouterr()
+    assert "critical point: no" in captured.out and captured.err == ""
 
 
 def test_train_missing_file_exit_code(tmp_path, capsys):
@@ -545,6 +585,23 @@ def test_model_file_rejects_an_unknown_field(synth, tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("beta", "-1.0", "beta must be a finite positive real"),
+    ("beta", "1e-310", "beta must be at least the smallest normal float"),
+    ("zeta", "-0.5", "zeta must be a finite nonnegative real"),
+    ("zeta", "1e308", "zeta must be at most"),
+])
+def test_model_file_checks_beta_and_zeta(synth, tmp_path, capsys, key, value, message):
+    # a fault in the file is a data error, in predict as in certify
+    path = edited_model(synth, tmp_path, key, value)
+    code, err = predict_exit_code(synth, tmp_path, path, capsys)
+    assert code == 2 and err.startswith(f"error: {path}: ") and message in err
+    assert not (tmp_path / "p.csv").exists()
+    assert run("certify", path, synth["train"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 # --- certify ----------------------------------------------------------------------
 
 
@@ -746,6 +803,32 @@ def test_cv_validation_split(synth, tmp_path, capsys):
                "--validation-fraction", 0.2, "--out", tmp_path / "h.csv") == 1
 
 
+def test_cv_with_data_refuses_synthetic_flags(synth, tmp_path, capsys):
+    cv = ["cv", "--data", synth["train"], "--betas", 0.1, "--zetas", 0, "--repeats", 1,
+          "--max-iters", 5, "--quiet", "--out", tmp_path / "g.csv"]
+    for flags in (["--d", 3], ["--n-train", 5], ["--k", 1], ["--n-test", 5],
+                  ["--latent-dim", 2], ["--noise-sigma", 2], ["--amplitude", "uniform"]):
+        assert run(*cv, *flags) == 1
+        assert capsys.readouterr().err == (f"error: {flags[0]} does not apply with --data: "
+                                           "no data is drawn\n")
+    assert not (tmp_path / "g.csv").exists()
+    # explicit defaults are harmless
+    assert run(*cv, "--n-test", 1000, "--noise-sigma", 0, "--amplitude", "normal") == 0
+
+
+def test_synthetic_cv_refuses_split_fractions(tmp_path, capsys):
+    cv = ["cv", "--d", 5, "--n-train", 20, "--k", 2, "--n-test", 10, "--repeats", 1,
+          "--betas", 0.1, "--zetas", 0, "--max-iters", 5, "--quiet", "--out", tmp_path / "g.csv"]
+    for flag in ("--test-fraction", "--validation-fraction"):
+        assert run(*cv, flag, 0.5) == 1
+        assert capsys.readouterr().err == (f"error: {flag} does not apply without --data: "
+                                           "synthetic runs already draw fresh test points "
+                                           "per repeat\n")
+    assert not (tmp_path / "g.csv").exists()
+    # an explicit default is harmless
+    assert run(*cv, "--test-fraction", 0.2) == 0
+
+
 def test_cv_usage_errors(synth, tmp_path, capsys):
     assert run("cv", "--data", synth["train"], "--betas", "",
                "--out", tmp_path / "g.csv") == 1
@@ -775,6 +858,18 @@ def test_reproduce_convergence_preset(tmp_path, capsys):
     with open(tmp_path / "fig1_theta.csv", newline="") as fh:
         header = fh.readline().strip().split(",")
     assert header == ["index", "ground_truth", "alpha1", "alpha2", "alpha4", "l1"]
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig2"])
+def test_reproduce_convergence_presets_refuse_repeats(tmp_path, capsys, preset):
+    out_dir = tmp_path / "r"
+    assert run("reproduce", preset, "--repeats", 2, "--max-iters", 5, "--out-dir", out_dir) == 1
+    assert capsys.readouterr().err == (f"error: --repeats does not apply to {preset}: each "
+                                       "run is one traced fit\n")
+    assert not out_dir.exists()
+    # an explicit default is harmless
+    assert run("reproduce", preset, "--repeats", 10, "--max-iters", 5, "--quiet",
+               "--out-dir", out_dir) == 0
 
 
 def test_reproduce_accelerated_preset_beats_plain(tmp_path):

@@ -608,6 +608,41 @@ def test_residual_positive_away_from_critical_points():
     assert criticality_residual(np.zeros(4), beta, spec, data) > 0.0
 
 
+def _scaled_residual(theta, beta, spec, data) -> float:
+    """beta * ||v|| with beta multiplied in before anything is divided by it:
+    beta * v_j is the distance of 2*beta*zeta*theta_j - grad_j to
+    [beta * H'(theta_j-), beta * H'(theta_j+)]."""
+    parts = []
+    for t, g in zip(theta.tolist(), loss_gradient(theta, data).tolist()):
+        if t == 0.0:
+            lo, hi = -1.0, 1.0
+        elif abs(t) < spec.plateau_start:
+            lo = hi = math.copysign(1.0, t)
+        else:  # on the plateau H' is 2*zeta*t
+            lo = hi = 2.0 * spec.zeta * t
+        target = 2.0 * beta * spec.zeta * t - g
+        parts.append(max(0.0, beta * lo - target, target - beta * hi))
+    return math.hypot(*parts)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+def test_residual_at_a_tiny_beta_is_finite(zeta):
+    # at beta = 1e-300, grad/beta leaves the float range, but the residual
+    # beta * ||v|| is about ||grad||: the trace and criticality_residual give
+    # it finite and without a warning (a RuntimeWarning fails the test)
+    data = Dataset(np.array([[1e10, 2e10], [-1.5e10, 3e9], [2e10, -1e10]]),
+                   np.array([1, 0, 1]))
+    beta, spec = 1e-300, PenaltySpec(zeta=zeta)
+    result = fit(data, beta, spec, SolverConfig(max_iters=5))
+    for k, row in enumerate(result.trace):
+        theta = _iterate(data, beta, spec, SolverConfig(max_iters=5), None, k)
+        assert math.isfinite(row.residual)
+        assert row.residual == criticality_residual(theta, beta, spec, data), k
+        assert row.residual == pytest.approx(_scaled_residual(theta, beta, spec, data),
+                                             rel=1e-12), k
+    assert not check_critical_point(result.theta, beta, spec, data)
+
+
 # --- accelerated variant ----------------------------------------------------------
 
 
