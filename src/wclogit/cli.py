@@ -18,7 +18,6 @@ produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 from pathlib import Path
@@ -27,8 +26,9 @@ import numpy as np
 
 from .certify import (_ZERO_LOCAL_MINIMUM, _zero_vector_status, beta_threshold,
                       check_mcp_local_opt)
-from .data import (AMPLITUDE_NORMAL, DataError, SynthSpec, apply_center, center, gen_noisy,
-                   load_csv, load_sparse_classification_format, save_csv, train_test_split)
+from .data import (AMPLITUDE_NORMAL, DataError, SynthSpec, _write_csv, apply_center, center,
+                   gen_noisy, load_csv, load_sparse_classification_format, save_csv,
+                   train_test_split)
 from .experiments import (CvGrid, ErrorGrid, ErrorRow, reproduce_convergence,
                           reproduce_error_grid, reproduce_noise_table, run_cv_grid,
                           synthetic_pairs)
@@ -183,11 +183,8 @@ def cmd_predict(args) -> int:
     model, _, data = _load_for_model(args, labeled=not args.no_labels)
 
     predicted, probs = predict_many(model.theta, data.features)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label", "prob"])
-        for i, (lbl, p) in enumerate(zip(predicted, probs)):
-            writer.writerow([i, int(lbl), repr(float(p))])
+    _write_csv(args.out, ("index", "label", "prob"),
+               zip(range(predicted.size), predicted.tolist(), probs.tolist()))
 
     if not args.quiet:
         print(f"predictions written to {args.out}")
@@ -295,7 +292,7 @@ def cmd_generate(args) -> int:
             save_csv(data, written[-1])
     written.append(f"{args.out_prefix}_theta0.txt")
     with open(written[-1], "w") as fh:
-        fh.writelines(repr(float(value)) + "\n" for value in theta0)
+        fh.writelines(f"{value!r}\n" for value in theta0.tolist())
 
     if not args.quiet:
         print("wrote " + ", ".join(written))

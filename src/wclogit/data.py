@@ -481,10 +481,24 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
 
 
 def save_csv(data: Dataset, path) -> None:
-    """Write ``label,f1,...,fd`` rows with full-precision floats, so a
-    load/save/load round trip reproduces the features bit for bit."""
+    """Write ``label,f1,...,fd`` rows as :func:`_write_csv` does: every line
+    ends in ``\\r\\n``, no field is quoted and every feature is its shortest
+    round-trip ``repr``, so a load/save/load round trip reproduces the
+    features bit for bit.  Rows become Python floats one at a time, so the
+    writer never holds more than one row of them."""
+    _write_csv(path, ["label"] + [f"f{j + 1}" for j in range(data.n_features)],
+               ([y] + x.tolist() for y, x in zip(data.labels.tolist(), data.features)))
+
+
+def _csv_line(values) -> str:
+    """One CSV line of Python ints and floats, as the standard library's CSV
+    writer writes it: each value's ``repr``, no field quoted, ``\\r\\n`` at
+    the end."""
+    return ",".join(map(repr, values)) + "\r\n"
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the column names, then one :func:`_csv_line` per row of ``rows``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{j + 1}" for j in range(data.n_features)])
-        for y, x in zip(data.labels, data.features):
-            writer.writerow([int(y)] + [repr(float(v)) for v in x])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(_csv_line, rows))

@@ -9,7 +9,6 @@ unless ``quiet``, print a summary to stdout and notices to stderr.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import sys
@@ -18,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SynthSpec, apply_center, center, gen_noisy, gen_separable
+from .data import (SynthSpec, _csv_line, _write_csv, apply_center, center, gen_noisy,
+                   gen_separable)
 from .model import predict_many
 from .penalty import PenaltySpec
 from .solver import SolverConfig, fit, fit_cells, max_constant_stepsize, write_trace_csv
@@ -92,10 +92,8 @@ class ErrorGrid:
         return min(pool, key=lambda r: (r.mean_test_error, r.beta, r.zeta), default=None)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f.name for f in dataclasses.fields(ErrorRow)])
-            writer.writerows([repr(v) for v in dataclasses.astuple(r)] for r in self.rows)
+        _write_csv(path, [f.name for f in dataclasses.fields(ErrorRow)],
+                   map(dataclasses.astuple, self.rows))
 
     def report(self, path, max_iters: int, quiet: bool, kind: str = "test") -> None:
         """Write the grid CSV to ``path``; unless ``quiet``, give the unconverged
@@ -118,10 +116,12 @@ def run_cv_grid(grid: CvGrid, dataset_for_repeat, alpha=None, eps_tol=1e-9,
 
     ``dataset_for_repeat(r)`` supplies the r-th pair; pairs are drawn once and
     shared by all cells, and all cells of a repeat are solved together by
-    :func:`fit_cells`.  An explicit ``alpha`` outside a cell's admissible
-    range falls back to the default with a ``notify`` notice (once per cell).
-    Rows come back ordered by (beta, zeta).
+    :func:`fit_cells`.  An explicit ``alpha`` must be a finite positive
+    real; above a cell's admissible range it falls back to the default with
+    a ``notify`` notice (once per cell).  Rows come back ordered by (beta, zeta).
     """
+    if alpha is not None and not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a finite positive real, got {alpha}")
     pairs = [dataset_for_repeat(r) for r in range(grid.repeats)]
     cells = [(b, z) for b in grid.betas for z in grid.zetas]
     # alphas[r][c] is cell c's stepsize on repeat r, None for the default
@@ -132,7 +132,7 @@ def run_cv_grid(grid: CvGrid, dataset_for_repeat, alpha=None, eps_tol=1e-9,
             noticed = False
             for r, (train, _) in enumerate(pairs):
                 bound = max_constant_stepsize(b, spec, train)
-                if not (0.0 < alpha < bound):
+                if alpha >= bound:
                     if notify is not None and not noticed:
                         noticed = True
                         notify(f"notice: stepsize {alpha:g} is outside (0, {bound:.6g}) "
@@ -220,12 +220,9 @@ def reproduce_convergence(out_dir: Path, accelerate: bool, max_iters: int,
 
     theta_path = out_dir / f"{tag}_theta.csv"
     columns = ["ground_truth"] + list(estimates)
-    with open(theta_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + columns)
-        reference = {"ground_truth": _normalized(theta0), **estimates}
-        for j in range(theta0.size):
-            writer.writerow([j] + [repr(float(reference[c][j])) for c in columns])
+    reference = {"ground_truth": _normalized(theta0), **estimates}
+    _write_csv(theta_path, ["index"] + columns,
+               zip(range(theta0.size), *(reference[c].tolist() for c in columns)))
     if not quiet:
         print(f"normalized estimates in {theta_path}")
 
@@ -250,8 +247,7 @@ def reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
     path = out_dir / "table3.csv"
     grids = []
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["noise_level", "l1_error", "weakly_convex_error"])
+        fh.write("noise_level,l1_error,weakly_convex_error\r\n")
         for level, sigma in enumerate((0.01, 0.03, 0.05, 0.1, 0.3, 0.5)):
             base = dataclasses.replace(_ERROR_GRID_SPEC, noise_sigma=sigma)
             error_grid = run_cv_grid(grid, synthetic_pairs(base, 3000 + 100 * level),
@@ -259,8 +255,7 @@ def reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
             grids.append(error_grid)
             l1 = error_grid.best_row(l1=True)
             wc = error_grid.best_row(l1=False)
-            writer.writerow([repr(sigma), repr(l1.mean_test_error),
-                             repr(wc.mean_test_error)])
+            fh.write(_csv_line((sigma, l1.mean_test_error, wc.mean_test_error)))
             if not quiet:
                 print(f"noise {sigma:g}: l1 error {l1.mean_test_error:.4f}, "
                       f"weakly convex error {wc.mean_test_error:.4f}")

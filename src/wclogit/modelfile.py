@@ -69,8 +69,8 @@ def save_model(path, model: ModelFile) -> None:
         f"iterations {model.iterations}",
         f"converged {str(model.converged).lower()}",
         f"final_objective {model.final_objective!r}",
-        "center " + " ".join(repr(float(v)) for v in model.center),
-        "theta " + " ".join(repr(float(v)) for v in model.theta),
+        "center " + " ".join(map(repr, model.center.tolist())),
+        "theta " + " ".join(map(repr, model.theta.tolist())),
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

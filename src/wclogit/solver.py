@@ -217,6 +217,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import _write_csv
 from .model import (
     Dataset,
     NumericalError,
@@ -361,12 +362,8 @@ class FitResult:
 
 def write_trace_csv(result: FitResult, path) -> None:
     """Export the iteration trace with columns iter,objective,step_norm,residual,stepsize."""
-    # the lines csv.writer writes: no field of an int and four float reprs
-    # needs quoting, and its line ending is \r\n
-    with open(path, "w", newline="") as fh:
-        fh.write("iter,objective,step_norm,residual,stepsize\r\n")
-        fh.writelines(f"{k},{row.objective!r},{row.step_norm!r},{row.residual!r},"
-                      f"{row.stepsize!r}\r\n" for k, row in enumerate(result.trace))
+    _write_csv(path, ("iter",) + TraceRow._fields,
+               ((k, *row) for k, row in enumerate(result.trace)))
 
 
 def max_constant_stepsize(beta: float, spec: PenaltySpec, data: Dataset) -> float:

@@ -12,10 +12,13 @@ their bits, and ``stacked_fit_oracle`` runs the stacked loop on them.
 ``backtracking_fit_oracle`` runs the backtracking rule one iteration at a
 time on the checked public functions.  ``certificate_oracle`` states the
 certificate's inclusions as the pairs of widened bounds they were written as
-before they shared one violation.
+before they shared one violation.  The CSV-writer oracles write the dataset,
+trace, grid and prediction files row by row with ``csv.writer``, whose bytes
+the library's own line formatter must reproduce.
 """
 
 import csv
+import dataclasses
 from dataclasses import replace
 from itertools import product
 
@@ -23,7 +26,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from wclogit.data import _read_rows, load_csv
-from wclogit.model import Dataset, loss, loss_gradient, spectral_norm
+from wclogit.experiments import ErrorRow
+from wclogit.model import Dataset, loss, loss_gradient, predict_many, spectral_norm
 from wclogit.penalty import (PenaltySpec, _repeat_rows, _StackedSpec,
                              convexified_derivatives, convexified_second_derivatives,
                              penalty_total)
@@ -281,6 +285,34 @@ def write_trace_oracle(result, path):
         for k, row in enumerate(result.trace):
             writer.writerow([k, repr(row.objective), repr(row.step_norm),
                              repr(row.residual), repr(row.stepsize)])
+
+
+def save_csv_oracle(data, path):
+    """The dataset CSV written row by row with ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label"] + [f"f{j + 1}" for j in range(data.n_features)])
+        for y, x in zip(data.labels, data.features):
+            writer.writerow([int(y)] + [repr(float(v)) for v in x])
+
+
+def grid_csv_oracle(grid, path):
+    """The grid CSV written row by row with ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in dataclasses.fields(ErrorRow)])
+        writer.writerows([repr(v) for v in dataclasses.astuple(r)] for r in grid.rows)
+
+
+def predictions_oracle(theta, features, path):
+    """The prediction CSV of ``theta`` on ``features``, written row by row
+    with ``csv.writer``."""
+    predicted, probs = predict_many(theta, features)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "label", "prob"])
+        for i, (lbl, p) in enumerate(zip(predicted, probs)):
+            writer.writerow([i, int(lbl), repr(float(p))])
 
 
 def certificate_oracle(theta, beta, spec, data, tol):

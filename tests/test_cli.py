@@ -771,6 +771,18 @@ def test_cv_synthetic_source_and_alpha_correction(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 2
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "-1"])
+def test_cv_refuses_an_alpha_that_is_no_stepsize(synth, tmp_path, capsys, alpha):
+    # only a finite positive alpha above a cell's bound falls back to the
+    # default; these values are refused before any cell is fitted
+    for source in (["--data", synth["train"]],
+                   ["--d", 5, "--n-train", 40, "--k", 2, "--n-test", 20]):
+        assert run("cv", *source, "--betas", "0.1", "--zetas", "0,0.1", "--repeats", 1,
+                   f"--alpha={alpha}", "--quiet", "--out", tmp_path / "g.csv") == 1
+        assert "alpha must be a finite positive real" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
+
 def test_cv_reports_convergence_per_cell(tmp_path, capsys):
     args = ["cv", "--d", 10, "--n-train", 80, "--k", 3, "--n-test", 100,
             "--noise-sigma", 0.2, "--betas", "0.01,5", "--zetas", "0,0.1",

@@ -1,5 +1,7 @@
 """Loading, centering, splitting, and synthetic generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import csv_outcomes
@@ -292,6 +294,20 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.labels, data.labels)
     save_csv(back, tmp_path / "round2.csv")
     assert (tmp_path / "round.csv").read_bytes() == (tmp_path / "round2.csv").read_bytes()
+
+
+def test_save_csv_holds_one_row_at_a_time(tmp_path):
+    # the rows become Python floats one at a time: converting the whole
+    # matrix at once would peak at about 6.7 MB here
+    rng = np.random.default_rng(71)
+    data = Dataset(rng.standard_normal((4000, 50)), rng.integers(0, 2, 4000))
+    tracemalloc.start()
+    try:
+        save_csv(data, tmp_path / "big.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_load_csv_first_row_with_a_number_is_data(tmp_path):

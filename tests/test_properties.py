@@ -30,10 +30,15 @@ from helpers import (
     csv_outcomes,
     exp_oracle,
     gradient_oracle,
+    grid_csv_oracle,
     loss_oracle,
     penalty_values_oracle,
+    predictions_oracle,
     prox_oracle,
+    random_instance,
+    save_csv_oracle,
     sigmoid_oracle,
+    write_trace_oracle,
 )
 
 from wclogit.certify import (
@@ -44,6 +49,7 @@ from wclogit.certify import (
 )
 from wclogit.cli import main
 from wclogit.data import DataError, load_csv, load_sparse_classification_format, save_csv
+from wclogit.experiments import ErrorGrid, ErrorRow
 from wclogit.model import (Dataset, _exp_pair, _kernels, _probabilities, loss, sigmoid,
                            spectral_norm)
 from wclogit.modelfile import ModelFile, load_model, save_model
@@ -59,7 +65,7 @@ from wclogit.penalty import (
     prox_scalar,
     prox_vector,
 )
-from wclogit.solver import _OBJECTIVE_BLOCK
+from wclogit.solver import _OBJECTIVE_BLOCK, SolverConfig, fit, write_trace_csv
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -349,6 +355,60 @@ def test_save_load_csv_round_trip_is_lossless(data):
         back = load_csv(path)
     assert back.features.tobytes() == data.features.tobytes()
     assert np.array_equal(back.labels, data.labels)
+
+
+# the extremes of the float format; a feature of at most 4 columns times a
+# weight of at most 0.2 keeps every margin within the float range
+csv_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def written_files(draw):
+    """A dataset and a model for it, grid rows, and a short traced fit's settings."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    data = Dataset(draw(arrays(float, (n, d), elements=csv_floats)),
+                   draw(arrays(int, n, elements=st.integers(0, 1))))
+    theta = draw(arrays(float, d, elements=st.floats(-0.2, 0.2)))
+    rows = draw(st.lists(st.builds(ErrorRow, csv_floats, csv_floats, st.floats(0.0, 1.0),
+                                   csv_floats, csv_floats, csv_floats), max_size=4))
+    config = SolverConfig(stepsize_rule=draw(st.sampled_from(["constant", "backtracking"])),
+                          accelerate=draw(st.booleans()), max_iters=draw(st.integers(1, 8)))
+    return data, theta, ErrorGrid(rows), (draw(st.floats(0.05, 2.0)), draw(zetas), config)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(written_files())
+def test_written_files_are_the_csv_writer_files_byte_for_byte(case):
+    data, theta, grid, (beta, zeta, config) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+
+        def same(write, oracle):
+            write(tmp / "new.csv")
+            oracle(tmp / "old.csv")
+            assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+        same(functools.partial(save_csv, data), functools.partial(save_csv_oracle, data))
+        same(grid.write_csv, functools.partial(grid_csv_oracle, grid))
+        result = fit(random_instance(np.random.default_rng(5), 12, 3), beta,
+                     PenaltySpec(zeta=zeta), config)
+        same(functools.partial(write_trace_csv, result),
+             functools.partial(write_trace_oracle, result))
+        save_model(tmp / "m.txt", ModelFile(
+            theta=theta, beta=1.0, zeta=0.0, centered=False, center=np.zeros(theta.size),
+            has_intercept=False, stepsize_rule="constant", accelerate=False, iterations=0,
+            converged=True, final_objective=0.0))
+        save_csv(data, tmp / "d.csv")
+
+        def predict(path):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["predict", str(tmp / "m.txt"), str(tmp / "d.csv"),
+                             "--out", str(path)]) == 0
+
+        same(predict, functools.partial(predictions_oracle, theta, data.features))
 
 
 def unparsable(token: str) -> bool:
@@ -665,43 +725,49 @@ def test_damaged_files_exit_with_a_data_or_numerical_code(run):
 # --- the CLI's exit-code contract on float flags -------------------------------------
 
 _FLOAT_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "", "x"]
-# each command's float flags, and a tiny run to draw them into (cv on synthetic data)
+# each run's float flags, and the tiny run to draw them into: cv on
+# synthetic data and on a data file
 _FLOAT_FLAGS = {
     "train": ["--beta", "--zeta", "--alpha", "--eta", "--eps-tol"],
     "cv": ["--betas", "--zetas", "--alpha", "--eps-tol", "--noise-sigma"],
+    "cv --data": ["--test-fraction", "--validation-fraction", "--alpha", "--eps-tol",
+                  "--betas", "--zetas"],
     "generate": ["--amp-low", "--amp-high", "--noise-sigma"],
 }
 _FLOAT_RUNS = {
-    "train": ["{tmp}/d.csv", "--beta", "0.1", "--zeta", "0.1", "--center", "--max-iters",
-              "20", "--out", "{tmp}/m.txt", "--trace-out", "{tmp}/t.csv"],
-    "cv": ["--d", "5", "--n-train", "40", "--k", "2", "--n-test", "20", "--betas", "0.1",
-           "--zetas", "0,0.1", "--repeats", "1", "--max-iters", "20", "--out", "{tmp}/o.csv"],
-    "generate": ["--d", "5", "--n-train", "40", "--k", "2", "--n-test", "20",
+    "train": ["train", "{tmp}/d.csv", "--beta", "0.1", "--zeta", "0.1", "--center",
+              "--max-iters", "20", "--out", "{tmp}/m.txt", "--trace-out", "{tmp}/t.csv"],
+    "cv": ["cv", "--d", "5", "--n-train", "40", "--k", "2", "--n-test", "20", "--betas",
+           "0.1", "--zetas", "0,0.1", "--repeats", "1", "--max-iters", "20", "--out",
+           "{tmp}/o.csv"],
+    "cv --data": ["cv", "--data", "{tmp}/d.csv", "--betas", "0.1", "--zetas", "0,0.1",
+                  "--repeats", "1", "--max-iters", "20", "--out", "{tmp}/o.csv"],
+    "generate": ["generate", "--d", "5", "--n-train", "40", "--k", "2", "--n-test", "20",
                  "--out-prefix", "{tmp}/g"],
 }
 
 
 @st.composite
 def float_flag_runs(draw):
-    """A command with one or two of its float flags set to a hostile value
+    """A run with one or two of its float flags set to a hostile value
     (``--flag=value``, so that argparse hands every value to its type)."""
-    command = draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
-    flags = draw(st.lists(st.sampled_from(_FLOAT_FLAGS[command]), min_size=1, max_size=2,
+    run = draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(_FLOAT_FLAGS[run]), min_size=1, max_size=2,
                           unique=True))
     argv = [f"{flag}={draw(st.sampled_from(_FLOAT_VALUES))}" for flag in flags]
-    if command == "train" and draw(st.booleans()):
+    if run == "train" and draw(st.booleans()):
         argv.append("--backtracking")
-    return command, argv
+    return run, argv
 
 
 @PROPERTY
 @given(float_flag_runs())
-def test_hostile_float_flags_exit_with_a_contract_code(run):
-    command, flags = run
+def test_hostile_float_flags_exit_with_a_contract_code(case):
+    run, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "d.csv").write_text(_CSV)
-        argv = [command] + [arg.format(tmp=tmp) for arg in _FLOAT_RUNS[command]] + flags
+        argv = [arg.format(tmp=tmp) for arg in _FLOAT_RUNS[run]] + flags
         stdout, stderr = io.StringIO(), io.StringIO()
         with (warnings.catch_warnings(record=True) as caught,
               contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
