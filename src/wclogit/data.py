@@ -431,6 +431,9 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
     largest index seen unless ``num_features`` pins it (needed to keep
     train and test files aligned), up to ``MAX_DENSE_ENTRIES`` entries in all.
     """
+    if num_features is not None and num_features < 1:
+        # a setting, not the file's fault
+        raise ValueError(f"num_features must be at least 1, got {num_features}")
     entries = []
     labels = []
     max_idx = 0

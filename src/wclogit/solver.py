@@ -34,36 +34,34 @@ pass z = X @ point and one exp(-|z|), which give both the loss and the
 gradient X^T (sigmoid(z) - y), and the accepted point's gradient carries
 over to the next step and to its trace row.  With momentum the next step
 starts from the extrapolated point instead, so no step reads the
-iterate's margins or gradient: a one-row stack leaves them to its block of
+iterate's margins or gradient: a fit leaves them to its block of
 objectives (see "Objectives per block" below), and the step path makes
 two passes over X per iteration, both at the base point.  The constant
 rule's bound takes ||X|| from the per-dataset cache of ``spectral_norm``.
 
-The loop runs a stack of C cells (beta, zeta, alpha) on one dataset: the
-iterates are the rows of a (C, d) matrix, so each constant-rule iteration
-costs one product Theta @ X^T and one (sigmoid(Z) - y) @ X for all rows,
-and the penalty kernels take per-row weights and zetas.  :func:`fit` runs
-it with one row, under either rule, with or without momentum and the
-trace; :func:`fit_cells` runs the cells of a grid, and a stack of two or
-more rows always takes the constant rule, plain and untraced.  A cell
-whose objective stalls leaves the stack with its iterate, objective and
-iteration count, and every per-row array loses its row; the others go
-on.  The operands of the two products are left as they are: the bits of
-a product's row depend on the stack height and the operand layout (at
-one row they are the 1-D product's), and so would the iteration counts.
-A backtracking fit is a one-row stack whose step is the search above on
-the row's 1-D point; the accepted candidate's loss, which the search
+One loop serves both jobs, and the shape of the starting point picks
+the job.  :func:`fit` steps one 1-D point, under either rule, with or
+without momentum and the trace, with its penalty's own parameters and a
+float stepsize, prox weight and denominator.  Under backtracking the
+step is the search above; the accepted candidate's loss, which the search
 computes anyway, is the iterate's loss and the next plain step's loss at
-its base point.
+its base point.  :func:`fit_cells` steps a stack of C >= 1 cells (beta,
+zeta, alpha) on one dataset, under the constant rule, plain and
+untraced: the iterates are the rows of a (C, d) matrix, so each
+iteration costs one product Theta @ X^T and one (sigmoid(Z) - y) @ X for
+all rows, and the penalty kernels take per-row weights and zetas.  A
+cell whose objective stalls leaves the stack with its iterate, objective
+and iteration count, and every per-row array loses its row; the others
+go on.  The operands of the two products are left as they are: the bits
+of a product's row depend on the stack height and the operand layout (a
+(1, d) stack has the 1-D product's), and so would the iteration counts.
 
 Iterations stop once the objective change falls to ``eps_tol`` or
 ``max_iters`` is reached.  The iterates never depend on the objective: it
-only feeds that stall test and the trace.  So a one-row stack (every
-:func:`fit`) computes it per block of iterates, off the step path; see
-"Objectives per block" below.  A stack of two or more rows (a grid's
-:func:`fit_cells`) skips it on every iteration where a
-sufficient-decrease certificate proves that no running row can stall; see
-"Skipping the objective" below.
+only feeds that stall test and the trace.  So a fit computes it per block
+of iterates, off the step path; see "Objectives per block" below.  A
+stack skips it on every iteration where a sufficient-decrease certificate
+proves that no running row can stall; see "Skipping the objective" below.
 
 Every iteration of a ``fit`` can be recorded as a trace row (objective,
 step norm, criticality residual, stepsize) and exported as CSV.  The loop
@@ -76,16 +74,16 @@ row has the bits a per-iteration computation gives.
 
 Objectives per block
 --------------------
-At one row the objective and its stall test cost about a dozen numpy calls
-on (1,)- and (1, N)-shaped arrays, about 17 us of a 90 us iteration at
-N = 1000, d = 50.  So each iterate goes, with its margins pair, stepsize
-and (traced) its gradient, into a small preallocated block, and one
-stacked loss pass and one stacked penalty pass give the whole block's
-objectives.  A stacked row sum is the sum of that row alone, so each
-objective has the bits of a per-iteration one.  Under backtracking the
-block keeps instead the loss that the search computed from the same
-margins: a second loss pass would add about 4 us to a backtracking
-iteration of about 45 us at that size.  The stall tests then run in
+For one point the objective and its stall test cost about a dozen numpy
+calls, about 17 us of a 90 us iteration at N = 1000, d = 50.  So each
+iterate goes, with its margins pair, stepsize and (traced) its gradient,
+into a small preallocated block, and one stacked loss pass and one
+stacked penalty pass give the whole block's objectives.  A stacked row
+sum is the sum of that row alone, so each objective has the bits of a
+per-iteration one.  Under backtracking the block keeps instead the loss
+that the search computed from the same margins: a second loss pass would
+add about 4 us to a backtracking iteration of about 45 us at that size.
+The stall tests then run in
 order on Python floats; the first stalled iterate ends the fit with its
 point, objective, count and trace rows, and the steps taken past it are
 dropped.  A block that starts at iteration s holds
@@ -103,9 +101,9 @@ of points with X^T and one stacked exp(-|z|), and for a traced fit the
 gradients, as one stacked sigmoid and one ``np.matmul`` of the (m, 1, N)
 residuals with X; a traced backtracking fit keeps the search's margins for
 them.  For such a batch of one-row products numpy makes one gemv call per
-row, the call that a 1-D or one-row product makes, so every margin,
-gradient and trace row keeps its bits (an (m, N) product would not: see
-the stack above).  Both write into the block's preallocated rows, the
+row, the call that a 1-D product makes, so every margin, gradient and
+trace row keeps its bits (an (m, N) product would not: see the stack
+above).  Both write into the block's preallocated rows, the
 margins under the objective's overflow guard.  The passes over X are as
 many as before, but one call per block replaces about ten numpy calls per
 iteration: at that size a traced momentum iteration takes about 58 us
@@ -129,10 +127,10 @@ numpy's overflow warning off, because an overflow there gives an infinite
 objective, which raises :class:`NumericalError` with the library's own
 message.
 
-A stack of two or more rows does not use blocks: a row that stalls inside
-a block would have to be taken back out of the later products, whose bits
-depend on the stack height (see above), so it keeps the exact path and the
-certificate below.
+A stack does not use blocks: a row that stalls inside a block would have
+to be taken back out of the later products, whose bits depend on the
+stack height (see above), so it keeps the exact path and the certificate
+below.
 
 Skipping the objective
 ----------------------
@@ -195,17 +193,13 @@ and nothing else.  On any other iteration the objective is computed from
 those margins and tested as always; when the previous one was skipped it
 is first computed from the margins of theta_{k-1}, which came from the
 same product on the same stack, so it has the bits it would have had.
-The last iteration is never skipped.  So the
-iterates, objectives, iteration counts and stall flags keep their bits,
-and a larger floor would only cost skips.
+Every iteration is checked but the capped last one, k = max_iters, which
+is never skipped.  So the iterates, objectives, iteration counts and
+stall flags keep their bits, and a larger floor would only cost skips.
 
 The check is a fixed run of about 25 small numpy calls on (C, d) arrays.
 On a grid's stack (28 rows, N = 200, d = 50) it costs about 25 us against
-the 40 us of the objective it skips.  Failures come in runs while a row
-nears its stall, so after n failed checks in a row the next
-min(2^(n-1), 64) iterations take the exact path unchecked; a row leaving
-the stack resets that, and the first check after a wait takes
-||theta_{k-1}||_1 afresh.
+the 40 us of the objective it skips.
 """
 
 from __future__ import annotations
@@ -266,17 +260,13 @@ __all__ = [
 # not a hard problem instance
 _MAX_BACKTRACK_REDUCTIONS = 100
 
-# most iterates whose objectives a one-row stack computes together: at
+# most iterates whose objectives a fit computes together: at
 # fig1's size (N = 1000, d = 50) the objective costs about 17 us per iterate
 # one at a time and 5-6 us stacked 8-32 high, and whole fits ran as fast
 # with blocks of 8, 16 or 32; the margins pairs of a block take at most
 # _OBJECTIVE_BLOCK_BYTES
 _OBJECTIVE_BLOCK = 16
 _OBJECTIVE_BLOCK_BYTES = 2 ** 19
-
-# the most iterations a stack's decrease check waits after failing, as it
-# does in runs while a row nears its stall
-_MAX_CHECK_WAIT = 64
 
 # twice the unit roundoff: every first-order rounding bound of the decrease
 # certificate uses it, which leaves each room for its second-order terms
@@ -348,10 +338,10 @@ class TraceRow(NamedTuple):
 
 @dataclass
 class FitResult:
-    """Outcome of :func:`fit`, with Python ``int``, ``bool`` and ``float``
-    fields; for :func:`fit_cells`, ``theta`` holds one row and
-    ``iterations``, ``converged`` and ``final_objective`` one array entry
-    per cell, and the trace is empty."""
+    """Outcome of :func:`fit`: a 1-D ``theta`` and Python ``int``, ``bool``
+    and ``float`` fields.  For :func:`fit_cells` (any number of cells),
+    ``theta`` holds one row, and ``iterations``, ``converged`` and
+    ``final_objective`` one array entry, per cell; the trace is empty."""
 
     theta: np.ndarray
     iterations: int
@@ -380,7 +370,8 @@ def max_constant_stepsize(beta: float, spec: PenaltySpec, data: Dataset) -> floa
             f"||X||^2/8 + beta*zeta is not finite for features of spectral norm "
             f"||X|| = {norm:.6g}; rescale the features"
         )
-    denom = max(2.0 * beta * spec.zeta, curvature)
+    # beta*zeta first: 2*beta may overflow where beta*zeta does not
+    denom = max(2.0 * (beta * spec.zeta), curvature)
     return 1.0 / denom if denom > 0 else np.inf
 
 
@@ -549,7 +540,7 @@ def _trace_rows(before, points, grads, objectives, stepsizes, beta: float,
 
 
 class _Block:
-    """The iterates of a one-row stack whose objectives are still pending
+    """The iterates of a fit whose objectives are still pending
     (see "Objectives per block" in the module docs).
 
     Each iterate's point, margins pair (under backtracking, its loss),
@@ -604,7 +595,7 @@ class _Block:
         self.trace = []
         if self.grads is not None:
             # the starting point's step is theta - theta = 0 and its stepsize 0
-            self.trace = _trace_rows(self.points[:1], self.points[:1], grad, [obj], [0.0],
+            self.trace = _trace_rows(self.points[:1], self.points[:1], grad[None], [obj], [0.0],
                                      spec.beta, spec)
 
     def add(self, theta, margins, loss, grad, stepsize: float) -> bool:
@@ -674,8 +665,8 @@ class _Block:
         return False
 
     def result(self) -> FitResult:
-        return FitResult(self.points[:1].copy(), np.array([self.iterations]),
-                         np.array([self.converged]), np.array([self.obj]), self.trace)
+        return FitResult(self.points[0].copy(), self.iterations, self.converged, self.obj,
+                         self.trace)
 
 
 class _Descent:
@@ -730,10 +721,8 @@ class _Descent:
         self.sums = 2.0 * (n + d + 16) * eps
         self.norm_root = 1.0 + (n + 4) * eps
         self.ones = np.ones(d)
-        # ||theta||_1 of the last iterate, None when it was not checked
+        # ||theta||_1 of the last iterate
         self.norm1 = np.vecdot(np.abs(theta), self.ones)
-        # iterations left unchecked, and the last such wait
-        self.wait = self.backoff = 0
         self.rebase(obj)
 
     def rebase(self, obj) -> None:
@@ -741,24 +730,17 @@ class _Descent:
         self.base = self.tol + self.sums * (1.0 + obj)
 
     def take(self, rows) -> None:
-        """Keep the rows at ``rows`` (a mask) only; :meth:`rebase` follows.
-        The next iteration is checked."""
-        for name in ("tight", "loose", "tol", "e1", "e2"):
+        """Keep the rows at ``rows`` (a mask) only; :meth:`rebase` follows."""
+        for name in ("tight", "loose", "tol", "e1", "e2", "norm1"):
             setattr(self, name, getattr(self, name)[rows])
-        if self.norm1 is not None:
-            self.norm1 = self.norm1[rows]
-        self.wait = self.backoff = 0
 
+    # an infinite coefficient times a zero ||theta||_1 is NaN, and a huge
+    # beta or 1/alpha may overflow a term: NaN and inf fail every comparison
+    # below, so they prove nothing, without numpy's warning
+    @np.errstate(over="ignore", invalid="ignore")
     def proves(self, theta, new, z, z_new) -> bool:
         """Whether no row can stall at the step ``theta`` -> ``new``, whose
-        margins are ``z`` and ``z_new``.  After n failed checks in a row the
-        next min(2^(n-1), _MAX_CHECK_WAIT) iterations are not checked."""
-        if self.wait:
-            self.wait -= 1
-            self.norm1 = None
-            return False
-        if self.norm1 is None:
-            self.norm1 = np.vecdot(np.abs(theta), self.ones)
+        margins are ``z`` and ``z_new``."""
         # a vecdot with ones costs less than a sum here; a row of NaN or inf
         # fails every comparison below
         norm1 = np.vecdot(np.abs(new), self.ones)
@@ -767,18 +749,13 @@ class _Descent:
         sq = np.vecdot(step, step)
         floor = self.base + both * (self.e1 + self.e2 * both)
         if np.count_nonzero(floor < self.loose * sq) == len(sq):
-            self.backoff = 0
             return True
         diff = z_new - z
         # ||X Delta|| from above: the margins' rounding at both iterates
         image = np.sqrt(np.vecdot(diff, diff)) * self.norm_root + self.margin * both
         image *= image
-        if np.count_nonzero(
-                floor < self.tight * sq - image * (1.0 + 4.0 * _EPS) / 8.0) == len(sq):
-            self.backoff = 0
-            return True
-        self.wait = self.backoff = min(2 * self.backoff, _MAX_CHECK_WAIT) or 1
-        return False
+        return np.count_nonzero(
+            floor < self.tight * sq - image * (1.0 + 4.0 * _EPS) / 8.0) == len(sq)
 
 
 def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
@@ -788,7 +765,7 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     ``beta`` may be None to use ``spec.beta``.  ``config.accelerate`` adds
     the momentum schedule; the objective, the trace and the returned point
     are then those of the prox outputs, not of the extrapolated base points.
-    Either stepsize rule runs as a one-row stack of the loop that
+    Either stepsize rule steps the 1-D point in the loop that
     :func:`fit_cells` runs, and computes the objectives per block of
     iterates (see "Objectives per block" in the module docs), with
     momentum also the iterates' margins and trace gradients, which no step
@@ -802,9 +779,7 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     # the loop writes into no point it was given
     theta = np.zeros(data.n_features) if theta0 is None else _check_theta(theta0, data)
     alpha = _initial_alpha(config, beta, spec, data)
-    stack = _fit_stack(data, [replace(spec, beta=beta)], [alpha], config, theta[None])
-    return FitResult(stack.theta[0], int(stack.iterations[0]), bool(stack.converged[0]),
-                     stack.final_objective.item(0), stack.trace)
+    return _fit_stack(data, [replace(spec, beta=beta)], [alpha], config, theta)
 
 
 def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
@@ -817,16 +792,17 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
     checked before the first iteration, and a non-finite objective of any
     running cell raises :class:`NumericalError`.
 
-    One cell runs as :func:`fit` does, with its objectives per block.  The
-    objective only feeds the stall test, so with two or more cells an
-    iteration skips it when, for every running cell, the sufficient decrease
+    The cells run as the rows of one (C, d) stack, one cell included.  The
+    objective only feeds the stall test, so an iteration skips it when, for
+    every running cell, the sufficient decrease
     F(theta_k) <= F(theta_{k-1}) - D of the module docs (the loose bound
     D >= (1/alpha - beta*zeta - ||X||^2/8)*||Delta||^2 first, the tight D
     with ||X Delta|| when that fails) exceeds a floor covering ``eps_tol``
     and the rounding of the objectives and of the step.  On fig3's grid
-    that skips 90-98% of them.  Every other iteration, and the last,
-    computes the objective as always, so iterates, objectives, iteration
-    counts and stall flags keep their bits.
+    that skips 90-98% of them.  Every iteration but a capped last one is
+    checked; one the check does not prove, and the last, computes the
+    objective as always, so iterates, objectives, iteration counts and
+    stall flags keep their bits.
     """
     if not cells or len(alphas) != len(cells):
         raise ValueError(f"need one stepsize per cell and at least one cell, got "
@@ -840,49 +816,51 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
 
 def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
                theta: np.ndarray) -> FitResult:
-    """The iteration of C cells from the rows of ``theta``, cell c with
-    ``specs[c]`` (its beta included) and the stepsize ``steps[c]``, the
-    first one of a backtracking search.  ``config`` gives the stepsize rule
-    (backtracking takes one cell), ``eta``, ``accelerate``, ``eps_tol``,
-    ``max_iters`` and ``record_trace``.  A one-row stack computes its
-    objectives, and its trace if recorded, per :class:`_Block`.  Two or
-    more rows take the constant rule without momentum or trace, and skip
-    the objective where :class:`_Descent` proves that none can stall.  The
-    result holds one entry per cell in each field."""
+    """The iteration from ``theta``, cell c with ``specs[c]`` (its beta
+    included) and the stepsize ``steps[c]``, the first one of a
+    backtracking search.  ``config`` gives the stepsize rule, ``eta``,
+    ``accelerate``, ``eps_tol``, ``max_iters`` and ``record_trace``.
+
+    A 1-D ``theta`` is one fit, with ``specs[0]`` and ``steps[0]``, under
+    either rule: it computes its objectives, and its trace if recorded, per
+    :class:`_Block`, whose :class:`FitResult` it returns.  A (C, d)
+    ``theta`` is a stack of C >= 1 cells under the constant rule without
+    momentum or trace: it skips the objective where :class:`_Descent`
+    proves that no row can stall, and its result holds one entry per cell
+    in each field."""
     evaluate, gradient, loss_of = _kernels(data)
     weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
     backtrack = config.stepsize_rule == BACKTRACKING
-    if backtrack:
-        # _backtrack steps the one row as a 1-D point
-        theta = theta[0]
-
-    # the running cells: their indices, parameters and iterates, one per row
-    d = data.n_features
-    rows = np.arange(len(specs))
-    beta = np.array([s.beta for s in specs])
-    alpha, weight = _repeat_rows(steps, d), _repeat_rows(weights, d)
-    stacked = _StackedSpec.of(specs, d)
+    if theta.ndim == 1:
+        spec = specs[0]
+        beta, alpha, weight = spec.beta, steps[0], weights[0]
+    else:
+        # the running cells: their indices, parameters and iterates, one per row
+        d = data.n_features
+        rows = np.arange(len(specs))
+        beta = np.array([s.beta for s in specs])
+        alpha, weight = _repeat_rows(steps, d), _repeat_rows(weights, d)
+        spec = _StackedSpec.of(specs, d)
     # weight*zeta < 1/2 is checked, while 2*weight may overflow
-    denominator = 1.0 - 2.0 * (weight * stacked.zeta)
+    denominator = 1.0 - 2.0 * (weight * spec.zeta)
     X = data.features
     # an overflow gives an infinite objective, which raises below
     with np.errstate(over="ignore"):
         margins = _margins(X, theta)
     # the loss at the point the next backtracking step starts from
-    base_loss, obj = _objectives(loss_of, margins, theta, beta, stacked)
+    base_loss, obj = _objectives(loss_of, margins, theta, beta, spec)
     _require_finite(np.isfinite(obj).all())
     grad = gradient(margins)
     eps_tol, accelerate = config.eps_tol, config.accelerate
-    block = descent = None
-    if len(specs) == 1:
-        block = _Block(data, specs[0], config, loss_of, theta, grad, obj.item(0))
+    block = None
+    if theta.ndim == 1:
+        block = _Block(data, spec, config, loss_of, theta, grad, obj)
     else:
-        descent = _Descent(data, alpha[:, 0], beta, stacked.zeta[:, 0], denominator[:, 0],
+        descent = _Descent(data, alpha[:, 0], beta, spec.zeta[:, 0], denominator[:, 0],
                            eps_tol, theta, obj)
-
-    thetas, objectives = np.empty_like(theta), np.empty_like(obj)
-    iterations = np.full(len(specs), config.max_iters)
-    converged = np.zeros(len(specs), dtype=bool)
+        thetas, objectives = np.empty_like(theta), np.empty_like(obj)
+        iterations = np.full(len(specs), config.max_iters)
+        converged = np.zeros(len(specs), dtype=bool)
     # whether obj is still that of an earlier iterate than theta
     stale = False
     # the points the next step starts from; grad holds their gradients
@@ -891,7 +869,7 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
         if backtrack:
             try:
                 step, new, margins_new, base_loss = _backtrack(
-                    base, grad, base_loss, step, config.eta, specs[0].beta, specs[0], evaluate)
+                    base, grad, base_loss, step, config.eta, beta, spec, evaluate)
             except NumericalError:
                 # a step past a stall is dropped, and its failure with it
                 if block.count and block.evaluate():
@@ -900,7 +878,7 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
         else:
             grad *= alpha
             np.subtract(base, grad, out=grad)
-            new = _prox(grad, weight, stacked, denominator)
+            new = _prox(grad, weight, spec, denominator)
             # with momentum the block computes the iterate's margins
             margins_new = None if accelerate else _margins(X, new)
         if block is not None:
@@ -918,10 +896,10 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
         else:
             if stale:
                 # from theta's margins, the product on this same stack
-                obj = _objectives(loss_of, margins, theta, beta, stacked)[1]
+                obj = _objectives(loss_of, margins, theta, beta, spec)[1]
                 stale = False
             margins = margins_new
-            obj_new = _objectives(loss_of, margins, new, beta, stacked)[1]
+            obj_new = _objectives(loss_of, margins, new, beta, spec)[1]
             change = (obj_new - obj).tolist()
             theta, obj = new, obj_new
             grad = None
@@ -936,7 +914,7 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
                 run = ~stalled
                 rows, beta, alpha = rows[run], beta[run], alpha[run]
                 weight, denominator = weight[run], denominator[run]
-                stacked, theta, obj = stacked.take(run), theta[run], obj[run]
+                spec, theta, obj = spec.take(run), theta[run], obj[run]
                 margins = tuple(part[run] for part in margins)
                 descent.take(run)
                 if not rows.size:

@@ -395,6 +395,37 @@ def test_train_csv_with_only_a_label_column_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_train_at_a_beta_whose_double_overflows_checks_the_stepsize(tmp_path, capsys):
+    # at zeta = 0 the bound is 8/||X||^2 for every beta, 2*beta = inf included:
+    # alpha = 100 lies above it and is refused before any prox weight is formed
+    data = tmp_path / "d.csv"
+    data.write_text("label,f1,f2\n1,0.5,2\n0,1.5,-1\n1,-0.25,0.75\n0,2,1\n")
+    code = run("train", data, "--beta", 1e308, "--zeta", 0, "--alpha", 100,
+               "--out", tmp_path / "m.txt")
+    assert code == 1
+    assert "constant stepsize alpha = 100.0 is not admissible" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_num_features_below_one_is_a_usage_error(tmp_path, capsys):
+    # a setting, not the file: exit 1, naming num_features, for each command
+    sparse = tmp_path / "s.txt"
+    sparse.write_text("1 1:2.0 3:1.0\n0 2:1.5\n1 1:0.5\n0 3:-2.0\n")
+    model = tmp_path / "m.txt"
+    assert run("train", sparse, "--sparse-format", "--beta", 0.1, "--out", model,
+               "--quiet") == 0
+    outputs = [tmp_path / "refused.txt", tmp_path / "p.csv"]
+    for value in (0, -1):
+        for argv in (["train", sparse, "--beta", 0.1, "--out", outputs[0]],
+                     ["predict", model, sparse, "--out", outputs[1]],
+                     ["certify", model, sparse]):
+            assert run(*argv, "--sparse-format", "--num-features", value) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: num_features must be at least 1, got {value}\n"
+            assert captured.out == ""
+    assert not any(path.exists() for path in outputs)
+
+
 # --- dataset flags the chosen reader would not read -------------------------------
 
 

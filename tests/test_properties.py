@@ -5,7 +5,8 @@ loss kernel against ``np.logaddexp``, the prox against
 its closed form, the loaders' error positions, ``load_csv`` against its
 Python row loop, the CSV, sparse-format and model-file round trips, the
 certificate's verdicts against their widened-bound comparisons, and the
-CLI's exit codes on damaged input files and on hostile float flags.
+CLI's exit codes on damaged input files and on hostile float and
+integer flags.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -722,11 +723,17 @@ def test_damaged_files_exit_with_a_data_or_numerical_code(run):
                 _assert_finite_numbers(out.read_text())
 
 
-# --- the CLI's exit-code contract on float flags -------------------------------------
+# --- the CLI's exit-code contract on float and integer flags ---------------------------
 
 _FLOAT_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "", "x"]
-# each run's float flags, and the tiny run to draw them into: cv on
-# synthetic data and on a data file
+_INT_VALUES = ["0", "-1", "", "x", "2.5", "1e3"]
+# a 31-digit integer, drawn only for flags that size nothing before a check:
+# a seed sizes nothing, and --num-features meets the dense-entry limit first
+_HUGE_INT = "1" * 31
+_HUGE_INT_FLAGS = ("--seed", "--num-features")
+# each run's float and integer flags, and the tiny run to draw them into: cv
+# on synthetic data and on a data file, train on sparse input and from a
+# random start
 _FLOAT_FLAGS = {
     "train": ["--beta", "--zeta", "--alpha", "--eta", "--eps-tol"],
     "cv": ["--betas", "--zetas", "--alpha", "--eps-tol", "--noise-sigma"],
@@ -734,9 +741,22 @@ _FLOAT_FLAGS = {
                   "--betas", "--zetas"],
     "generate": ["--amp-low", "--amp-high", "--noise-sigma"],
 }
-_FLOAT_RUNS = {
-    "train": ["train", "{tmp}/d.csv", "--beta", "0.1", "--zeta", "0.1", "--center",
-              "--max-iters", "20", "--out", "{tmp}/m.txt", "--trace-out", "{tmp}/t.csv"],
+_SIZES = ["--d", "--n-train", "--k", "--n-test", "--latent-dim"]
+_INT_FLAGS = {
+    "train": ["--max-iters"],
+    "train --init small-random": ["--seed"],
+    "train --sparse-format": ["--num-features"],
+    "cv": [*_SIZES, "--repeats", "--seed", "--max-iters"],
+    "generate": [*_SIZES, "--seed"],
+    "reproduce fig3": ["--repeats", "--max-iters"],
+}
+_TRAIN_RUN = ["--beta", "0.1", "--zeta", "0.1", "--max-iters", "20", "--out", "{tmp}/m.txt",
+              "--trace-out", "{tmp}/t.csv"]
+_RUNS = {
+    "train": ["train", "{tmp}/d.csv", "--center", *_TRAIN_RUN],
+    "train --init small-random": ["train", "{tmp}/d.csv", "--init", "small-random",
+                                  *_TRAIN_RUN],
+    "train --sparse-format": ["train", "{tmp}/s.txt", "--sparse-format", *_TRAIN_RUN],
     "cv": ["cv", "--d", "5", "--n-train", "40", "--k", "2", "--n-test", "20", "--betas",
            "0.1", "--zetas", "0,0.1", "--repeats", "1", "--max-iters", "20", "--out",
            "{tmp}/o.csv"],
@@ -744,30 +764,35 @@ _FLOAT_RUNS = {
                   "--repeats", "1", "--max-iters", "20", "--out", "{tmp}/o.csv"],
     "generate": ["generate", "--d", "5", "--n-train", "40", "--k", "2", "--n-test", "20",
                  "--out-prefix", "{tmp}/g"],
+    "reproduce fig3": ["reproduce", "fig3", "--repeats", "1", "--max-iters", "5",
+                       "--out-dir", "{tmp}/r"],
 }
 
 
-@st.composite
-def float_flag_runs(draw):
-    """A run with one or two of its float flags set to a hostile value
+def _hostile_runs(flags_of, values_of):
+    """Runs with one or two of their flags set to a hostile value
     (``--flag=value``, so that argparse hands every value to its type)."""
-    run = draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
-    flags = draw(st.lists(st.sampled_from(_FLOAT_FLAGS[run]), min_size=1, max_size=2,
-                          unique=True))
-    argv = [f"{flag}={draw(st.sampled_from(_FLOAT_VALUES))}" for flag in flags]
-    if run == "train" and draw(st.booleans()):
-        argv.append("--backtracking")
-    return run, argv
+    @st.composite
+    def runs(draw):
+        run = draw(st.sampled_from(sorted(flags_of)))
+        flags = draw(st.lists(st.sampled_from(flags_of[run]), min_size=1, max_size=2,
+                              unique=True))
+        argv = [f"{flag}={draw(st.sampled_from(values_of(flag)))}" for flag in flags]
+        if run == "train" and draw(st.booleans()):
+            argv.append("--backtracking")
+        return run, argv
+    return runs()
 
 
-@PROPERTY
-@given(float_flag_runs())
-def test_hostile_float_flags_exit_with_a_contract_code(case):
-    run, flags = case
+def _assert_run_keeps_the_contract(run, flags):
+    """The run exits 0, 1, 2 or 3 with no warning and no traceback, and a
+    successful one writes only finite numbers."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "d.csv").write_text(_CSV)
-        argv = [arg.format(tmp=tmp) for arg in _FLOAT_RUNS[run]] + flags
+        inputs = {tmp / "d.csv": _CSV, tmp / "s.txt": _SPARSE}
+        for path, text in inputs.items():
+            path.write_text(text)
+        argv = [arg.format(tmp=tmp) for arg in _RUNS[run]] + flags
         stdout, stderr = io.StringIO(), io.StringIO()
         with (warnings.catch_warnings(record=True) as caught,
               contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
@@ -779,6 +804,19 @@ def test_hostile_float_flags_exit_with_a_contract_code(case):
         assert "RuntimeWarning" not in stderr.getvalue()
         if code == 0:
             _assert_finite_numbers(stdout.getvalue().replace(str(tmp), ""))
-            for path in tmp.iterdir():
-                if path.name != "d.csv":
+            for path in tmp.rglob("*"):
+                if path.is_file() and path not in inputs:
                     _assert_finite_numbers(path.read_text())
+
+
+@PROPERTY
+@given(_hostile_runs(_FLOAT_FLAGS, lambda flag: _FLOAT_VALUES))
+def test_hostile_float_flags_exit_with_a_contract_code(case):
+    _assert_run_keeps_the_contract(*case)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(_hostile_runs(_INT_FLAGS, lambda flag: _INT_VALUES + [_HUGE_INT] * (
+    flag in _HUGE_INT_FLAGS)))
+def test_hostile_integer_flags_exit_with_a_contract_code(case):
+    _assert_run_keeps_the_contract(*case)

@@ -85,6 +85,19 @@ def test_max_constant_stepsize_raises_when_the_feature_scale_overflows():
     assert max_constant_stepsize(0.1, spec, large) == 1.0 / (1e300 / 8.0 + 0.1 * 0.1)
 
 
+def test_max_constant_stepsize_at_a_beta_whose_double_overflows():
+    # 2*beta overflows at beta = 1e308 while beta*zeta does not: at zeta = 0
+    # the bound is the beta = 1 one, 8/||X||^2, and at zeta = 0.1 it is
+    # 1/(2*beta*zeta), finite and positive
+    rng = np.random.default_rng(21)
+    data = centered_instance(rng, 8, 3)
+    l1 = max_constant_stepsize(1e308, PenaltySpec(zeta=0.0), data)
+    assert l1 == max_constant_stepsize(1.0, PenaltySpec(zeta=0.0), data)
+    norm = solver.spectral_norm(data)
+    assert l1 == pytest.approx(8.0 / (norm * norm), rel=1e-15)
+    assert max_constant_stepsize(1e308, PenaltySpec(zeta=0.1), data) == 1.0 / (2.0 * (1e308 * 0.1))
+
+
 def test_max_constant_stepsize_keeps_prox_well_posed():
     rng = np.random.default_rng(20)
     for _ in range(50):
@@ -856,10 +869,10 @@ def _assert_is_the_oracle_row(result, expected):
 
 @pytest.mark.parametrize("cell", [(0.4, 0.3), (0.05, 0.0), (2.0, 1.0)])
 def test_fit_cells_single_cell_is_fit_bitwise(cell):
-    # fit's constant rule is a one-row stack: fit, with and without momentum
-    # and from zeros or a theta0, and a one-cell fit_cells must give the
-    # bits of the one-row oracle loop, whose products are those of fit's
-    # former 1-D loop
+    # fit steps a 1-D point and a one-cell fit_cells a (1, d) stack: fit,
+    # with and without momentum and from zeros or a theta0, and the one-cell
+    # stack must give the bits of the one-row oracle loop, whose (1, d)
+    # products have the bits of the 1-D products
     rng = np.random.default_rng(41)
     data = centered_instance(rng, 60, 7)
     theta0 = rng.standard_normal(7)
@@ -948,6 +961,20 @@ def test_fit_cells_at_a_prox_weight_whose_double_overflows():
     assert np.array_equal(huge.iterations, large.iterations)
 
 
+def test_fit_cells_at_a_beta_that_overflows_the_certificate_is_the_oracle_loop():
+    # from beta ~ 1e300 a coefficient of the decrease certificate is inf, and
+    # the zero start's ||theta||_1 = 0 makes its floor NaN: it proves
+    # nothing, and numpy does not warn (a warning fails this suite); 2*beta
+    # overflows at 1e308, where the stepsize bound 1/(2*beta*zeta) holds
+    rng = np.random.default_rng(46)
+    data = centered_instance(rng, 30, 4)
+    cells = [(1e300, 0.0), (1e300, 0.1), (1e308, 0.0), (1e308, 0.1)]
+    result = fit_cells(data, cells, [None] * 4, eps_tol=1e-9, max_iters=50)
+    expected = stacked_fit_oracle(data, cells, [None] * 4, eps_tol=1e-9, max_iters=50)
+    _assert_rows_are_the_oracle(result, expected)
+    assert not result.theta.any() and result.converged.all()
+
+
 def test_fit_cells_checks_every_cell_before_iterating():
     rng = np.random.default_rng(42)
     data = centered_instance(rng, 30, 4)
@@ -995,7 +1022,8 @@ def _record_evaluations(monkeypatch):
     """Patch the solver so that each iteration's use of the objective shows:
     ``calls["prox"]`` counts the iterations, ``calls["evaluated"]`` holds
     the count at each call of the kernels' loss (0 for the start), and
-    ``calls["rows"]`` the rows of the margins each call takes."""
+    ``calls["rows"]`` the points whose margins each call takes (one for the
+    1-D margins of a fit's start)."""
     calls = {"prox": 0, "evaluated": [], "rows": []}
     prox, kernels = solver._prox, solver._kernels
 
@@ -1008,7 +1036,7 @@ def _record_evaluations(monkeypatch):
 
         def recording(margins):
             calls["evaluated"].append(calls["prox"])
-            calls["rows"].append(len(margins[0]))
+            calls["rows"].append(len(np.atleast_2d(margins[0])))
             return loss_of(margins)
         return evaluate, gradient, recording
 
@@ -1072,7 +1100,7 @@ def test_skipping_the_objective_keeps_the_oracle_loop_bitwise(monkeypatch):
         check(lambda: solver._fit_stack(data, specs, alphas, config,
                                         np.repeat(theta0[None], len(cells), axis=0)),
               stacked_fit_oracle(data, cells, alphas, eps_tol, iters, theta0=theta0))
-        # fit's constant rule is a one-row stack that skips nothing
+        # fit's constant rule steps a 1-D point and skips nothing
         cell, alpha = cells[case % 4], alphas[case % 4]
         for start in (None, theta0):
             check(lambda: fit(data, cell[0], PenaltySpec(zeta=cell[1]),
@@ -1085,7 +1113,7 @@ def test_a_grid_skips_most_objectives_and_a_fit_none(monkeypatch):
     # fig3's grid on draw 1000 at its eps_tol and cap: at most a quarter of
     # the iterations evaluate the objective; a fit, traced or not, plain or
     # accelerated, evaluates it on every iteration, per block of iterates:
-    # a call on m rows of a one-row stack covers the m iterates up to the
+    # a call on m rows of a fit's block covers the m iterates up to the
     # current one
     calls = _record_evaluations(monkeypatch)
     cells = [(beta, zeta) for beta in 10.0 ** np.linspace(-2.8, 0.6, 7)
@@ -1104,6 +1132,35 @@ def test_a_grid_skips_most_objectives_and_a_fit_none(monkeypatch):
         covered = [k for last, m in zip(calls["evaluated"], calls["rows"])
                    for k in range(last - m + 1, last + 1)]
         assert covered == list(range(calls["prox"] + 1))
+
+
+def test_the_decrease_certificate_checks_every_iteration_but_a_capped_last(monkeypatch):
+    # a grid's stack of any height, one cell included, takes the certificate
+    # on every iteration, and on the last one only when a stall ends it: no
+    # iteration goes unchecked, whether or not the one before was proven
+    calls = _record_evaluations(monkeypatch)
+    proves, checked = solver._Descent.proves, []
+
+    def recording(descent, *args):
+        checked.append(calls["prox"])
+        return proves(descent, *args)
+
+    monkeypatch.setattr(solver._Descent, "proves", recording)
+    cells = [(beta, zeta) for beta in 10.0 ** np.linspace(-2.8, 0.6, 7)
+             for zeta in (0.0, 0.01, 0.1, 1.0)]
+    spec = SynthSpec(d=50, n_train=200, k=5, n_test=1000, amplitude="normal", seed=1000)
+    train = center(gen_noisy(spec)[0])
+    # cell 24 stalls after 142 iterations
+    for grid, max_iters in ((cells, 1000), (cells[24:25], 1000), (cells[24:25], 20)):
+        calls["prox"], checked[:] = 0, []
+        result = fit_cells(train, grid, [None] * len(grid), eps_tol=1e-9, max_iters=max_iters)
+        last = calls["prox"]
+        if not result.converged.all():
+            assert last == max_iters
+            last -= 1
+        assert checked == list(range(1, last + 1))
+        # the one cell stalls before the cap of 1000 and runs to the cap of 20
+        assert result.converged.all() == (len(grid) == 1 and max_iters == 1000)
 
 
 def _block_start(k, cap, max_iters):
@@ -1208,7 +1265,7 @@ def test_a_momentum_iterate_past_the_norm_bound_has_its_block_evaluated_there(
         calls[0] += 1
         out = prox(v, *args)
         if calls[0] == at:
-            out[:, poison["columns"]] = poison["value"]
+            out[..., poison["columns"]] = poison["value"]
         return out
 
     def recording(block):
@@ -1254,7 +1311,8 @@ def test_a_nan_in_one_rows_prox_output_raises_at_that_iteration(monkeypatch, at)
         calls[0] += 1
         out = prox(v, *args)
         if calls[0] == at:
-            out[-1, 1] = np.nan
+            # the last row of a stack, fit's 1-D point
+            np.atleast_2d(out)[-1, 1] = np.nan
         return out
 
     monkeypatch.setattr(solver, "_prox", poisoned)
@@ -1286,7 +1344,7 @@ def test_an_objective_that_only_the_penalty_makes_non_finite_raises_there(monkey
         calls[0] += 1
         out = prox(v, *args)
         if calls[0] == at:
-            out[:, [1, 3]] = 1.7e308
+            out[..., [1, 3]] = 1.7e308
         return out
 
     monkeypatch.setattr(solver, "_prox", poisoned)
