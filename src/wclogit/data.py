@@ -328,7 +328,9 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     give the same bits.
 
     ``label_column`` may be a header name or a 0-based index; None means
-    the column named "label" when a header exists, else column 0.
+    the column named "label" when a header exists, else column 0.  A
+    negative index is a setting no file can meet: ``ValueError`` before
+    the file is opened.
     ``header`` is "auto", "yes", or "no"; "auto" takes the first row as a
     header only when none of its non-blank cells parses as a number.  With
     ``labeled=False`` the file holds features only (data to predict on):
@@ -339,6 +341,9 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     """
     if not labeled and (label_column is not None or label_map is not None):
         raise ValueError("a file without labels takes no label column or label map")
+    if isinstance(label_column, (int, np.integer)) and label_column < 0:
+        # a setting, not the file's fault: no file has a negative column
+        raise ValueError(f"label column index must be at least 0, got {label_column}")
     parsed = _read_table(path, label_column, header, labeled) if label_map is None else None
     if parsed is None:
         parsed = _read_rows(path, label_column, label_map, header, labeled)
@@ -493,15 +498,10 @@ def save_csv(data: Dataset, path) -> None:
                ([y] + x.tolist() for y, x in zip(data.labels.tolist(), data.features)))
 
 
-def _csv_line(values) -> str:
-    """One CSV line of Python ints and floats, as the standard library's CSV
-    writer writes it: each value's ``repr``, no field quoted, ``\\r\\n`` at
-    the end."""
-    return ",".join(map(repr, values)) + "\r\n"
-
-
 def _write_csv(path, header, rows) -> None:
-    """Write the column names, then one :func:`_csv_line` per row of ``rows``."""
+    """Write the column names, then one line per row of ``rows``, whose values
+    are Python ints and floats, as the standard library's CSV writer writes
+    them: each value's ``repr``, no field quoted, ``\\r\\n`` at the end."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(_csv_line, rows))
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)

@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SynthSpec, _csv_line, _write_csv, apply_center, center, gen_noisy,
-                   gen_separable)
+from .data import SynthSpec, _write_csv, apply_center, center, gen_noisy, gen_separable
 from .model import predict_many
 from .penalty import PenaltySpec
 from .solver import SolverConfig, fit, fit_cells, max_constant_stepsize, write_trace_csv
@@ -246,8 +245,9 @@ def reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
                   zetas=(0.0, 0.001, 0.01, 0.1, 1.0, 10.0), repeats=repeats)
     path = out_dir / "table3.csv"
     grids = []
-    with open(path, "w", newline="") as fh:
-        fh.write("noise_level,l1_error,weakly_convex_error\r\n")
+
+    def rows():
+        """Each noise level's grid, printed, and its row of best errors."""
         for level, sigma in enumerate((0.01, 0.03, 0.05, 0.1, 0.3, 0.5)):
             base = dataclasses.replace(_ERROR_GRID_SPEC, noise_sigma=sigma)
             error_grid = run_cv_grid(grid, synthetic_pairs(base, 3000 + 100 * level),
@@ -255,10 +255,12 @@ def reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
             grids.append(error_grid)
             l1 = error_grid.best_row(l1=True)
             wc = error_grid.best_row(l1=False)
-            fh.write(_csv_line((sigma, l1.mean_test_error, wc.mean_test_error)))
             if not quiet:
                 print(f"noise {sigma:g}: l1 error {l1.mean_test_error:.4f}, "
                       f"weakly convex error {wc.mean_test_error:.4f}")
+            yield sigma, l1.mean_test_error, wc.mean_test_error
+
+    _write_csv(path, ["noise_level", "l1_error", "weakly_convex_error"], rows())
     if not quiet:
         print(f"table written to {path}")
         _notify_unconverged(grids, max_iters)

@@ -39,22 +39,28 @@ objectives (see "Objectives per block" below), and the step path makes
 two passes over X per iteration, both at the base point.  The constant
 rule's bound takes ||X|| from the per-dataset cache of ``spectral_norm``.
 
-One loop serves both jobs, and the shape of the starting point picks
-the job.  :func:`fit` steps one 1-D point, under either rule, with or
-without momentum and the trace, with its penalty's own parameters and a
-float stepsize, prox weight and denominator.  Under backtracking the
-step is the search above; the accepted candidate's loss, which the search
-computes anyway, is the iterate's loss and the next plain step's loss at
-its base point.  :func:`fit_cells` steps a stack of C >= 1 cells (beta,
-zeta, alpha) on one dataset, under the constant rule, plain and
+One loop serves both jobs, and it does not know which one it runs: the
+shape of the starting point picks the job object once, and the loop
+branches only on the stepsize rule and on momentum.  It reads the step's
+beta, stepsize, prox weight, prox denominator and penalty from the job,
+hands the job each new iterate, and stops when the job says it is done;
+the job builds the result.  :func:`fit`'s job, :class:`_Block`, steps
+one 1-D point, under either rule, with or without momentum and the trace,
+with its penalty's own parameters and a float stepsize, prox weight and
+denominator.  Under backtracking the step is the search above; the
+accepted candidate's loss, which the search computes anyway, is the
+iterate's loss and the next plain step's loss at its base point.
+:func:`fit_cells`' job, :class:`_Descent`, steps a stack of C >= 1 cells
+(beta, zeta, alpha) on one dataset, under the constant rule, plain and
 untraced: the iterates are the rows of a (C, d) matrix, so each
 iteration costs one product Theta @ X^T and one (sigmoid(Z) - y) @ X for
 all rows, and the penalty kernels take per-row weights and zetas.  A
 cell whose objective stalls leaves the stack with its iterate, objective
-and iteration count, and every per-row array loses its row; the others
-go on.  The operands of the two products are left as they are: the bits
-of a product's row depend on the stack height and the operand layout (a
-(1, d) stack has the 1-D product's), and so would the iteration counts.
+and iteration count, and every per-row array of the job loses its row in
+one method; the others go on.  The operands of the two products are left
+as they are: the bits of a product's row depend on the stack height and
+the operand layout (a (1, d) stack has the 1-D product's), and so would
+the iteration counts.
 
 Iterations stop once the objective change falls to ``eps_tol`` or
 ``max_iters`` is reached.  The iterates never depend on the objective: it
@@ -539,11 +545,42 @@ def _trace_rows(before, points, grads, objectives, stepsizes, beta: float,
     return list(map(TraceRow, objectives, step_norms, residuals, stepsizes))
 
 
-class _Block:
+class _Job:
+    """What the loop of :func:`_fit_stack` steps: one fit's :class:`_Block`
+    or a stack's :class:`_Descent`.
+
+    A job holds what its step reads: ``beta``, the stepsize ``alpha``, the
+    prox ``weight``, the prox ``denominator`` 1 - 2*weight*zeta and the
+    ``spec``, as floats and a :class:`PenaltySpec` for a fit and as per-row
+    arrays and a :class:`_StackedSpec` for a stack.  It holds too the
+    iterate ``theta`` that the next plain step starts from and its gradient
+    ``grad`` (None where momentum moves the base point), and the starting
+    point's ``loss`` and ``margins`` (a stack keeps its iterate's margins
+    current).  :meth:`add` takes each new iterate and says whether
+    the job is done; ``result`` gives its :class:`FitResult`.
+    """
+
+    def __init__(self, data: Dataset, kernels, config: SolverConfig, theta, beta, alpha,
+                 weight, spec):
+        self.beta, self.alpha, self.weight, self.spec = beta, alpha, weight, spec
+        # weight*zeta < 1/2 is checked, while 2*weight may overflow
+        self.denominator = 1.0 - 2.0 * (weight * spec.zeta)
+        _, self.gradient, self.loss_of = kernels
+        # an overflow gives an infinite objective, which raises below
+        with np.errstate(over="ignore"):
+            self.margins = _margins(data.features, theta)
+        self.loss, self.obj = _objectives(self.loss_of, self.margins, theta, beta, spec)
+        _require_finite(np.isfinite(self.obj).all())
+        self.theta, self.grad = theta, self.gradient(self.margins)
+        self.eps_tol, self.max_iters = config.eps_tol, config.max_iters
+
+
+class _Block(_Job):
     """The iterates of a fit whose objectives are still pending
     (see "Objectives per block" in the module docs).
 
-    Each iterate's point, margins pair (under backtracking, its loss),
+    The fit's one spec and first stepsize give the step's floats.  Each
+    iterate's point, margins pair (under backtracking, its loss),
     stepsize and, for a traced fit, gradient go into preallocated rows.
     With momentum no step needs the iterate's margins or gradient, so the
     block computes them itself when it evaluates, as batches of one-point
@@ -560,8 +597,10 @@ class _Block:
     ``obj`` its objective.
     """
 
-    def __init__(self, data: Dataset, spec: PenaltySpec, config: SolverConfig, loss_of,
-                 theta, grad, obj: float):
+    def __init__(self, data: Dataset, specs, steps, config: SolverConfig, kernels, theta):
+        spec, alpha = specs[0], steps[0]
+        super().__init__(data, kernels, config, theta, spec.beta, alpha,
+                         _check_weight(alpha * spec.beta, spec), spec)
         X = data.features
         n, d = X.shape
         self.cap = max(1, min(_OBJECTIVE_BLOCK, _OBJECTIVE_BLOCK_BYTES // (16 * n)))
@@ -581,36 +620,37 @@ class _Block:
         self.keeps_margins = (not backtrack and not self.momentum
                               or backtrack and self.momentum and config.record_trace)
         self.X, self.labels = X, _RepeatedRows(data.labels.astype(float))
-        self.spec, self.loss_of = spec, loss_of
-        self.eps_tol, self.max_iters = config.eps_tol, config.max_iters
         # ||theta||^2 below this keeps the objective below 1e300 (see the
         # module docs); ||theta|| < 1e154 keeps its square finite.  ||X||_F
         # overflows to inf only when every limit would be 0 anyway.
         frobenius = math.sqrt(np.vdot(X, X))
         root = min(1e300 / (math.sqrt(n) * frobenius + spec.beta * math.sqrt(d)), 1e154)
         self.limit = root * root
-        self.obj, self.iterations, self.converged = obj, config.max_iters, False
+        self.iterations, self.converged = config.max_iters, False
         # the first iteration of the block, its stored iterates and its length
         self.first, self.count, self.size = 1, 0, 1
         self.trace = []
         if self.grads is not None:
             # the starting point's step is theta - theta = 0 and its stepsize 0
-            self.trace = _trace_rows(self.points[:1], self.points[:1], grad[None], [obj], [0.0],
-                                     spec.beta, spec)
+            self.trace = _trace_rows(self.points[:1], self.points[:1], self.grad[None],
+                                     [self.obj], [0.0], spec.beta, spec)
 
-    def add(self, theta, margins, loss, grad, stepsize: float) -> bool:
+    def add(self, theta, margins, loss, stepsize: float) -> bool:
         """Store the next iterate with its stepsize and what the block does
-        not compute itself: its margins pair, its loss under backtracking and
-        its gradient when traced without momentum (None with it); whether an
-        evaluated block ended the fit."""
+        not compute itself, its margins pair and, under backtracking, its
+        loss; without momentum, take its gradient from the margins for the
+        next step (and the trace).  Whether an evaluated block ended the
+        fit."""
+        # with momentum the next step starts from the extrapolated point
+        self.theta, self.grad = theta, None if self.momentum else self.gradient(margins)
         j = self.count
         self.points[j + 1] = theta
         if self.keeps_margins:
             self.z[j], self.e[j] = margins
         if self.losses is not None:
             self.losses[j] = loss
-        if grad is not None and self.grads is not None:
-            self.grads[j] = grad
+        if self.grad is not None and self.grads is not None:
+            self.grads[j] = self.grad
         self.stepsizes[j] = stepsize
         self.count = j + 1
         # unlike dot, vdot does not warn when the square overflows to inf
@@ -669,12 +709,16 @@ class _Block:
                          self.trace)
 
 
-class _Descent:
-    """The sufficient-decrease certificate of a plain constant-step stack
+class _Descent(_Job):
+    """A plain constant-step stack and its sufficient-decrease certificate
     (see "Skipping the objective" in the module docs).
 
-    Per running row it holds lower bounds of D's two coefficients, the
-    coefficients of the floor, and ||theta||_1 of the last iterate.  With
+    Per running row it holds the cell's index, its step parameters, its
+    iterate with its margins and last computed objective, and whether that
+    objective is stale (of an earlier iterate); per cell, the result's
+    entries, filled as the cell stalls.  For the certificate it holds per
+    running row lower bounds of D's two coefficients, the coefficients of
+    the floor, and ||theta||_1 of the last iterate.  With
     n the sum of ||theta||_1 over the step's two iterates, s the step's
     norm and F_r the row's last computed objective, the floor is
 
@@ -686,53 +730,63 @@ class _Descent:
     loses h_r*s^2 and the floor becomes a quadratic in n alone.
     """
 
-    # a stepsize or a weight at the edge of the float range may take a
-    # coefficient to inf or NaN: its row's floor is then inf or NaN, or its
-    # D NaN, which fails every comparison in proves
-    @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, data: Dataset, alpha, beta, zeta, denominator, eps_tol: float,
-                 theta, obj):
+    def __init__(self, data: Dataset, specs, steps, config: SolverConfig, kernels, theta):
         X = data.features
         n, d = X.shape
-        eps = _EPS
-        norm = spectral_norm(data)
-        col = float(np.abs(X).sum(axis=0).max())
-        grad_bound = norm * math.sqrt(n) + math.sqrt(d) * (n + 2) * eps * col
-        inv_alpha = 1.0 / alpha
-        kappa = 4.0 + 6.0 / denominator
-        # D's coefficients rounded down, also for the rounding of ||Delta||^2
-        shrink = 1.0 - (d + 6) * eps
-        tight = (inv_alpha - beta * zeta - 10.0 * eps * inv_alpha) * shrink
-        loose = tight - norm * norm * (1.0 + _NORM_SLACK) / 8.0 * shrink
-        # a loose coefficient <= 0 certifies nothing; tight is > 0 for every
-        # admissible stepsize
-        share = np.maximum(loose / 16.0, tight / 1024.0)
-        self.tight, self.loose = tight - share, loose - share
-        self.margin = (d + 2) * eps * col
-        e1 = self.margin + kappa * eps * (beta + grad_bound) * (1.0 + 3.0 * eps)
-        e2 = 2.0 * kappa * (kappa + 2.0) * eps * eps * inv_alpha
-        e3 = (math.sqrt(d) * (n + 2) * eps * col + 11.0 * eps * math.sqrt(n) * norm
-              + 3.0 * eps * grad_bound + eps * math.sqrt(d) * beta)
-        e4 = self.margin * norm / 4.0 + (3.0 + 2.0 * kappa) * eps * inv_alpha
-        # (e3 + e4*n)^2 / (4*share), expanded in n
-        self.tol = eps_tol * (1.0 + 4.0 * eps) + e3 * e3 / (4.0 * share)
-        self.e1 = e1 + e3 * e4 / (2.0 * share)
-        self.e2 = e2 + e4 * e4 / (4.0 * share)
-        self.sums = 2.0 * (n + d + 16) * eps
-        self.norm_root = 1.0 + (n + 4) * eps
-        self.ones = np.ones(d)
-        # ||theta||_1 of the last iterate
-        self.norm1 = np.vecdot(np.abs(theta), self.ones)
-        self.rebase(obj)
+        weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
+        super().__init__(data, kernels, config, theta, np.array([s.beta for s in specs]),
+                         _repeat_rows(steps, d), _repeat_rows(weights, d),
+                         _StackedSpec.of(specs, d))
+        self.rows, self.iteration, self.stale = np.arange(len(specs)), 0, False
+        self.thetas, self.objectives = np.empty_like(theta), np.empty_like(self.obj)
+        self.iterations = np.full(len(specs), config.max_iters)
+        self.converged = np.zeros(len(specs), dtype=bool)
+        # a stepsize or a weight at the edge of the float range may take a
+        # coefficient to inf or NaN: its row's floor is then inf or NaN, or
+        # its D NaN, which fails every comparison in proves
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps, beta = _EPS, self.beta
+            norm = spectral_norm(data)
+            col = float(np.abs(X).sum(axis=0).max())
+            grad_bound = norm * math.sqrt(n) + math.sqrt(d) * (n + 2) * eps * col
+            inv_alpha = 1.0 / self.alpha[:, 0]
+            kappa = 4.0 + 6.0 / self.denominator[:, 0]
+            # D's coefficients rounded down, also for the rounding of ||Delta||^2
+            shrink = 1.0 - (d + 6) * eps
+            tight = (inv_alpha - beta * self.spec.zeta[:, 0] - 10.0 * eps * inv_alpha) * shrink
+            loose = tight - norm * norm * (1.0 + _NORM_SLACK) / 8.0 * shrink
+            # a loose coefficient <= 0 certifies nothing; tight is > 0 for every
+            # admissible stepsize
+            share = np.maximum(loose / 16.0, tight / 1024.0)
+            self.tight, self.loose = tight - share, loose - share
+            self.margin = (d + 2) * eps * col
+            e1 = self.margin + kappa * eps * (beta + grad_bound) * (1.0 + 3.0 * eps)
+            e2 = 2.0 * kappa * (kappa + 2.0) * eps * eps * inv_alpha
+            e3 = (math.sqrt(d) * (n + 2) * eps * col + 11.0 * eps * math.sqrt(n) * norm
+                  + 3.0 * eps * grad_bound + eps * math.sqrt(d) * beta)
+            e4 = self.margin * norm / 4.0 + (3.0 + 2.0 * kappa) * eps * inv_alpha
+            # (e3 + e4*n)^2 / (4*share), expanded in n
+            self.tol = self.eps_tol * (1.0 + 4.0 * eps) + e3 * e3 / (4.0 * share)
+            self.e1 = e1 + e3 * e4 / (2.0 * share)
+            self.e2 = e2 + e4 * e4 / (4.0 * share)
+            self.sums = 2.0 * (n + d + 16) * eps
+            self.norm_root = 1.0 + (n + 4) * eps
+            self.ones = np.ones(d)
+            # ||theta||_1 of the last iterate
+            self.norm1 = np.vecdot(np.abs(theta), self.ones)
+            self.rebase()
 
-    def rebase(self, obj) -> None:
-        """Take ``obj`` as the rows' last computed objectives."""
-        self.base = self.tol + self.sums * (1.0 + obj)
+    def rebase(self) -> None:
+        """Base the floor on ``obj``, the rows' last computed objectives."""
+        self.base = self.tol + self.sums * (1.0 + self.obj)
 
     def take(self, rows) -> None:
-        """Keep the rows at ``rows`` (a mask) only; :meth:`rebase` follows."""
-        for name in ("tight", "loose", "tol", "e1", "e2", "norm1"):
+        """Keep the rows at ``rows`` (a mask) only, in every per-row array."""
+        for name in ("rows", "beta", "alpha", "weight", "denominator", "theta", "obj",
+                     "tight", "loose", "tol", "e1", "e2", "norm1"):
             setattr(self, name, getattr(self, name)[rows])
+        self.spec = self.spec.take(rows)
+        self.margins = tuple(part[rows] for part in self.margins)
 
     # an infinite coefficient times a zero ||theta||_1 is NaN, and a huge
     # beta or 1/alpha may overflow a term: NaN and inf fail every comparison
@@ -756,6 +810,43 @@ class _Descent:
         image *= image
         return np.count_nonzero(
             floor < self.tight * sq - image * (1.0 + 4.0 * _EPS) / 8.0) == len(sq)
+
+    def add(self, new, margins, loss, stepsize) -> bool:
+        """Take the step to ``new``, whose margins are ``margins``: the
+        certificate or the objectives' stall tests; whether every cell has
+        stalled.  A stalled cell leaves with its iterate, objective and
+        iteration count.  ``loss`` and ``stepsize`` are a fit's: a stack
+        under the constant rule reads neither."""
+        self.iteration = k = self.iteration + 1
+        if k < self.max_iters and self.proves(self.theta, new, self.margins[0], margins[0]):
+            self.theta, self.margins, self.stale = new, margins, True
+            self.grad = self.gradient(margins)
+            return False
+        if self.stale:
+            # from theta's margins, the product on this same stack
+            self.obj = _objectives(self.loss_of, self.margins, self.theta, self.beta,
+                                   self.spec)[1]
+        obj = _objectives(self.loss_of, margins, new, self.beta, self.spec)[1]
+        change = (obj - self.obj).tolist()
+        self.theta, self.margins, self.obj, self.stale = new, margins, obj, False
+        # objectives are >= 0 and were finite, so a change is finite exactly
+        # when the new objective is (NaN fails both comparisons)
+        if not all(self.eps_tol < abs(c) < math.inf for c in change):
+            _require_finite(np.isfinite(obj).all())
+            stalled = np.abs(change) <= self.eps_tol
+            done = self.rows[stalled]
+            self.thetas[done], self.objectives[done] = new[stalled], obj[stalled]
+            self.iterations[done], self.converged[done] = k, True
+            self.take(~stalled)
+            if not self.rows.size:
+                return True
+        self.rebase()
+        self.grad = self.gradient(self.margins)
+        return False
+
+    def result(self) -> FitResult:
+        self.thetas[self.rows], self.objectives[self.rows] = self.theta, self.obj
+        return FitResult(self.thetas, self.iterations, self.converged, self.objectives)
 
 
 def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
@@ -821,119 +912,53 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
     backtracking search.  ``config`` gives the stepsize rule, ``eta``,
     ``accelerate``, ``eps_tol``, ``max_iters`` and ``record_trace``.
 
-    A 1-D ``theta`` is one fit, with ``specs[0]`` and ``steps[0]``, under
-    either rule: it computes its objectives, and its trace if recorded, per
-    :class:`_Block`, whose :class:`FitResult` it returns.  A (C, d)
-    ``theta`` is a stack of C >= 1 cells under the constant rule without
-    momentum or trace: it skips the objective where :class:`_Descent`
-    proves that no row can stall, and its result holds one entry per cell
-    in each field."""
-    evaluate, gradient, loss_of = _kernels(data)
-    weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
+    The shape of ``theta`` picks the job, once.  A 1-D ``theta`` is one
+    fit, with ``specs[0]`` and ``steps[0]``, under either rule: a
+    :class:`_Block`, which computes its objectives, and its trace if
+    recorded, per block of iterates.  A (C, d) ``theta`` is a stack of
+    C >= 1 cells under the constant rule without momentum or trace: a
+    :class:`_Descent`, which skips the objective where it proves that no
+    row can stall, and whose result holds one entry per cell in each
+    field.  The loop reads the step's parameters from the job, hands it
+    each new iterate and stops when the job says it is done; it branches
+    only on the stepsize rule and on momentum."""
+    kernels = evaluate, gradient, loss_of = _kernels(data)
+    job = (_Block if theta.ndim == 1 else _Descent)(data, specs, steps, config, kernels, theta)
+    X, accelerate = data.features, config.accelerate
     backtrack = config.stepsize_rule == BACKTRACKING
-    if theta.ndim == 1:
-        spec = specs[0]
-        beta, alpha, weight = spec.beta, steps[0], weights[0]
-    else:
-        # the running cells: their indices, parameters and iterates, one per row
-        d = data.n_features
-        rows = np.arange(len(specs))
-        beta = np.array([s.beta for s in specs])
-        alpha, weight = _repeat_rows(steps, d), _repeat_rows(weights, d)
-        spec = _StackedSpec.of(specs, d)
-    # weight*zeta < 1/2 is checked, while 2*weight may overflow
-    denominator = 1.0 - 2.0 * (weight * spec.zeta)
-    X = data.features
-    # an overflow gives an infinite objective, which raises below
-    with np.errstate(over="ignore"):
-        margins = _margins(X, theta)
-    # the loss at the point the next backtracking step starts from
-    base_loss, obj = _objectives(loss_of, margins, theta, beta, spec)
-    _require_finite(np.isfinite(obj).all())
-    grad = gradient(margins)
-    eps_tol, accelerate = config.eps_tol, config.accelerate
-    block = None
-    if theta.ndim == 1:
-        block = _Block(data, spec, config, loss_of, theta, grad, obj)
-    else:
-        descent = _Descent(data, alpha[:, 0], beta, spec.zeta[:, 0], denominator[:, 0],
-                           eps_tol, theta, obj)
-        thetas, objectives = np.empty_like(theta), np.empty_like(obj)
-        iterations = np.full(len(specs), config.max_iters)
-        converged = np.zeros(len(specs), dtype=bool)
-    # whether obj is still that of an earlier iterate than theta
-    stale = False
-    # the points the next step starts from; grad holds their gradients
-    base, step, t = theta, steps[0], 1.0
-    for k in range(1, config.max_iters + 1):
+    # the points the next step starts from, their gradients and (backtracking)
+    # their loss
+    base, grad, base_loss, step, t = theta, job.grad, job.loss, steps[0], 1.0
+    for _ in range(config.max_iters):
         if backtrack:
             try:
-                step, new, margins_new, base_loss = _backtrack(
-                    base, grad, base_loss, step, config.eta, beta, spec, evaluate)
+                step, new, margins, base_loss = _backtrack(
+                    base, grad, base_loss, step, config.eta, job.beta, job.spec, evaluate)
             except NumericalError:
-                # a step past a stall is dropped, and its failure with it
-                if block.count and block.evaluate():
+                # only a fit backtracks: a step past a stall is dropped, and
+                # its failure with it
+                if job.count and job.evaluate():
                     break
                 raise
         else:
-            grad *= alpha
+            grad *= job.alpha
             np.subtract(base, grad, out=grad)
-            new = _prox(grad, weight, spec, denominator)
+            new = _prox(grad, job.weight, job.spec, job.denominator)
             # with momentum the block computes the iterate's margins
-            margins_new = None if accelerate else _margins(X, new)
-        if block is not None:
-            # one row: the objective waits for the iterate's block
-            prev, theta, margins = theta, new, margins_new
-            grad = None if accelerate else gradient(margins)
-            # base_loss is the iterate's loss under backtracking
-            if block.add(theta, margins, base_loss, grad, step):
-                break
-        elif k < config.max_iters and descent.proves(theta, new, margins[0], margins_new[0]):
-            base = theta = new
-            margins, stale = margins_new, True
-            grad = gradient(margins)
-            continue
-        else:
-            if stale:
-                # from theta's margins, the product on this same stack
-                obj = _objectives(loss_of, margins, theta, beta, spec)[1]
-                stale = False
-            margins = margins_new
-            obj_new = _objectives(loss_of, margins, new, beta, spec)[1]
-            change = (obj_new - obj).tolist()
-            theta, obj = new, obj_new
-            grad = None
-            # objectives are >= 0 and were finite, so a change is finite exactly
-            # when the new objective is (NaN fails both comparisons)
-            if not all(eps_tol < abs(c) < math.inf for c in change):
-                _require_finite(np.isfinite(obj).all())
-                stalled = np.abs(change) <= eps_tol
-                done = rows[stalled]
-                thetas[done], objectives[done] = theta[stalled], obj[stalled]
-                iterations[done], converged[done] = k, True
-                run = ~stalled
-                rows, beta, alpha = rows[run], beta[run], alpha[run]
-                weight, denominator = weight[run], denominator[run]
-                spec, theta, obj = spec.take(run), theta[run], obj[run]
-                margins = tuple(part[run] for part in margins)
-                descent.take(run)
-                if not rows.size:
-                    break
-            descent.rebase(obj)
+            margins = None if accelerate else _margins(X, new)
+        prev = job.theta
+        # base_loss is the iterate's loss under backtracking
+        if job.add(new, margins, base_loss, step):
+            break
         if accelerate:
-            base, t = _extrapolate(theta, prev, t)
+            base, t = _extrapolate(new, prev, t)
             margins_base = _margins(X, base)
             grad = gradient(margins_base)
             if backtrack:
                 base_loss = loss_of(margins_base)
         else:
-            base = theta
-            if grad is None:
-                grad = gradient(margins)
-    if block is not None:
-        return block.result()
-    thetas[rows], objectives[rows] = theta, obj
-    return FitResult(thetas, iterations, converged, objectives)
+            base, grad = job.theta, job.grad
+    return job.result()
 
 
 def _objectives(loss_of, margins, points, beta, spec):

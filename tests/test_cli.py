@@ -426,6 +426,23 @@ def test_num_features_below_one_is_a_usage_error(tmp_path, capsys):
     assert not any(path.exists() for path in outputs)
 
 
+def test_negative_label_column_is_a_usage_error(synth, tmp_path, capsys):
+    # no file has a negative column: a setting, so exit 1 before the file is
+    # read, naming the index, for every command that reads a labelled file
+    model = trained_model(synth, tmp_path)
+    outputs = [tmp_path / name for name in ("refused.txt", "p.csv", "g.csv")]
+    for argv in (["train", synth["train"], "--beta", 0.3, "--out", outputs[0]],
+                 ["predict", model, synth["test"], "--out", outputs[1]],
+                 ["certify", model, synth["train"]],
+                 ["cv", "--data", synth["train"], "--repeats", 1, "--max-iters", 5,
+                  "--out", outputs[2]]):
+        assert run(*argv, "--label-col", -1) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: label column index must be at least 0, got -1\n"
+        assert captured.out == ""
+    assert not any(path.exists() for path in outputs)
+
+
 # --- dataset flags the chosen reader would not read -------------------------------
 
 

@@ -195,6 +195,15 @@ def test_load_csv_label_column_by_name_and_index(tmp_path):
     assert np.array_equal(by_name.features, np.array([[0.5, -2.0], [3.0, 4.0]]))
 
 
+@pytest.mark.parametrize("index", [-1, np.int64(-3)])
+def test_load_csv_negative_label_column_is_refused_before_the_file(tmp_path, index):
+    # a setting no file can meet: a plain ValueError, not a DataError, even
+    # for a file that does not exist
+    with pytest.raises(ValueError, match=f"at least 0, got {index}") as raised:
+        load_csv(tmp_path / "absent.csv", label_column=index)
+    assert not isinstance(raised.value, DataError)
+
+
 def test_load_csv_header_modes(tmp_path):
     p = write(tmp_path / "d.csv", "1,2,3\n0,5,6\n")
     auto = load_csv(p)  # all-numeric first row is data

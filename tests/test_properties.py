@@ -733,7 +733,7 @@ _HUGE_INT = "1" * 31
 _HUGE_INT_FLAGS = ("--seed", "--num-features")
 # each run's float and integer flags, and the tiny run to draw them into: cv
 # on synthetic data and on a data file, train on sparse input and from a
-# random start
+# random start, and predict and certify with a model trained on ``_CSV``
 _FLOAT_FLAGS = {
     "train": ["--beta", "--zeta", "--alpha", "--eta", "--eps-tol"],
     "cv": ["--betas", "--zetas", "--alpha", "--eps-tol", "--noise-sigma"],
@@ -747,8 +747,13 @@ _INT_FLAGS = {
     "train --init small-random": ["--seed"],
     "train --sparse-format": ["--num-features"],
     "cv": [*_SIZES, "--repeats", "--seed", "--max-iters"],
+    "cv --data": ["--repeats", "--seed", "--max-iters", "--label-col"],
     "generate": [*_SIZES, "--seed"],
     "reproduce fig3": ["--repeats", "--max-iters"],
+    "predict": ["--label-col"],
+    "certify": ["--label-col"],
+    "predict --sparse-format": ["--num-features"],
+    "certify --sparse-format": ["--num-features"],
 }
 _TRAIN_RUN = ["--beta", "0.1", "--zeta", "0.1", "--max-iters", "20", "--out", "{tmp}/m.txt",
               "--trace-out", "{tmp}/t.csv"]
@@ -766,6 +771,12 @@ _RUNS = {
                  "--out-prefix", "{tmp}/g"],
     "reproduce fig3": ["reproduce", "fig3", "--repeats", "1", "--max-iters", "5",
                        "--out-dir", "{tmp}/r"],
+    "predict": ["predict", "{tmp}/model.txt", "{tmp}/d.csv", "--out", "{tmp}/o.csv"],
+    "certify": ["certify", "{tmp}/model.txt", "{tmp}/d.csv"],
+    "predict --sparse-format": ["predict", "{tmp}/model.txt", "{tmp}/s.txt", "--sparse-format",
+                                "--out", "{tmp}/o.csv"],
+    "certify --sparse-format": ["certify", "{tmp}/model.txt", "{tmp}/s.txt",
+                                "--sparse-format"],
 }
 
 
@@ -789,7 +800,8 @@ def _assert_run_keeps_the_contract(run, flags):
     successful one writes only finite numbers."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inputs = {tmp / "d.csv": _CSV, tmp / "s.txt": _SPARSE}
+        inputs = {tmp / "d.csv": _CSV, tmp / "s.txt": _SPARSE,
+                  tmp / "model.txt": _valid_model_text()}
         for path, text in inputs.items():
             path.write_text(text)
         argv = [arg.format(tmp=tmp) for arg in _RUNS[run]] + flags
