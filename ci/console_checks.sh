@@ -1,10 +1,59 @@
-# fig2 (momentum, traced) twice: every file byte-identical
-wclogit reproduce fig2 --max-iters 50 --out-dir run1 > run1.out
-wclogit reproduce fig2 --max-iters 50 --out-dir run2 > run2.out
-sed 's/run1/run2/' run1.out | cmp - run2.out
-test "$(ls run1)" = "$(ls run2)"
-test -n "$(ls run1)"
-for f in run1/*; do cmp "$f" "run2/${f#run1/}"; done
+# Checks of the wclogit console script: each run's outputs are byte-identical
+# when it runs again, and bad input exits with its contract code (1 usage,
+# 2 data or file, 3 numerical). It writes its files into the working
+# directory, so start it in an empty one; its argument is the README whose
+# library example it runs:
+#
+#   bash -e ci/console_checks.sh README.md
+#
+# CI checks the wclogit that pip installed. From a checkout, put ci/bin (a
+# stand-in that runs python3 -m wclogit.cli) on PATH and src/ on PYTHONPATH.
+#
+# Call the three helpers below only as plain commands: bash ignores -e inside
+# a function called from if, while, && or ||, so a failed check there would
+# pass unseen.
+set -e
+
+# exits N CMD...: CMD exits with code N
+exits() {
+  want=$1
+  shift
+  code=0
+  "$@" || code=$?
+  test "$code" -eq "$want"
+}
+
+# twice NAME PRESET...: reproduce PRESET into NAME1/ and NAME2/; stdout with
+# the directory names aside, stderr, the file list and every file agree
+twice() {
+  name=$1
+  shift
+  wclogit reproduce "$@" --out-dir "${name}1" > "${name}1.out" 2> "${name}1.err"
+  wclogit reproduce "$@" --out-dir "${name}2" > "${name}2.out" 2> "${name}2.err"
+  sed "s/${name}1/${name}2/" "${name}1.out" | cmp - "${name}2.out"
+  cmp "${name}1.err" "${name}2.err"
+  test "$(ls "${name}1")" = "$(ls "${name}2")"
+  test -n "$(ls "${name}1")"
+  for f in "${name}1"/*; do cmp "$f" "${name}2/${f#${name}1/}"; done
+}
+
+# traced PREFIX FLAGS...: train on stall_train.csv with FLAGS, with and
+# without its trace; both stall (converged: true), the two model files are
+# one, and the trace holds the header, the start and one row per iteration
+traced() {
+  prefix=$1
+  shift
+  wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center "$@" --out "${prefix}traced.txt" --trace-out "${prefix}trace.csv" > "${prefix}traced.out"
+  wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center "$@" --out "${prefix}plain.txt" > "${prefix}plain.out"
+  grep -qx 'converged: true' "${prefix}traced.out"
+  grep -qx 'converged: true' "${prefix}plain.out"
+  cmp "${prefix}traced.txt" "${prefix}plain.txt"
+  iterations=$(sed -n 's/^iterations: //p' "${prefix}traced.out")
+  test "$(wc -l < "${prefix}trace.csv")" -eq $((iterations + 2))
+}
+
+# fig2 (momentum, traced) twice
+twice run fig2 --max-iters 50
 # the README's library example against the installed package
 awk '/^```python$/ {on = 1; next} /^```$/ {on = 0} on' "$1" > example.py
 test -s example.py
@@ -17,66 +66,26 @@ printf 'label,f1,f2\n1,0,0\n0,0,0\n' > zeros.csv
 wclogit train zeros.csv --beta 0.1 --out zeros_model.txt
 # a non-finite feature cell is a data error: exit 2
 printf 'label,f1,f2\n1,0.5,2\n0,nan,3\n' > bad.csv
-code=0
-wclogit train bad.csv --beta 0.1 --out model.txt || code=$?
-test "$code" -eq 2
-# fig3 (the grid search of the experiments module) twice: every
-# file byte-identical, so the module ships in the install
-wclogit reproduce fig3 --repeats 1 --max-iters 100 --out-dir grid1 > grid1.out 2> grid1.err
-wclogit reproduce fig3 --repeats 1 --max-iters 100 --out-dir grid2 > grid2.out 2> grid2.err
-sed 's/grid1/grid2/' grid1.out | cmp - grid2.out
-cmp grid1.err grid2.err
-test "$(ls grid1)" = "$(ls grid2)"
-test -n "$(ls grid1)"
-for f in grid1/*; do cmp "$f" "grid2/${f#grid1/}"; done
-# table3 (zeta up to 10, its grids skip most objectives) and fig1:
-# twice each, every file byte-identical
-for preset in "table3 --repeats 1" "fig1"; do
-  name="${preset%% *}"
-  wclogit reproduce $preset --max-iters 100 --out-dir "${name}1" > "${name}1.out" 2> "${name}1.err"
-  wclogit reproduce $preset --max-iters 100 --out-dir "${name}2" > "${name}2.out" 2> "${name}2.err"
-  sed "s/${name}1/${name}2/" "${name}1.out" | cmp - "${name}2.out"
-  cmp "${name}1.err" "${name}2.err"
-  test "$(ls "${name}1")" = "$(ls "${name}2")"
-  test -n "$(ls "${name}1")"
-  for f in "${name}1"/*; do cmp "$f" "${name}2/${f#${name}1/}"; done
-done
+exits 2 wclogit train bad.csv --beta 0.1 --out model.txt
+# fig3 (the grid search of the experiments module) twice, so the module
+# ships in the install
+twice grid fig3 --repeats 1 --max-iters 100
+# table3 (zeta up to 10, its grids skip most objectives) and fig1 twice each
+twice table3 table3 --repeats 1 --max-iters 100
+twice fig1 fig1 --max-iters 100
 # a column sum beyond the float range under --center: exit 3
 printf 'label,f1\n1,1.7e308\n0,1.7e308\n' > ovf.csv
-code=0
-wclogit train ovf.csv --beta 0.1 --center --out model.txt || code=$?
-test "$code" -eq 3
-# a constant-rule train that stalls (after 14 iterations here), with
-# and without its trace: one model file, and the trace holds the
-# header, the start and one row per iteration
+exits 3 wclogit train ovf.csv --beta 0.1 --center --out model.txt
+# a train that stalls, with and without its trace, here after 14 iterations
+# under the constant rule, 35 with momentum, and 33 and 37 under
+# backtracking; with momentum the iterates' margins and trace gradients are
+# computed per block. The constant rule's plain.txt is the model that the
+# checks below read.
 wclogit generate --d 10 --n-train 300 --k 3 --noise-sigma 1.0 --amplitude normal --seed 2 --out-prefix stall
-wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center --out traced.txt --trace-out trace.csv > traced.out
-wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center --out plain.txt > plain.out
-grep -qx 'converged: true' traced.out
-grep -qx 'converged: true' plain.out
-cmp traced.txt plain.txt
-iterations=$(sed -n 's/^iterations: //p' traced.out)
-test "$(wc -l < trace.csv)" -eq $((iterations + 2))
-# the same with momentum (it stalls after 35 iterations here), where
-# the iterates' margins and trace gradients are computed per block
-wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center --accelerate --out acc_traced.txt --trace-out acc_trace.csv > acc_traced.out
-wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center --accelerate --out acc_plain.txt > acc_plain.out
-grep -qx 'converged: true' acc_traced.out
-grep -qx 'converged: true' acc_plain.out
-cmp acc_traced.txt acc_plain.txt
-iterations=$(sed -n 's/^iterations: //p' acc_traced.out)
-test "$(wc -l < acc_trace.csv)" -eq $((iterations + 2))
-# the same under backtracking, plain and with momentum (they stall
-# after 33 and 37 iterations here): the same checks
-for flags in "" "--accelerate"; do
-  wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center --backtracking $flags --out bt_traced.txt --trace-out bt_trace.csv > bt_traced.out
-  wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center --backtracking $flags --out bt_plain.txt > bt_plain.out
-  grep -qx 'converged: true' bt_traced.out
-  grep -qx 'converged: true' bt_plain.out
-  cmp bt_traced.txt bt_plain.txt
-  iterations=$(sed -n 's/^iterations: //p' bt_traced.out)
-  test "$(wc -l < bt_trace.csv)" -eq $((iterations + 2))
-done
+traced ""
+traced acc_ --accelerate
+traced bt_ --backtracking
+traced bt_acc_ --backtracking --accelerate
 # generate and predict twice each: every file byte-identical
 for run in 1 2; do
   wclogit generate --d 10 --n-train 300 --k 3 --n-test 100 --noise-sigma 1.0 --amplitude normal --seed 2 --out-prefix "gen$run"
@@ -97,9 +106,7 @@ cmp cv1.csv cv2.csv
 cmp cv1.err cv2.err
 grep -q '^notice: stepsize 0.5 is outside' cv1.err
 # no file has a negative label column: exit 1, and no model written
-code=0
-wclogit train stall_train.csv --beta 0.5 --label-col=-1 --out refused.txt || code=$?
-test "$code" -eq 1
+exits 1 wclogit train stall_train.csv --beta 0.5 --label-col=-1 --out refused.txt
 test ! -e refused.txt
 # --alpha is backtracking's first stepsize too
 wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center --backtracking --alpha 0.05 --out bt_alpha.txt > bt_alpha.out
@@ -107,40 +114,26 @@ grep -qx 'converged: true' bt_alpha.out
 # a setting the run would not read, or one that is gone, is a usage
 # error: exit 1
 for flags in "--eta 0.3" "--alpha0 0.3"; do
-  code=0
-  wclogit train stall_train.csv --beta 0.5 --zeta 0.1 $flags --out refused.txt || code=$?
-  test "$code" -eq 1
+  exits 1 wclogit train stall_train.csv --beta 0.5 --zeta 0.1 $flags --out refused.txt
 done
-code=0
-wclogit predict plain.txt stall_train.csv --no-labels --label-col 0 --out refused.csv || code=$?
-test "$code" -eq 1
+exits 1 wclogit predict plain.txt stall_train.csv --no-labels --label-col 0 --out refused.csv
 test ! -e refused.txt
 test ! -e refused.csv
 # --seed without a random start, --repeats for a single-run preset
 # and a synthetic setting with --data: exit 1, nothing written
-code=0
-wclogit train stall_train.csv --beta 0.5 --seed 3 --out refused.txt || code=$?
-test "$code" -eq 1
+exits 1 wclogit train stall_train.csv --beta 0.5 --seed 3 --out refused.txt
 test ! -e refused.txt
-code=0
-wclogit reproduce fig1 --repeats 2 --out-dir refused_dir || code=$?
-test "$code" -eq 1
+exits 1 wclogit reproduce fig1 --repeats 2 --out-dir refused_dir
 test ! -e refused_dir
-code=0
-wclogit cv --data stall_train.csv --n-test 5 --repeats 1 --out refused.csv || code=$?
-test "$code" -eq 1
+exits 1 wclogit cv --data stall_train.csv --n-test 5 --repeats 1 --out refused.csv
 test ! -e refused.csv
 # a model file whose beta the penalty refuses is a data error: exit 2
 sed 's/^beta .*/beta -1.0/' plain.txt > bad_beta.txt
-code=0
-wclogit certify bad_beta.txt stall_train.csv || code=$?
-test "$code" -eq 2
+exits 2 wclogit certify bad_beta.txt stall_train.csv
 # a non-finite generator setting, and one the run would not read:
 # exit 1 without a traceback, and no file written
 for flags in "--noise-sigma nan" "--amplitude normal --amp-low 3"; do
-  code=0
-  wclogit generate --d 5 --n-train 20 --k 2 $flags --out-prefix refused 2> refused.err || code=$?
-  test "$code" -eq 1
+  exits 1 wclogit generate --d 5 --n-train 20 --k 2 $flags --out-prefix refused 2> refused.err
   test "$(grep -c Traceback refused.err)" -eq 0
   test ! -e refused_train.csv
 done

@@ -15,6 +15,9 @@ exact characterization: theta is a local minimizer iff every coordinate
 has either  theta_j = 0 and |grad_j| < beta,  or  |theta_j| > 1/(2*zeta)
 and grad_j = 0.  ``check_mcp_local_opt`` classifies each coordinate
 against that characterization and assembles the full report.
+
+The four ``check_*`` functions take ``beta = None`` to mean ``spec.beta``,
+and refuse a beta that :class:`PenaltySpec` refuses with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .model import Dataset, loss_gradient, spectral_norm
 from .penalty import PenaltySpec, _as_float_array, convexified_second_derivatives
-from .solver import _conditions, _violation
+from .solver import _check_beta, _conditions, _violation
 
 CASE_ZERO_STRICT = "zero_strict"
 CASE_ZERO_BOUNDARY = "zero_boundary"
@@ -151,6 +154,7 @@ def _zero_vector_status(beta: float, threshold: float) -> str:
 def check_critical_point(theta, beta: float, spec: PenaltySpec, data: Dataset,
                          tol: float = 0.0) -> bool:
     """Coordinatewise subgradient inclusion test with additive slack ``tol``."""
+    beta = _check_beta(beta, spec)
     theta, grad = _point_and_gradient(theta, data)
     return _is_critical(_violation(*_conditions(theta, grad, beta, spec)), tol)
 
@@ -159,6 +163,7 @@ def check_sufficient_local_opt(theta, beta: float, spec: PenaltySpec, data: Data
                                tol: float = 0.0) -> bool:
     """Sufficient condition: strict interior membership at kinks, or gradient
     match plus one-sided curvature H'' >= 2*zeta at smooth coordinates."""
+    beta = _check_beta(beta, spec)
     theta, grad = _point_and_gradient(theta, data)
     return _is_local_opt(theta, *_conditions(theta, grad, beta, spec), spec, tol,
                          curvature_floor=2.0 * spec.zeta, strict_kinks=True)
@@ -168,6 +173,7 @@ def check_necessary_local_opt(theta, beta: float, spec: PenaltySpec, data: Datas
                               tol: float = 0.0) -> bool:
     """Necessary condition: non-strict inclusion at kinks, and curvature floor
     lowered by ||X||^2 / (4*beta) at smooth coordinates."""
+    beta = _check_beta(beta, spec)
     norm = spectral_norm(data)
     theta, grad = _point_and_gradient(theta, data)
     return _is_local_opt(theta, *_conditions(theta, grad, beta, spec), spec, tol,
@@ -212,6 +218,7 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
     coordinate's gradient as zero, ``margin = 1e-9 * beta`` for calling a
     zero coordinate's gradient magnitude a tie with beta.
     """
+    beta = _check_beta(beta, spec)
     norm = spectral_norm(data)
     if grad_tol is None:
         grad_tol = 1e-6 * (1.0 + norm)

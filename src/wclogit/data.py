@@ -48,6 +48,11 @@ class DataError(ValueError):
     """Malformed or unusable input data."""
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class SynthSpec:
     """Parameters of one synthetic classification problem.
@@ -73,6 +78,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a bool would run as 0 or 1, and a float would fail late in the draws
+        for name in ("d", "n_train", "k", "n_test", "latent_dim", "seed"):
+            value = getattr(self, name)
+            if not (_is_integer(value) or (value is None and name == "latent_dim")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.n_train < 1:
@@ -329,8 +341,8 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
 
     ``label_column`` may be a header name or a 0-based index; None means
     the column named "label" when a header exists, else column 0.  A
-    negative index is a setting no file can meet: ``ValueError`` before
-    the file is opened.
+    negative index, or any other type (a bool, a float), is a setting no
+    file can meet: ``ValueError`` before the file is opened.
     ``header`` is "auto", "yes", or "no"; "auto" takes the first row as a
     header only when none of its non-blank cells parses as a number.  With
     ``labeled=False`` the file holds features only (data to predict on):
@@ -341,8 +353,11 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     """
     if not labeled and (label_column is not None or label_map is not None):
         raise ValueError("a file without labels takes no label column or label map")
-    if isinstance(label_column, (int, np.integer)) and label_column < 0:
-        # a setting, not the file's fault: no file has a negative column
+    # settings, not the file's fault: no file has a bool, fractional or
+    # negative column
+    if not (label_column is None or isinstance(label_column, str) or _is_integer(label_column)):
+        raise ValueError(f"label column must be a name or an integer index, got {label_column!r}")
+    if _is_integer(label_column) and label_column < 0:
         raise ValueError(f"label column index must be at least 0, got {label_column}")
     parsed = _read_table(path, label_column, header, labeled) if label_map is None else None
     if parsed is None:

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SynthSpec, _write_csv, apply_center, center, gen_noisy, gen_separable
+from .data import (SynthSpec, _is_integer, _write_csv, apply_center, center, gen_noisy,
+                   gen_separable)
 from .model import predict_many
 from .penalty import PenaltySpec
 from .solver import SolverConfig, fit, fit_cells, max_constant_stepsize, write_trace_csv
@@ -55,7 +56,7 @@ class CvGrid:
         # a bool is an int, and range() would reject 2.5 only later
         for name in ("repeats", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")

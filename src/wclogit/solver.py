@@ -217,7 +217,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _write_csv
+from .data import _is_integer, _write_csv
 from .model import (
     Dataset,
     NumericalError,
@@ -328,9 +328,7 @@ class SolverConfig:
         if not (np.isfinite(self.eps_tol) and self.eps_tol > 0):
             raise ValueError(f"eps_tol must be a positive real, got {self.eps_tol}")
         # a bool is an int, and int() would truncate 2.5 or parse '7'
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, (int, np.integer))
-                or self.max_iters < 1):
+        if not _is_integer(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         self.max_iters = int(self.max_iters)
 

@@ -294,14 +294,33 @@ def test_local_opt_checks_equal_the_per_coordinate_reference():
     assert len(seen) == 4
 
 
+_CHECKS = (check_critical_point, check_sufficient_local_opt, check_necessary_local_opt,
+           check_mcp_local_opt)
+
+
 def test_checks_reject_non_finite_points():
     rng = np.random.default_rng(56)
     data = centered_instance(rng, 10, 2)
     spec = PenaltySpec(zeta=0.1)
-    for check in (check_critical_point, check_sufficient_local_opt,
-                  check_necessary_local_opt, check_mcp_local_opt):
+    for check in _CHECKS:
         with pytest.raises(ValueError, match="finite"):
             check(np.array([np.nan, 0.0]), 1.0, spec, data)
+
+
+@pytest.mark.parametrize("check", _CHECKS)
+@pytest.mark.parametrize("beta", [-1.0, 0.0, float("nan")])
+def test_checks_refuse_a_beta_the_penalty_refuses(check, beta):
+    # -1 and NaN gave a report, and 0 divided by zero
+    data = centered_instance(np.random.default_rng(57), 50, 5)
+    with pytest.raises(ValueError, match="beta must be a finite positive real"):
+        check(np.zeros(5), beta, PenaltySpec(zeta=0.1), data)
+
+
+@pytest.mark.parametrize("check", _CHECKS)
+def test_checks_read_no_beta_as_the_spec_beta(check):
+    data = centered_instance(np.random.default_rng(58), 50, 5)
+    spec = PenaltySpec(beta=0.7, zeta=0.1)
+    assert check(np.zeros(5), None, spec, data) == check(np.zeros(5), spec.beta, spec, data)
 
 
 def test_necessary_rejects_inner_region_in_strict_regime():

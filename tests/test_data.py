@@ -204,6 +204,14 @@ def test_load_csv_negative_label_column_is_refused_before_the_file(tmp_path, ind
     assert not isinstance(raised.value, DataError)
 
 
+@pytest.mark.parametrize("column", [True, 1.5, np.float64(1.0)])
+def test_load_csv_label_column_of_another_type_is_refused_before_the_file(tmp_path, column):
+    # a bool or a float was read as the column int() made of it
+    with pytest.raises(ValueError, match="a name or an integer index") as raised:
+        load_csv(tmp_path / "absent.csv", label_column=column)
+    assert not isinstance(raised.value, DataError)
+
+
 def test_load_csv_header_modes(tmp_path):
     p = write(tmp_path / "d.csv", "1,2,3\n0,5,6\n")
     auto = load_csv(p)  # all-numeric first row is data
@@ -565,6 +573,17 @@ def test_synth_spec_rejects_non_finite_numbers(field, value):
     # NaN passes every comparison check, and inf reached numpy's uniform
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SynthSpec(d=5, n_train=10, k=2, **{field: value})
+
+
+def test_synth_spec_refuses_a_count_or_seed_that_is_not_an_integer():
+    # 2.5 and 1.5 failed late in the draws, and True ran as 1
+    for field, value in [("d", True), ("n_train", 2.5), ("k", np.float64(2.0)),
+                         ("n_test", "3"), ("latent_dim", False), ("seed", 1.5)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SynthSpec(**{"d": 5, "n_train": 10, "k": 2, field: value})
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SynthSpec(d=5, n_train=10, k=2, seed=-1)
+    SynthSpec(d=np.int64(5), n_train=10, k=2, latent_dim=None, seed=np.uint32(3))
 
 
 def test_synth_spec_rejects_an_amplitude_range_beyond_the_float_range():

@@ -750,6 +750,8 @@ _INT_FLAGS = {
     "cv --data": ["--repeats", "--seed", "--max-iters", "--label-col"],
     "generate": [*_SIZES, "--seed"],
     "reproduce fig3": ["--repeats", "--max-iters"],
+    "reproduce table3": ["--repeats", "--max-iters"],
+    "reproduce fig1": ["--max-iters"],
     "predict": ["--label-col"],
     "certify": ["--label-col"],
     "predict --sparse-format": ["--num-features"],
@@ -771,6 +773,9 @@ _RUNS = {
                  "--out-prefix", "{tmp}/g"],
     "reproduce fig3": ["reproduce", "fig3", "--repeats", "1", "--max-iters", "5",
                        "--out-dir", "{tmp}/r"],
+    "reproduce table3": ["reproduce", "table3", "--repeats", "1", "--max-iters", "5",
+                         "--out-dir", "{tmp}/r"],
+    "reproduce fig1": ["reproduce", "fig1", "--max-iters", "5", "--out-dir", "{tmp}/r"],
     "predict": ["predict", "{tmp}/model.txt", "{tmp}/d.csv", "--out", "{tmp}/o.csv"],
     "certify": ["certify", "{tmp}/model.txt", "{tmp}/d.csv"],
     "predict --sparse-format": ["predict", "{tmp}/model.txt", "{tmp}/s.txt", "--sparse-format",
