@@ -215,7 +215,11 @@ def _shifted(features: np.ndarray, shift_of):
 def train_test_split(data: Dataset, test_fraction: float, seed: int,
                      center_split: bool = True):
     """Seeded shuffle and split; the test side is centered with the training
-    center when ``center_split`` is set."""
+    center when ``center_split`` is set.  ``seed`` is an integer >= 0."""
+    # None would draw from OS entropy, a bool would run as 0 or 1, and a
+    # float or a negative seed would fail inside numpy
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if not (0.0 < test_fraction < 1.0):
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n = data.n_samples

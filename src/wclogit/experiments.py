@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,8 +121,10 @@ def run_cv_grid(grid: CvGrid, dataset_for_repeat, alpha=None, eps_tol=1e-9,
     real; above a cell's admissible range it falls back to the default with
     a ``notify`` notice (once per cell).  Rows come back ordered by (beta, zeta).
     """
-    if alpha is not None and not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be a finite positive real, got {alpha}")
+    # True would run as 1, and "0.1" would fail a comparison with a TypeError
+    if alpha is not None and (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+                              or not 0.0 < alpha < math.inf):
+        raise ValueError(f"alpha must be a finite positive real, got {alpha!r}")
     pairs = [dataset_for_repeat(r) for r in range(grid.repeats)]
     cells = [(b, z) for b in grid.betas for z in grid.zetas]
     # alphas[r][c] is cell c's stepsize on repeat r, None for the default

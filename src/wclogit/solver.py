@@ -39,12 +39,13 @@ objectives (see "Objectives per block" below), and the step path makes
 two passes over X per iteration, both at the base point.  The constant
 rule's bound takes ||X|| from the per-dataset cache of ``spectral_norm``.
 
-One loop serves both jobs, and it does not know which one it runs: the
-shape of the starting point picks the job object once, and the loop
-branches only on the stepsize rule and on momentum.  It reads the step's
-beta, stepsize, prox weight, prox denominator and penalty from the job,
-hands the job each new iterate, and stops when the job says it is done;
-the job builds the result.  :func:`fit`'s job, :class:`_Block`, steps
+One loop serves both jobs, and it does not know which one it runs: each
+entry point builds its own job object and hands it to the loop, which
+branches only on the stepsize rule and on momentum.  It reads the
+kernels and the step's beta, first stepsize, prox weight, prox
+denominator and penalty from the job, hands the job each new iterate,
+and stops when the job says it is done; the job builds the result, of
+its own type.  :func:`fit`'s job, :class:`_Block`, steps
 one 1-D point, under either rule, with or without momentum and the trace,
 with its penalty's own parameters and a float stepsize, prox weight and
 denominator.  Under backtracking the step is the search above; the
@@ -56,8 +57,9 @@ untraced: the iterates are the rows of a (C, d) matrix, so each
 iteration costs one product Theta @ X^T and one (sigmoid(Z) - y) @ X for
 all rows, and the penalty kernels take per-row weights and zetas.  A
 cell whose objective stalls leaves the stack with its iterate, objective
-and iteration count, and every per-row array of the job loses its row in
-one method; the others go on.  The operands of the two products are left
+and iteration count, which go into the stack's :class:`CellsResult`, and
+every per-row array of the job loses its row in one method; the others
+go on.  The operands of the two products are left
 as they are: the bits of a product's row depend on the stack height and
 the operand layout (a (1, d) stack has the 1-D product's), and so would
 the iteration counts.
@@ -212,7 +214,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -252,6 +254,7 @@ __all__ = [
     "SolverConfig",
     "TraceRow",
     "FitResult",
+    "CellsResult",
     "NumericalError",
     "max_constant_stepsize",
     "prox_grad_step",
@@ -342,16 +345,25 @@ class TraceRow(NamedTuple):
 
 @dataclass
 class FitResult:
-    """Outcome of :func:`fit`: a 1-D ``theta`` and Python ``int``, ``bool``
-    and ``float`` fields.  For :func:`fit_cells` (any number of cells),
-    ``theta`` holds one row, and ``iterations``, ``converged`` and
-    ``final_objective`` one array entry, per cell; the trace is empty."""
+    """Outcome of one :func:`fit`: a 1-D ``theta``, Python ``int``, ``bool``
+    and ``float`` fields, and the trace rows (empty when not recorded)."""
 
     theta: np.ndarray
     iterations: int
     converged: bool
     final_objective: float
-    trace: list[TraceRow] = field(default_factory=list)
+    trace: list[TraceRow]
+
+
+class CellsResult(NamedTuple):
+    """Outcome of :func:`fit_cells`: ``theta`` holds one row, and
+    ``iterations``, ``converged`` and ``final_objective`` one array entry,
+    per cell."""
+
+    theta: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    final_objective: np.ndarray
 
 
 def write_trace_csv(result: FitResult, path) -> None:
@@ -544,40 +556,42 @@ def _trace_rows(before, points, grads, objectives, stepsizes, beta: float,
 
 
 class _Job:
-    """What the loop of :func:`_fit_stack` steps: one fit's :class:`_Block`
-    or a stack's :class:`_Descent`.
+    """What the loop of :func:`_iterate` steps: :func:`fit` builds a
+    :class:`_Block`, :func:`fit_cells` a :class:`_Descent`.
 
-    A job holds what its step reads: ``beta``, the stepsize ``alpha``, the
-    prox ``weight``, the prox ``denominator`` 1 - 2*weight*zeta and the
+    A job holds what its step reads: the features ``X`` and their kernels
+    from ``model._kernels`` (the first as ``margins_loss``), and ``beta``,
+    the stepsize ``alpha`` (a fit's first one under backtracking), the prox
+    ``weight``, the prox ``denominator`` 1 - 2*weight*zeta and the
     ``spec``, as floats and a :class:`PenaltySpec` for a fit and as per-row
     arrays and a :class:`_StackedSpec` for a stack.  It holds too the
     iterate ``theta`` that the next plain step starts from and its gradient
     ``grad`` (None where momentum moves the base point), and the starting
     point's ``loss`` and ``margins`` (a stack keeps its iterate's margins
     current).  :meth:`add` takes each new iterate and says whether
-    the job is done; ``result`` gives its :class:`FitResult`.
+    the job is done; ``result`` gives a fit's :class:`FitResult` or a
+    stack's :class:`CellsResult`.
     """
 
-    def __init__(self, data: Dataset, kernels, config: SolverConfig, theta, beta, alpha,
-                 weight, spec):
+    def __init__(self, data: Dataset, config: SolverConfig, theta, beta, alpha, weight, spec):
         self.beta, self.alpha, self.weight, self.spec = beta, alpha, weight, spec
         # weight*zeta < 1/2 is checked, while 2*weight may overflow
         self.denominator = 1.0 - 2.0 * (weight * spec.zeta)
-        _, self.gradient, self.loss_of = kernels
+        self.margins_loss, self.gradient, self.loss_of = _kernels(data)
         # an overflow gives an infinite objective, which raises below
         with np.errstate(over="ignore"):
             self.margins = _margins(data.features, theta)
         self.loss, self.obj = _objectives(self.loss_of, self.margins, theta, beta, spec)
         _require_finite(np.isfinite(self.obj).all())
         self.theta, self.grad = theta, self.gradient(self.margins)
-        self.eps_tol, self.max_iters = config.eps_tol, config.max_iters
+        self.X, self.eps_tol, self.max_iters = data.features, config.eps_tol, config.max_iters
 
 
 class _Block(_Job):
     """The iterates of a fit whose objectives are still pending
     (see "Objectives per block" in the module docs).
 
-    The fit's one spec and first stepsize give the step's floats.  Each
+    The fit's spec and first stepsize give the step's floats.  Each
     iterate's point, margins pair (under backtracking, its loss),
     stepsize and, for a traced fit, gradient go into preallocated rows.
     With momentum no step needs the iterate's margins or gradient, so the
@@ -595,11 +609,10 @@ class _Block(_Job):
     ``obj`` its objective.
     """
 
-    def __init__(self, data: Dataset, specs, steps, config: SolverConfig, kernels, theta):
-        spec, alpha = specs[0], steps[0]
-        super().__init__(data, kernels, config, theta, spec.beta, alpha,
+    def __init__(self, data: Dataset, spec: PenaltySpec, alpha, config: SolverConfig, theta):
+        super().__init__(data, config, theta, spec.beta, alpha,
                          _check_weight(alpha * spec.beta, spec), spec)
-        X = data.features
+        X = self.X
         n, d = X.shape
         self.cap = max(1, min(_OBJECTIVE_BLOCK, _OBJECTIVE_BLOCK_BYTES // (16 * n)))
         self.points = np.empty((self.cap + 1, d))
@@ -617,7 +630,7 @@ class _Block(_Job):
         # for those gradients (backtracking)
         self.keeps_margins = (not backtrack and not self.momentum
                               or backtrack and self.momentum and config.record_trace)
-        self.X, self.labels = X, _RepeatedRows(data.labels.astype(float))
+        self.labels = _RepeatedRows(data.labels.astype(float))
         # ||theta||^2 below this keeps the objective below 1e300 (see the
         # module docs); ||theta|| < 1e154 keeps its square finite.  ||X||_F
         # overflows to inf only when every limit would be 0 anyway.
@@ -713,12 +726,13 @@ class _Descent(_Job):
 
     Per running row it holds the cell's index, its step parameters, its
     iterate with its margins and last computed objective, and whether that
-    objective is stale (of an earlier iterate); per cell, the result's
-    entries, filled as the cell stalls.  For the certificate it holds per
-    running row lower bounds of D's two coefficients, the coefficients of
-    the floor, and ||theta||_1 of the last iterate.  With
-    n the sum of ||theta||_1 over the step's two iterates, s the step's
-    norm and F_r the row's last computed objective, the floor is
+    objective is stale (of an earlier iterate); per cell, the entries of
+    its :class:`CellsResult` ``cells``, filled as the cell stalls.  For
+    the certificate it holds per running row lower bounds of D's two
+    coefficients, the coefficients of the floor, and ||theta||_1 of the
+    last iterate.  With n the sum of ||theta||_1 over the step's two
+    iterates, s the step's norm and F_r the row's last computed objective,
+    the floor is
 
         base_r + n*(e1_r + e2_r*n) + s*(e3_r + e4_r*n),
         base_r = eps_tol*(1 + 4*eps) + 2*(N+d+16)*eps*(1 + F_r).
@@ -728,17 +742,16 @@ class _Descent(_Job):
     loses h_r*s^2 and the floor becomes a quadratic in n alone.
     """
 
-    def __init__(self, data: Dataset, specs, steps, config: SolverConfig, kernels, theta):
+    def __init__(self, data: Dataset, specs, steps, config: SolverConfig, theta):
         X = data.features
         n, d = X.shape
         weights = [_check_weight(a * s.beta, s) for a, s in zip(steps, specs)]
-        super().__init__(data, kernels, config, theta, np.array([s.beta for s in specs]),
+        super().__init__(data, config, theta, np.array([s.beta for s in specs]),
                          _repeat_rows(steps, d), _repeat_rows(weights, d),
                          _StackedSpec.of(specs, d))
         self.rows, self.iteration, self.stale = np.arange(len(specs)), 0, False
-        self.thetas, self.objectives = np.empty_like(theta), np.empty_like(self.obj)
-        self.iterations = np.full(len(specs), config.max_iters)
-        self.converged = np.zeros(len(specs), dtype=bool)
+        self.cells = CellsResult(np.empty_like(theta), np.full(len(specs), config.max_iters),
+                                 np.zeros(len(specs), dtype=bool), np.empty_like(self.obj))
         # a stepsize or a weight at the edge of the float range may take a
         # coefficient to inf or NaN: its row's floor is then inf or NaN, or
         # its D NaN, which fails every comparison in proves
@@ -832,9 +845,9 @@ class _Descent(_Job):
         if not all(self.eps_tol < abs(c) < math.inf for c in change):
             _require_finite(np.isfinite(obj).all())
             stalled = np.abs(change) <= self.eps_tol
-            done = self.rows[stalled]
-            self.thetas[done], self.objectives[done] = new[stalled], obj[stalled]
-            self.iterations[done], self.converged[done] = k, True
+            done, cells = self.rows[stalled], self.cells
+            cells.theta[done], cells.final_objective[done] = new[stalled], obj[stalled]
+            cells.iterations[done], cells.converged[done] = k, True
             self.take(~stalled)
             if not self.rows.size:
                 return True
@@ -842,9 +855,9 @@ class _Descent(_Job):
         self.grad = self.gradient(self.margins)
         return False
 
-    def result(self) -> FitResult:
-        self.thetas[self.rows], self.objectives[self.rows] = self.theta, self.obj
-        return FitResult(self.thetas, self.iterations, self.converged, self.objectives)
+    def result(self) -> CellsResult:
+        self.cells.theta[self.rows], self.cells.final_objective[self.rows] = self.theta, self.obj
+        return self.cells
 
 
 def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
@@ -868,12 +881,13 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     # the loop writes into no point it was given
     theta = np.zeros(data.n_features) if theta0 is None else _check_theta(theta0, data)
     alpha = _initial_alpha(config, beta, spec, data)
-    return _fit_stack(data, [replace(spec, beta=beta)], [alpha], config, theta)
+    return _iterate(_Block(data, replace(spec, beta=beta), alpha, config, theta), config)
 
 
 def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
-              max_iters: int = 10000) -> FitResult:
-    """Fit every (beta, zeta) cell of ``cells`` on ``data`` in one loop.
+              max_iters: int = 10000) -> CellsResult:
+    """Fit every (beta, zeta) cell of ``cells`` on ``data`` in one loop;
+    the :class:`CellsResult` holds one row or entry per cell.
 
     Cell c runs what :func:`fit` runs from zeros with the constant stepsize
     ``alphas[c]`` (None for the default), no momentum and no trace, and
@@ -900,33 +914,21 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
     specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
     steps = [_initial_alpha(replace(config, alpha=a), s.beta, s, data)
              for a, s in zip(alphas, specs)]
-    return _fit_stack(data, specs, steps, config, np.zeros((len(specs), data.n_features)))
+    return _iterate(_Descent(data, specs, steps, config,
+                             np.zeros((len(specs), data.n_features))), config)
 
 
-def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
-               theta: np.ndarray) -> FitResult:
-    """The iteration from ``theta``, cell c with ``specs[c]`` (its beta
-    included) and the stepsize ``steps[c]``, the first one of a
-    backtracking search.  ``config`` gives the stepsize rule, ``eta``,
-    ``accelerate``, ``eps_tol``, ``max_iters`` and ``record_trace``.
-
-    The shape of ``theta`` picks the job, once.  A 1-D ``theta`` is one
-    fit, with ``specs[0]`` and ``steps[0]``, under either rule: a
-    :class:`_Block`, which computes its objectives, and its trace if
-    recorded, per block of iterates.  A (C, d) ``theta`` is a stack of
-    C >= 1 cells under the constant rule without momentum or trace: a
-    :class:`_Descent`, which skips the objective where it proves that no
-    row can stall, and whose result holds one entry per cell in each
-    field.  The loop reads the step's parameters from the job, hands it
-    each new iterate and stops when the job says it is done; it branches
-    only on the stepsize rule and on momentum."""
-    kernels = evaluate, gradient, loss_of = _kernels(data)
-    job = (_Block if theta.ndim == 1 else _Descent)(data, specs, steps, config, kernels, theta)
-    X, accelerate = data.features, config.accelerate
+def _iterate(job: _Job, config: SolverConfig) -> FitResult | CellsResult:
+    """Step ``job`` from its starting point until it says it is done, and
+    return its result.  ``config`` gives the stepsize rule, ``eta`` and
+    ``accelerate``; the job gives the kernels, the step's parameters (its
+    ``alpha`` is a backtracking search's first stepsize) and the stop.  The
+    loop branches only on the stepsize rule and on momentum."""
+    X, accelerate, evaluate = job.X, config.accelerate, job.margins_loss
     backtrack = config.stepsize_rule == BACKTRACKING
     # the points the next step starts from, their gradients and (backtracking)
     # their loss
-    base, grad, base_loss, step, t = theta, job.grad, job.loss, steps[0], 1.0
+    base, grad, base_loss, step, t = job.theta, job.grad, job.loss, job.alpha, 1.0
     for _ in range(config.max_iters):
         if backtrack:
             try:
@@ -951,9 +953,9 @@ def _fit_stack(data: Dataset, specs, steps, config: SolverConfig,
         if accelerate:
             base, t = _extrapolate(new, prev, t)
             margins_base = _margins(X, base)
-            grad = gradient(margins_base)
+            grad = job.gradient(margins_base)
             if backtrack:
-                base_loss = loss_of(margins_base)
+                base_loss = job.loss_of(margins_base)
         else:
             base, grad = job.theta, job.grad
     return job.result()

@@ -355,6 +355,30 @@ def test_train_missing_file_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+class _ClosedStdout:
+    """A stdout whose reader has gone, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_is_a_file_error(synth, tmp_path, capsys, monkeypatch):
+    # a run cut short by its reader must not report success: certify and
+    # reproduce exit 2 with one error line, reproduce at its first line,
+    # before it writes a file
+    model = tmp_path / "m.txt"
+    assert run("train", synth["train"], "--beta", 0.3, "--zeta", 0.5, "--center",
+               "--out", model, "--quiet") == 0
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdout", _ClosedStdout())
+    for argv in (["certify", model, synth["train"]],
+                 ["reproduce", "fig1", "--max-iters", 20, "--out-dir", tmp_path / "r"]):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [Errno 32] Broken pipe\n", err
+    assert list((tmp_path / "r").iterdir()) == []
+
+
 def test_train_sparse_and_pm1_labels(tmp_path):
     sparse = tmp_path / "s.txt"
     sparse.write_text("+1 1:2.0 3:1.0\n-1 2:1.5\n+1 1:0.5\n-1 3:-2.0\n")
@@ -829,6 +853,17 @@ def test_cv_refuses_an_alpha_that_is_no_stepsize(synth, tmp_path, capsys, alpha)
                    f"--alpha={alpha}", "--quiet", "--out", tmp_path / "g.csv") == 1
         assert "alpha must be a finite positive real" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+
+def test_run_cv_grid_refuses_an_alpha_that_is_not_a_real_number():
+    # True ran as stepsize 1, and "0.1" failed a comparison with a TypeError;
+    # both are refused before any pair is drawn
+    def no_pairs(r):
+        raise AssertionError("a pair was drawn")
+
+    for alpha in (True, "0.1", 1 + 0j):
+        with pytest.raises(ValueError, match="alpha must be a finite positive real"):
+            run_cv_grid(CvGrid(betas=(0.1,), zetas=(0.0,), repeats=1), no_pairs, alpha=alpha)
 
 
 def test_cv_reports_convergence_per_cell(tmp_path, capsys):

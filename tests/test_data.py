@@ -155,6 +155,18 @@ def test_split_deterministic_and_seed_sensitive():
     assert not np.array_equal(a1.features, a3.features)
 
 
+def test_split_refuses_a_seed_that_is_not_an_integer_at_least_0():
+    # None drew from OS entropy, 1.5 failed in SeedSequence, True ran as 1 and
+    # -1 failed inside numpy
+    data = Dataset(np.arange(40.0).reshape(20, 2), np.arange(20) % 2)
+    for seed in (None, 1.5, True, -1, np.float64(2.0), "3"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            train_test_split(data, 0.3, seed=seed)
+    _, test = train_test_split(data, 0.3, seed=7)
+    for seed in (np.int64(7), np.uint32(7)):
+        assert np.array_equal(train_test_split(data, 0.3, seed=seed)[1].features, test.features)
+
+
 def test_split_rejects_empty_sides():
     data = Dataset(np.ones((3, 1)), np.array([0, 1, 0]))
     with pytest.raises(DataError):

@@ -28,6 +28,7 @@ from wclogit.penalty import PenaltySpec, penalty_total, prox_vector
 from wclogit.solver import (
     BACKTRACKING,
     CONSTANT,
+    CellsResult,
     FitResult,
     NumericalError,
     SolverConfig,
@@ -893,6 +894,7 @@ def test_fit_cells_single_cell_is_fit_bitwise(cell):
                                               accelerate=accelerate)
                 _assert_is_the_oracle_row(single, expected)
                 # train prints these with repr, which differs for numpy scalars
+                assert type(single) is FitResult and type(single.trace) is list
                 assert type(single.iterations) is int and type(single.converged) is bool
                 assert type(single.final_objective) is float
 
@@ -927,6 +929,9 @@ def test_fit_cells_is_the_stacked_oracle_loop_bitwise():
         alphas = [None] * len(cells)
         result = fit_cells(train, cells, alphas, eps_tol=1e-9, max_iters=1000)
         expected = stacked_fit_oracle(train, cells, alphas, eps_tol=1e-9, max_iters=1000)
+        # one row of theta and one entry of every other field per cell
+        assert type(result) is CellsResult and result.theta.shape == (len(cells), 50)
+        assert [len(entries) for entries in result[1:]] == [len(cells)] * 3
         assert result.theta.tobytes() == expected.theta.tobytes()
         assert result.final_objective.tobytes() == expected.final_objective.tobytes()
         assert np.array_equal(result.iterations, expected.iterations)
@@ -1097,8 +1102,9 @@ def test_skipping_the_objective_keeps_the_oracle_loop_bitwise(monkeypatch):
         config = SolverConfig(eps_tol=eps_tol, max_iters=iters, record_trace=False)
         check(lambda: fit_cells(data, cells, alphas, eps_tol=eps_tol, max_iters=iters),
               stacked_fit_oracle(data, cells, alphas, eps_tol, iters))
-        check(lambda: solver._fit_stack(data, specs, alphas, config,
-                                        np.repeat(theta0[None], len(cells), axis=0)),
+        stack = np.repeat(theta0[None], len(cells), axis=0)
+        check(lambda: solver._iterate(solver._Descent(data, specs, alphas, config, stack),
+                                      config),
               stacked_fit_oracle(data, cells, alphas, eps_tol, iters, theta0=theta0))
         # fit's constant rule steps a 1-D point and skips nothing
         cell, alpha = cells[case % 4], alphas[case % 4]
