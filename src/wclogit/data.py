@@ -53,6 +53,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_bool(name: str, value) -> None:
+    """Refuse a switch that is not a Python or numpy bool with ``ValueError``:
+    "no" is truthy, and 1 or None would pass for one."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 @dataclass
 class SynthSpec:
     """Parameters of one synthetic classification problem.
@@ -85,6 +92,7 @@ class SynthSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_bool("noisy_test_labels", self.noisy_test_labels)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.n_train < 1:
@@ -290,11 +298,8 @@ def _looks_like_header(row: list[str]) -> bool:
 
 
 def _has_header(first_row: list[str], header: str) -> bool:
-    if header == "auto":
-        return _looks_like_header(first_row)
-    if header in ("yes", "no"):
-        return header == "yes"
-    raise ValueError(f"header must be 'auto', 'yes', or 'no', got {header!r}")
+    """Whether the first row is a header under the checked ``header`` setting."""
+    return _looks_like_header(first_row) if header == "auto" else header == "yes"
 
 
 def _label_index(path, names, label_column, labeled: bool, width: int):
@@ -346,7 +351,8 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     ``label_column`` may be a header name or a 0-based index; None means
     the column named "label" when a header exists, else column 0.  A
     negative index, or any other type (a bool, a float), is a setting no
-    file can meet: ``ValueError`` before the file is opened.
+    file can meet: ``ValueError`` before the file is opened, as for any
+    other ``header`` or a switch that is not a bool.
     ``header`` is "auto", "yes", or "no"; "auto" takes the first row as a
     header only when none of its non-blank cells parses as a number.  With
     ``labeled=False`` the file holds features only (data to predict on):
@@ -355,10 +361,14 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     A labeled file needs a feature column besides the label, with or
     without ``add_intercept``.
     """
+    # settings, not the file's fault: no file has a bool, fractional or
+    # negative column, or meets another header setting
+    _check_bool("add_intercept", add_intercept)
+    _check_bool("labeled", labeled)
+    if header not in ("auto", "yes", "no"):
+        raise ValueError(f"header must be 'auto', 'yes', or 'no', got {header!r}")
     if not labeled and (label_column is not None or label_map is not None):
         raise ValueError("a file without labels takes no label column or label map")
-    # settings, not the file's fault: no file has a bool, fractional or
-    # negative column
     if not (label_column is None or isinstance(label_column, str) or _is_integer(label_column)):
         raise ValueError(f"label column must be a name or an integer index, got {label_column!r}")
     if _is_integer(label_column) and label_column < 0:
@@ -454,9 +464,15 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
     Indices are 1-based; absent features are zero.  The dimension is the
     largest index seen unless ``num_features`` pins it (needed to keep
     train and test files aligned), up to ``MAX_DENSE_ENTRIES`` entries in all.
+    A ``num_features`` that is not an integer >= 1, or an ``add_intercept``
+    that is not a bool, is a setting no file can meet: ``ValueError``
+    before the file is opened.
     """
+    # settings, not the file's fault; a bool would run as d = 1
+    _check_bool("add_intercept", add_intercept)
+    if num_features is not None and not _is_integer(num_features):
+        raise ValueError(f"num_features must be an integer, got {num_features!r}")
     if num_features is not None and num_features < 1:
-        # a setting, not the file's fault
         raise ValueError(f"num_features must be at least 1, got {num_features}")
     entries = []
     labels = []

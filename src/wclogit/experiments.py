@@ -134,7 +134,7 @@ def run_cv_grid(grid: CvGrid, dataset_for_repeat, alpha=None, eps_tol=1e-9,
             spec = PenaltySpec(zeta=z, beta=b)
             noticed = False
             for r, (train, _) in enumerate(pairs):
-                bound = max_constant_stepsize(b, spec, train)
+                bound = max_constant_stepsize(None, spec, train)
                 if alpha >= bound:
                     if notify is not None and not noticed:
                         noticed = True

@@ -27,17 +27,29 @@ Both rules keep each subproblem strongly convex (alpha*beta*zeta < 1/2);
 without momentum they make the objective non-increasing and drive the
 steps and the criticality residual to zero.
 
-One loop serves both stepsize rules.  It checks its inputs once at entry
-and then calls the unchecked kernels of ``model`` and ``penalty``: each
-point it evaluates (iterate, base point, backtracking candidate) costs one
-pass z = X @ point and one exp(-|z|), which give both the loss and the
-gradient X^T (sigmoid(z) - y), and the accepted point's gradient carries
-over to the next step and to its trace row.  With momentum the next step
-starts from the extrapolated point instead, so no step reads the
-iterate's margins or gradient: a fit leaves them to its block of
-objectives (see "Objectives per block" below), and the step path makes
-two passes over X per iteration, both at the base point.  The constant
-rule's bound takes ||X|| from the per-dataset cache of ``spectral_norm``.
+Inputs are checked once, where they enter: :class:`SolverConfig` its
+fields, :class:`~wclogit.penalty.PenaltySpec` beta and zeta (``fit``
+builds the run's spec once), and each entry point, before the first
+iteration, the run's first stepsize against its rule's bound and the
+first prox weight alpha*beta (``fit_cells`` each cell's).  No input check
+runs inside the iteration.  The backtracking search only shrinks alpha,
+so every trial weight stays admissible; a trial stepsize that underflows
+to 0 gives a bound that is not finite, which the acceptance test rejects,
+so a search that finds no stepsize raises :class:`NumericalError`
+whatever eta is.  The objective's finiteness guard detects numerical
+faults; it checks no input.
+
+One loop serves both stepsize rules.  It calls the unchecked kernels of
+``model`` and ``penalty``: each point it evaluates (iterate, base point,
+backtracking candidate) costs one pass z = X @ point and one exp(-|z|),
+which give both the loss and the gradient X^T (sigmoid(z) - y), and the
+accepted point's gradient carries over to the next step and to its trace
+row.  With momentum the next step starts from the extrapolated point
+instead, so no step reads the iterate's margins or gradient: a fit leaves
+them to its block of objectives (see "Objectives per block" below), and
+the step path makes two passes over X per iteration, both at the base
+point.  The constant rule's bound takes ||X|| from the per-dataset cache
+of ``spectral_norm``.
 
 One loop serves both jobs, and it does not know which one it runs: each
 entry point builds its own job object and hands it to the loop, which
@@ -219,7 +231,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _is_integer, _write_csv
+from .data import _check_bool, _is_integer, _write_csv
 from .model import (
     Dataset,
     NumericalError,
@@ -312,17 +324,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.stepsize_rule not in (CONSTANT, BACKTRACKING):
             raise ValueError(f"unknown stepsize rule {self.stepsize_rule!r}")
-        # "no" would switch a flag on, True would run as 1.0, and "0.5" would be
-        # parsed late or fail a comparison with a TypeError
         for name in ("accelerate", "record_trace"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+            _check_bool(name, getattr(self, name))
         for name in ("alpha", "eta", "eps_tol"):
-            value = getattr(self, name)
-            if value is None and name == "alpha":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            # None is alpha's default
+            if getattr(self, name) is not None or name != "alpha":
+                _check_real(name, getattr(self, name))
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.stepsize_rule == CONSTANT and self.eta != 0.5:
@@ -334,6 +341,15 @@ class SolverConfig:
         if not _is_integer(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         self.max_iters = int(self.max_iters)
+
+
+def _check_real(name: str, value):
+    """``value``, refused with ``ValueError`` unless it is a real number: True
+    would run as 1.0, and "0.5" would be parsed late or fail a comparison
+    with a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 class TraceRow(NamedTuple):
@@ -462,20 +478,23 @@ def _backtrack(point, grad, point_loss, alpha, eta, beta, spec, evaluate):
 
     Returns (alpha, candidate, candidate margins pair, candidate loss).  The
     acceptance test gets a small additive slack so that cancellation noise
-    near a fixed point cannot force spurious reductions.
+    near a fixed point cannot force spurious reductions.  The caller has
+    checked the first prox weight alpha*beta; the search only shrinks
+    alpha, so every trial weight is admissible too.
     """
     slack = 1e-12 * (1.0 + abs(point_loss))
     for _ in range(_MAX_BACKTRACK_REDUCTIONS + 1):
-        weight = _check_weight(alpha * beta, spec)
         # a huge trial stepsize may take the step or the loss beyond the float
-        # range; the test below rejects a non-finite loss, without numpy's warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            cand = _prox(point - alpha * grad, weight, spec)
+        # range, and a trial stepsize that underflowed to 0 makes the bound's
+        # last term inf or NaN; the test below rejects both, without numpy's
+        # warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cand = _prox(point - alpha * grad, alpha * beta, spec)
             margins, cand_loss = evaluate(cand)
-        diff = cand - point
-        # vdot gives dot's bits and, unlike it, does not warn when it overflows
-        bound = (point_loss + float(np.vdot(diff, grad))
-                 + float(np.vdot(diff, diff)) / (2.0 * alpha))
+            diff = cand - point
+            # vdot gives dot's bits and, unlike it, does not warn when it overflows
+            bound = (point_loss + float(np.vdot(diff, grad))
+                     + np.vdot(diff, diff) / (2.0 * alpha))
         # an overflowed bound certifies nothing, so it cannot accept the step
         if math.isfinite(bound) and math.isfinite(cand_loss) and cand_loss <= bound + slack:
             return alpha, cand, margins, cand_loss
@@ -491,6 +510,7 @@ def backtrack_stepsize(theta_prev, alpha_prev: float, config: SolverConfig,
     """One backtracked update from theta_prev; returns (alpha_k, theta_k)."""
     beta = _check_beta(beta, spec)
     theta_prev = _as_float_array(theta_prev)
+    _check_weight(float(alpha_prev) * beta, spec)
     grad = loss_gradient(theta_prev, data)
     evaluate, _, _ = _kernels(data)
     alpha, cand, _, _ = _backtrack(theta_prev, grad, loss(theta_prev, data), float(alpha_prev),
@@ -498,13 +518,12 @@ def backtrack_stepsize(theta_prev, alpha_prev: float, config: SolverConfig,
     return alpha, cand
 
 
-def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec,
-                   data: Dataset) -> float:
-    """The run's first stepsize, ``config.alpha`` or the rule's default,
-    checked against the rule's bound."""
-    alpha = None if config.alpha is None else float(config.alpha)
+def _initial_alpha(alpha, config: SolverConfig, spec: PenaltySpec, data: Dataset) -> float:
+    """The run's first stepsize, ``alpha`` or the default of ``config``'s
+    rule, checked against that rule's bound for ``spec`` (and its beta)."""
+    alpha = None if alpha is None else float(alpha)
     if config.stepsize_rule == CONSTANT:
-        bound = max_constant_stepsize(beta, spec, data)
+        bound = max_constant_stepsize(None, spec, data)
         if alpha is None:
             # ||X|| = 0 and zeta = 0 bound nothing (the loss is constant):
             # take backtracking's default start there
@@ -523,13 +542,13 @@ def _initial_alpha(config: SolverConfig, beta: float, spec: PenaltySpec,
         return alpha
     if alpha is None:
         # 1.0 also where beta*zeta is so small that 0.49/(beta*zeta) overflows
-        alpha = 0.49 / (beta * spec.zeta) if beta * spec.zeta > 0.49 / _MAX else 1.0
+        alpha = 0.49 / (spec.beta * spec.zeta) if spec.beta * spec.zeta > 0.49 / _MAX else 1.0
     if alpha <= 0 or not np.isfinite(alpha):
         raise ValueError(f"alpha must be a finite positive real, got {alpha}")
-    if beta * spec.zeta * alpha >= 0.5:
+    if spec.beta * spec.zeta * alpha >= 0.5:
         raise ValueError(
             f"alpha = {alpha} violates beta*zeta*alpha < 1/2 "
-            f"(beta*zeta = {beta * spec.zeta:.6g})"
+            f"(beta*zeta = {spec.beta * spec.zeta:.6g})"
         )
     return alpha
 
@@ -877,11 +896,12 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     at the iteration that made it.  Results keep the bits of a
     per-iteration objective, margins and gradient.
     """
-    beta = _check_beta(beta, spec)
+    # the run's spec, its beta checked once
+    spec = spec if beta is None else replace(spec, beta=beta)
     # the loop writes into no point it was given
     theta = np.zeros(data.n_features) if theta0 is None else _check_theta(theta0, data)
-    alpha = _initial_alpha(config, beta, spec, data)
-    return _iterate(_Block(data, replace(spec, beta=beta), alpha, config, theta), config)
+    alpha = _initial_alpha(config.alpha, config, spec, data)
+    return _iterate(_Block(data, spec, alpha, config, theta), config)
 
 
 def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
@@ -912,7 +932,7 @@ def fit_cells(data: Dataset, cells, alphas, eps_tol: float = 1e-8,
                          f"{len(alphas)} for {len(cells)}")
     config = SolverConfig(eps_tol=eps_tol, max_iters=max_iters, record_trace=False)
     specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
-    steps = [_initial_alpha(replace(config, alpha=a), s.beta, s, data)
+    steps = [_initial_alpha(a if a is None else _check_real("alpha", a), config, s, data)
              for a, s in zip(alphas, specs)]
     return _iterate(_Descent(data, specs, steps, config,
                              np.zeros((len(specs), data.n_features))), config)

@@ -182,8 +182,7 @@ def stacked_fit_oracle(data, cells, alphas, eps_tol=1e-8, max_iters=10000, theta
     config = SolverConfig(eps_tol=eps_tol, max_iters=max_iters, accelerate=accelerate,
                           record_trace=False)
     specs = [PenaltySpec(zeta=zeta, beta=beta) for beta, zeta in cells]
-    steps = [_initial_alpha(replace(config, alpha=a), s.beta, s, data)
-             for a, s in zip(alphas, specs)]
+    steps = [_initial_alpha(a, config, s, data) for a, s in zip(alphas, specs)]
     d = data.n_features
     rows = np.arange(len(specs))
     beta = np.array([s.beta for s in specs])
@@ -256,7 +255,7 @@ def backtracking_fit_oracle(data, beta, spec, config, theta0=None):
         return value
 
     theta = np.zeros(data.n_features) if theta0 is None else np.array(theta0, dtype=float)
-    alpha = _initial_alpha(config, beta, spec, data)
+    alpha = _initial_alpha(config.alpha, config, replace(spec, beta=beta), data)
     obj = objective(theta)
     trace = [TraceRow(obj, 0.0, criticality_residual(theta, beta, spec, data), 0.0)]
     iterations, converged = config.max_iters, False

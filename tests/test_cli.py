@@ -622,6 +622,16 @@ def test_model_file_corrupt_header_is_a_data_error(synth, tmp_path, capsys):
     path = edited_model(synth, tmp_path, "wclogit-model", "x")
     code, err = predict_exit_code(synth, tmp_path, path, capsys)
     assert code == 2 and "version" in err
+    path.write_text("\n\n")
+    code, err = predict_exit_code(synth, tmp_path, path, capsys)
+    assert code == 2 and "empty model file" in err
+
+
+def test_model_file_rejects_a_theta_of_another_dimension(synth, tmp_path, capsys):
+    path = edited_model(synth, tmp_path, "theta", "1.0 " * 6 + "1.0")
+    code, err = predict_exit_code(synth, tmp_path, path, capsys)
+    assert code == 2 and "vector lengths disagree with dimension 8" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["theta", "center", "beta", "zeta", "final_objective"])
@@ -749,6 +759,13 @@ def test_cv_grid_rejects_malformed_fields(field, bad):
     fields = {"betas": (0.1, 1.0), "zetas": (0.0, 0.1), "repeats": 2, "seed": 0}
     fields[field] = bad
     with pytest.raises(ValueError, match=field):
+        CvGrid(**fields)
+
+
+@pytest.mark.parametrize("empty", ["betas", "zetas"])
+def test_cv_grid_needs_a_beta_and_a_zeta(empty):
+    fields = {"betas": (0.1, 1.0), "zetas": (0.0, 0.1), empty: ()}
+    with pytest.raises(ValueError, match="grid needs at least one beta and one zeta"):
         CvGrid(**fields)
 
 

@@ -234,6 +234,40 @@ def test_load_csv_header_modes(tmp_path):
         load_csv(p, header="maybe")
 
 
+def test_load_csv_header_setting_is_refused_before_the_file(tmp_path):
+    # a missing file raised FileNotFoundError and an empty one "file contains
+    # no rows" (exit 2) for a setting that no file can meet
+    empty = write(tmp_path / "empty.csv", "")
+    for path in (tmp_path / "absent.csv", empty):
+        for header in ("maybe", True, None):
+            with pytest.raises(ValueError, match="header must be 'auto', 'yes', or 'no'") \
+                    as raised:
+                load_csv(path, header=header)
+            assert not isinstance(raised.value, DataError)
+
+
+def test_switches_that_are_not_bools_are_refused(tmp_path):
+    # "no" is truthy: it appended an intercept, read labels or drew noisy test
+    # labels; a numpy bool is a bool
+    p = write(tmp_path / "d.csv", "1,2.5\n0,1.5\n")
+    s = write(tmp_path / "s.txt", "1 1:2.5\n0 1:1.5\n")
+    refused = [
+        ("add_intercept", lambda v: load_csv(p, add_intercept=v)),
+        ("labeled", lambda v: load_csv(p, labeled=v)),
+        ("add_intercept", lambda v: load_sparse_classification_format(s, add_intercept=v)),
+        ("noisy_test_labels", lambda v: SynthSpec(d=2, n_train=3, k=1, noisy_test_labels=v)),
+    ]
+    for name, call in refused:
+        for bad in ("no", 1, None):
+            with pytest.raises(ValueError, match=f"{name} must be a bool, got {bad!r}") \
+                    as raised:
+                call(bad)
+            assert not isinstance(raised.value, DataError)
+        call(np.True_)
+        call(False)
+    assert load_csv(p, add_intercept=np.True_).n_features == 2
+
+
 def test_load_csv_empty_cells_become_zero(tmp_path):
     p = write(tmp_path / "d.csv", "label,f1,f2\n1,,3\n0,2,\n")
     data = load_csv(p)
@@ -420,6 +454,15 @@ def test_load_sparse_num_features_override(tmp_path):
     assert data.features.shape == (1, 5)
     with pytest.raises(DataError, match="exceeds"):
         load_sparse_classification_format(p, num_features=1)
+    assert load_sparse_classification_format(p, num_features=np.int64(2)).n_features == 2
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, np.float64(3.0), "3"])
+def test_load_sparse_num_features_of_another_type_is_refused_before_the_file(tmp_path, bad):
+    # True ran as d = 1 and 2.5 raised TypeError from numpy
+    with pytest.raises(ValueError, match="num_features must be an integer") as raised:
+        load_sparse_classification_format(tmp_path / "absent.txt", num_features=bad)
+    assert not isinstance(raised.value, DataError)
 
 
 def test_load_sparse_rejects_malformed_lines(tmp_path):
@@ -432,6 +475,12 @@ def test_load_sparse_rejects_malformed_lines(tmp_path):
     bad = write(tmp_path / "b.txt", "1 2;1\n")
     with pytest.raises(DataError, match="idx:val"):
         load_sparse_classification_format(bad)
+    letter = write(tmp_path / "l.txt", "1 a:0.5\n")
+    with pytest.raises(DataError, match="feature index 'a' is not an integer"):
+        load_sparse_classification_format(letter)
+    blank = write(tmp_path / "blank.txt", "\n  \n\n")
+    with pytest.raises(DataError, match="file contains no rows"):
+        load_sparse_classification_format(blank)
 
 
 def test_load_sparse_rejects_an_empty_value(tmp_path):
@@ -576,6 +625,8 @@ def test_synth_spec_validation():
         SynthSpec(d=5, n_train=10, k=2, noise_sigma=-1.0)
     with pytest.raises(ValueError):
         SynthSpec(d=5, n_train=0, k=2)
+    with pytest.raises(ValueError, match="n_test must be >= 0, got -1"):
+        SynthSpec(d=5, n_train=10, k=2, n_test=-1)
 
 
 @pytest.mark.parametrize("field, value", [("noise_sigma", float("nan")),

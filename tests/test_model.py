@@ -261,6 +261,8 @@ def test_predict_cases():
     assert label == 0 and prob == pytest.approx(sigmoid(-3.0))
     label, prob = predict(np.zeros(2), np.array([5.0, -2.0]))
     assert label == 1 and prob == 0.5  # zero weights put everything on the boundary
+    with pytest.raises(ValueError, match=r"sample has shape \(3,\) but theta has shape \(2,\)"):
+        predict(theta, np.zeros(3))
 
 
 def test_predict_many_matches_predict():
@@ -286,6 +288,8 @@ def test_dataset_validation_errors():
         Dataset(np.ones((3, 2)), np.array([0, 1]))  # length mismatch
     with pytest.raises(ValueError):
         Dataset(np.ones(3), np.array([0, 1, 1]))  # not 2-d
+    with pytest.raises(ValueError, match="center must be a finite length-d vector"):
+        Dataset(np.ones((2, 2)), np.array([0, 1]), center=np.array([np.inf, 0.0]))
     with pytest.raises(ValueError):
         loss(np.zeros(3), Dataset(np.ones((2, 2)), np.array([0, 1])))
 

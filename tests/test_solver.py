@@ -196,6 +196,62 @@ def test_backtracking_shrinks_oversized_alpha():
     assert lhs <= rhs + 1e-10
 
 
+@pytest.mark.parametrize("eta", [0.5, 1e-300])
+def test_a_search_that_finds_no_stepsize_is_a_numerical_error_whatever_eta(eta):
+    # every trial overflows; at eta = 1e-300 the third trial stepsize
+    # underflows to 0, whose bound is not finite, so it fails the acceptance
+    # test as the overflowed ones do, with no ZeroDivisionError or warning.
+    # The start's own margins overflow, which the public loss_gradient warns of.
+    data = Dataset(np.array([[1e10, 1.0], [1.0, -1e10]]), np.array([1, 0]))
+    config = SolverConfig(stepsize_rule=BACKTRACKING, eta=eta)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError,
+                                                   match="did not accept a stepsize"):
+        backtrack_stepsize(np.array([-1e300, 1e300]), 1.0, config, 0.5,
+                           PenaltySpec(zeta=0.1, beta=0.5), data)
+
+
+def test_backtrack_stepsize_checks_its_first_prox_weight():
+    data = Dataset(np.array([[1.0, 0.5], [0.5, -1.0]]), np.array([1, 0]))
+    spec = PenaltySpec(zeta=0.1)
+    config = SolverConfig(stepsize_rule=BACKTRACKING)
+    # weight*zeta = 10*0.5*0.1 = 1/2 is not admissible
+    with pytest.raises(ValueError, match="prox is not well posed"):
+        backtrack_stepsize(np.zeros(2), 10.0, config, 0.5, spec, data)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="prox weight must be a finite positive real"):
+            backtrack_stepsize(np.zeros(2), bad, config, 0.5, spec, data)
+
+
+def test_each_input_is_checked_once_where_the_run_starts(monkeypatch):
+    # the run's beta, spec and first prox weight are checked before the first
+    # iteration, and nothing in the iteration checks them again
+    counts = {"weight": 0, "spec": 0, "config": 0}
+    check_weight, spec_init, config_init = (solver._check_weight, PenaltySpec.__post_init__,
+                                            SolverConfig.__post_init__)
+
+    def counted(name, check):
+        def wrapped(*args):
+            counts[name] += 1
+            return check(*args)
+        return wrapped
+
+    monkeypatch.setattr(solver, "_check_weight", counted("weight", check_weight))
+    monkeypatch.setattr(PenaltySpec, "__post_init__", counted("spec", spec_init))
+    monkeypatch.setattr(SolverConfig, "__post_init__", counted("config", config_init))
+    rng = np.random.default_rng(25)
+    data = random_instance(rng, 40, 6)
+    spec = PenaltySpec(zeta=0.2)
+    for rule in (CONSTANT, BACKTRACKING):
+        config = SolverConfig(stepsize_rule=rule, eps_tol=1e-300, max_iters=60)
+        counts.update(weight=0, spec=0, config=0)
+        assert fit(data, 0.5, spec, config).iterations > 10
+        assert counts == {"weight": 1, "spec": 1, "config": 0}, rule
+    cells = [(0.5, 0.0), (0.5, 0.2), (1.0, 0.2)]
+    counts.update(weight=0, spec=0, config=0)
+    fit_cells(data, cells, [0.1, None, 0.1], max_iters=50)
+    assert counts == {"weight": 3, "spec": 3, "config": 1}
+
+
 def test_backtracking_alpha_non_increasing_across_iterations():
     rng = np.random.default_rng(24)
     data = random_instance(rng, 40, 6)
@@ -236,7 +292,8 @@ def test_backtracking_fit_is_the_one_point_oracle_bitwise():
             full = backtracking_fit_oracle(data, beta, spec, config, theta0=start)
             steps = [row.stepsize for row in full.trace[1:]]
             reductions.update(k for k in range(1, len(steps)) if steps[k] < steps[k - 1])
-            reductions.add(0 if steps[0] < _initial_alpha(config, beta, spec, data) else None)
+            first = _initial_alpha(config.alpha, config, replace(spec, beta=beta), data)
+            reductions.add(0 if steps[0] < first else None)
             # eps_tol at the k-th objective change stalls the fit at k or before
             changes = np.abs(np.diff([row.objective for row in full.trace])).tolist()
             every = 1 if start is None else 3
@@ -476,7 +533,7 @@ def test_the_default_constant_stepsize_on_all_zero_features_at_zeta_zero(acceler
     spec = PenaltySpec(zeta=0.0)
     config = SolverConfig(accelerate=accelerate, record_trace=traced)
     assert max_constant_stepsize(0.1, spec, data) == math.inf
-    assert _initial_alpha(config, 0.1, spec, data) == 1.0
+    assert _initial_alpha(config.alpha, config, replace(spec, beta=0.1), data) == 1.0
     result = fit(data, 0.1, spec, config)
     expected = fit(data, 0.1, spec, replace(config, stepsize_rule=BACKTRACKING))
     for r in (result, expected):
@@ -559,11 +616,12 @@ def test_alpha_is_the_first_stepsize_under_either_rule():
     spec = PenaltySpec(zeta=0.1)
     for rule in (CONSTANT, BACKTRACKING):
         config = SolverConfig(stepsize_rule=rule, alpha=0.01, max_iters=5)
-        assert _initial_alpha(config, 0.5, spec, data) == 0.01
+        assert _initial_alpha(config.alpha, config, replace(spec, beta=0.5), data) == 0.01
         assert fit(data, 0.5, spec, config).trace[1].stepsize == 0.01
     # backtracking's bound on its first stepsize names alpha
     with pytest.raises(ValueError, match=r"alpha = 20.0 violates beta\*zeta\*alpha < 1/2"):
-        _initial_alpha(SolverConfig(stepsize_rule=BACKTRACKING, alpha=20.0), 0.5, spec, data)
+        _initial_alpha(20.0, SolverConfig(stepsize_rule=BACKTRACKING), replace(spec, beta=0.5),
+                       data)
     with pytest.raises(TypeError):
         SolverConfig(alpha0=0.01)
 
@@ -998,6 +1056,10 @@ def test_fit_cells_checks_every_cell_before_iterating():
         fit_cells(data, [(0.5, -0.1)], [None])
     with pytest.raises(ValueError):
         fit_cells(data, cells, [None, None], eps_tol=0.0)
+    # True would run as 1.0, and "0.1" would be parsed late
+    for bad in ("0.1", True, np.False_):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            fit_cells(data, cells, [None, bad])
 
 
 def test_fit_cells_raises_when_a_running_cell_turns_non_finite(monkeypatch):
