@@ -17,7 +17,9 @@ and grad_j = 0.  ``check_mcp_local_opt`` classifies each coordinate
 against that characterization and assembles the full report.
 
 The four ``check_*`` functions take ``beta = None`` to mean ``spec.beta``,
-and refuse a beta that :class:`PenaltySpec` refuses with ``ValueError``.
+and refuse a beta that :class:`PenaltySpec` refuses with ``ValueError``,
+and so a tolerance (``tol``, ``grad_tol``, ``margin``) that is not a
+finite real >= 0: NaN would pass or fail a comparison by its side.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, loss_gradient, spectral_norm
+from .model import Dataset, _check_real, loss_gradient, spectral_norm
 from .penalty import PenaltySpec, _as_float_array, convexified_second_derivatives
 from .solver import _check_beta, _conditions, _violation
 
@@ -151,10 +153,17 @@ def _zero_vector_status(beta: float, threshold: float) -> str:
     return "not a critical point (beta below the threshold)"
 
 
+def _check_tolerance(name: str, value) -> float:
+    value = _check_real(name, value)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be a finite nonnegative real, got {value!r}")
+    return value
+
+
 def check_critical_point(theta, beta: float, spec: PenaltySpec, data: Dataset,
                          tol: float = 0.0) -> bool:
     """Coordinatewise subgradient inclusion test with additive slack ``tol``."""
-    beta = _check_beta(beta, spec)
+    beta, tol = _check_beta(beta, spec), _check_tolerance("tol", tol)
     theta, grad = _point_and_gradient(theta, data)
     return _is_critical(_violation(*_conditions(theta, grad, beta, spec)), tol)
 
@@ -163,7 +172,7 @@ def check_sufficient_local_opt(theta, beta: float, spec: PenaltySpec, data: Data
                                tol: float = 0.0) -> bool:
     """Sufficient condition: strict interior membership at kinks, or gradient
     match plus one-sided curvature H'' >= 2*zeta at smooth coordinates."""
-    beta = _check_beta(beta, spec)
+    beta, tol = _check_beta(beta, spec), _check_tolerance("tol", tol)
     theta, grad = _point_and_gradient(theta, data)
     return _is_local_opt(theta, *_conditions(theta, grad, beta, spec), spec, tol,
                          curvature_floor=2.0 * spec.zeta, strict_kinks=True)
@@ -173,7 +182,7 @@ def check_necessary_local_opt(theta, beta: float, spec: PenaltySpec, data: Datas
                               tol: float = 0.0) -> bool:
     """Necessary condition: non-strict inclusion at kinks, and curvature floor
     lowered by ||X||^2 / (4*beta) at smooth coordinates."""
-    beta = _check_beta(beta, spec)
+    beta, tol = _check_beta(beta, spec), _check_tolerance("tol", tol)
     norm = spectral_norm(data)
     theta, grad = _point_and_gradient(theta, data)
     return _is_local_opt(theta, *_conditions(theta, grad, beta, spec), spec, tol,
@@ -220,10 +229,8 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
     """
     beta = _check_beta(beta, spec)
     norm = spectral_norm(data)
-    if grad_tol is None:
-        grad_tol = 1e-6 * (1.0 + norm)
-    if margin is None:
-        margin = 1e-9 * beta
+    grad_tol = 1e-6 * (1.0 + norm) if grad_tol is None else _check_tolerance("grad_tol", grad_tol)
+    margin = 1e-9 * beta if margin is None else _check_tolerance("margin", margin)
     theta, grad = _point_and_gradient(theta, data)
     kink_radius = spec.plateau_start
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, NumericalError
+from .model import Dataset, NumericalError, _check_bool, _check_integer, _check_real, _is_integer
 
 __all__ = [
     "DataError",
@@ -48,18 +48,6 @@ class DataError(ValueError):
     """Malformed or unusable input data."""
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_bool(name: str, value) -> None:
-    """Refuse a switch that is not a Python or numpy bool with ``ValueError``:
-    "no" is truthy, and 1 or None would pass for one."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
-
-
 @dataclass
 class SynthSpec:
     """Parameters of one synthetic classification problem.
@@ -85,30 +73,21 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # a bool would run as 0 or 1, and a float would fail late in the draws
-        for name in ("d", "n_train", "k", "n_test", "latent_dim", "seed"):
-            value = getattr(self, name)
-            if not (_is_integer(value) or (value is None and name == "latent_dim")):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("d", 1), ("n_train", 1), ("k", 0), ("n_test", 0), ("seed", 0)):
+            _check_integer(name, getattr(self, name), low)
+        if self.latent_dim is not None:
+            _check_integer("latent_dim", self.latent_dim, 1)
         _check_bool("noisy_test_labels", self.noisy_test_labels)
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.n_train < 1:
-            raise ValueError(f"n_train must be >= 1, got {self.n_train}")
-        if self.n_test < 0:
-            raise ValueError(f"n_test must be >= 0, got {self.n_test}")
-        if not (0 <= self.k <= self.d):
+        if self.k > self.d:
             raise ValueError(f"k must lie in [0, d] = [0, {self.d}], got {self.k}")
-        if self.latent_dim is not None and not (1 <= self.latent_dim <= self.d):
+        if self.latent_dim is not None and self.latent_dim > self.d:
             raise ValueError(
                 f"latent_dim must lie in [1, d] = [1, {self.d}], got {self.latent_dim}"
             )
         if self.amplitude not in (AMPLITUDE_UNIFORM, AMPLITUDE_NORMAL):
             raise ValueError(f"unknown amplitude law {self.amplitude!r}")
         for name in ("amp_low", "amp_high", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(_check_real(name, getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.amp_low > self.amp_high:
             raise ValueError("amp_low must not exceed amp_high")
@@ -224,11 +203,11 @@ def train_test_split(data: Dataset, test_fraction: float, seed: int,
                      center_split: bool = True):
     """Seeded shuffle and split; the test side is centered with the training
     center when ``center_split`` is set.  ``seed`` is an integer >= 0."""
-    # None would draw from OS entropy, a bool would run as 0 or 1, and a
-    # float or a negative seed would fail inside numpy
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    if not (0.0 < test_fraction < 1.0):
+    # None would draw from OS entropy, and a float or a negative seed would
+    # fail inside numpy
+    _check_integer("seed", seed, 0)
+    _check_bool("center_split", center_split)
+    if not (0.0 < _check_real("test_fraction", test_fraction) < 1.0):
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n = data.n_samples
     n_test = int(np.floor(n * test_fraction))
@@ -470,10 +449,8 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
     """
     # settings, not the file's fault; a bool would run as d = 1
     _check_bool("add_intercept", add_intercept)
-    if num_features is not None and not _is_integer(num_features):
-        raise ValueError(f"num_features must be an integer, got {num_features!r}")
-    if num_features is not None and num_features < 1:
-        raise ValueError(f"num_features must be at least 1, got {num_features}")
+    if num_features is not None:
+        _check_integer("num_features", num_features, 1)
     entries = []
     labels = []
     max_idx = 0

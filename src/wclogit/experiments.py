@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import (SynthSpec, _is_integer, _write_csv, apply_center, center, gen_noisy,
-                   gen_separable)
-from .model import predict_many
+from .data import SynthSpec, _write_csv, apply_center, center, gen_noisy, gen_separable
+from .model import _check_integer, _check_real, predict_many
 from .penalty import PenaltySpec
 from .solver import SolverConfig, fit, fit_cells, max_constant_stepsize, write_trace_csv
 
@@ -43,24 +41,14 @@ class CvGrid:
     seed: int = 0
 
     def __post_init__(self):
-        self.betas = tuple(sorted(float(b) for b in self.betas))
-        self.zetas = tuple(sorted(float(z) for z in self.zetas))
+        # each beta and zeta as every cell's PenaltySpec reads it, before any
+        # pair is drawn
+        self.betas = tuple(sorted(PenaltySpec(zeta=0.0, beta=b).beta for b in self.betas))
+        self.zetas = tuple(sorted(PenaltySpec(zeta=z).zeta for z in self.zetas))
         if not self.betas or not self.zetas:
             raise ValueError("grid needs at least one beta and one zeta")
-        # NaN would sort anywhere and pass both sign checks
-        if not all(math.isfinite(v) for v in self.betas + self.zetas):
-            raise ValueError(f"betas and zetas must be finite, got {self.betas} and {self.zetas}")
-        if self.betas[0] <= 0:
-            raise ValueError(f"betas must be positive, got {self.betas[0]}")
-        if self.zetas[0] < 0:
-            raise ValueError(f"zetas must be nonnegative, got {self.zetas[0]}")
-        # a bool is an int, and range() would reject 2.5 only later
-        for name in ("repeats", "seed"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        _check_integer("repeats", self.repeats, 1)
+        _check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -111,8 +99,8 @@ class ErrorGrid:
                       f"mean {kind} error {row.mean_test_error:.4f}")
 
 
-def run_cv_grid(grid: CvGrid, dataset_for_repeat, alpha=None, eps_tol=1e-9,
-                max_iters=1000, notify=None) -> ErrorGrid:
+def run_cv_grid(grid: CvGrid, dataset_for_repeat, alpha: float | None = None,
+                eps_tol: float = 1e-9, max_iters: int = 1000, notify=None) -> ErrorGrid:
     """Fit and score every grid cell on every repeat's (train, test) pair.
 
     ``dataset_for_repeat(r)`` supplies the r-th pair; pairs are drawn once and
@@ -120,10 +108,11 @@ def run_cv_grid(grid: CvGrid, dataset_for_repeat, alpha=None, eps_tol=1e-9,
     :func:`fit_cells`.  An explicit ``alpha`` must be a finite positive
     real; above a cell's admissible range it falls back to the default with
     a ``notify`` notice (once per cell).  Rows come back ordered by (beta, zeta).
+    Every setting is checked before any pair is drawn.
     """
-    # True would run as 1, and "0.1" would fail a comparison with a TypeError
-    if alpha is not None and (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
-                              or not 0.0 < alpha < math.inf):
+    # eps_tol and max_iters as fit_cells reads them
+    SolverConfig(eps_tol=eps_tol, max_iters=max_iters)
+    if alpha is not None and not 0.0 < _check_real("alpha", alpha) < math.inf:
         raise ValueError(f"alpha must be a finite positive real, got {alpha!r}")
     pairs = [dataset_for_repeat(r) for r in range(grid.repeats)]
     cells = [(b, z) for b in grid.betas for z in grid.zetas]
@@ -170,7 +159,10 @@ def _notify_unconverged(grids, max_iters: int) -> None:
 
 def synthetic_pairs(base: SynthSpec, seed: int):
     """``dataset_for_repeat`` for :func:`run_cv_grid`: repeat r draws ``base``
-    at seed ``seed + r`` (``base.n_test`` must be >= 1) and centers the pair."""
+    at seed ``seed + r`` (``base.n_test`` must be >= 1) and centers the pair;
+    ``seed`` is an integer >= 0."""
+    _check_integer("seed", seed, 0)
+
     def pair_for_repeat(r):
         train, test, _ = gen_noisy(dataclasses.replace(base, seed=seed + r))
         train = center(train)

@@ -23,10 +23,19 @@ matrix, one pass for all of them; their label operands are then the first
 rows of a block of repeated label rows, so that every elementwise step
 has operands of one shape.  Each step keeps the bits of the plain
 formulas: the tests hold those as oracles.
+
+Every real, integer and switch setting the library takes is read by one
+of the three readers here, where it enters: ``_check_real``,
+``_check_integer`` (with its lower bound) and ``_check_bool``.  A bool or
+a string is refused with ``ValueError``, never coerced: True is not the
+real 1.0 or the integer 1, "0.5" is not a number, and "no" is not False.
+Each reader returns the value as a Python float, int or bool; any other
+bound (a real's range, an integer's upper bound) is the caller's to check.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -47,6 +56,37 @@ __all__ = [
 
 class NumericalError(RuntimeError):
     """A computation produced a non-finite quantity."""
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a float, refused with ``ValueError`` unless it is a real
+    number: True would run as 1.0, and "0.5" would be parsed late or fail a
+    comparison with a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_integer(name: str, value, low: int) -> int:
+    """``value`` as an int, refused with ``ValueError`` unless it is an integer
+    >= ``low``: a bool would run as 0 or 1, and 2.5 or "3" would be
+    truncated, parsed or fail late."""
+    if not _is_integer(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_bool(name: str, value) -> bool:
+    """``value`` as a bool, refused with ``ValueError`` unless it is a Python
+    or numpy bool: "no" is truthy, and 1 or None would pass for one."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 @dataclass(frozen=True)
@@ -93,8 +133,8 @@ class Dataset:
         for array in (X, y, c):
             array.flags.writeable = False
         for name, value in (("features", X), ("labels", y), ("center", c),
-                            ("centered", bool(self.centered)),
-                            ("has_intercept", bool(self.has_intercept))):
+                            ("centered", _check_bool("centered", self.centered)),
+                            ("has_intercept", _check_bool("has_intercept", self.has_intercept))):
             object.__setattr__(self, name, value)
 
     @property
@@ -237,15 +277,22 @@ def _check_theta(theta, data: Dataset) -> np.ndarray:
 
 
 def loss(theta, data: Dataset) -> float:
-    """Negative log-likelihood of the dataset under theta."""
+    """Negative log-likelihood of the dataset under theta; inf where it lies
+    beyond the float range, without numpy's overflow warning."""
     evaluate, _, _ = _kernels(data)
-    return evaluate(_check_theta(theta, data))[1]
+    theta = _check_theta(theta, data)
+    with np.errstate(over="ignore"):
+        return evaluate(theta)[1]
 
 
 def loss_gradient(theta, data: Dataset) -> np.ndarray:
-    """Gradient of the loss: X^T (sigmoid(X theta) - y)."""
+    """Gradient of the loss: X^T (sigmoid(X theta) - y).  A margin beyond the
+    float range reads +-inf, whose sigmoid is exact, without numpy's
+    overflow warning."""
     _, gradient, _ = _kernels(data)
-    return gradient(_margins(data.features, _check_theta(theta, data)))
+    theta = _check_theta(theta, data)
+    with np.errstate(over="ignore"):
+        return gradient(_margins(data.features, theta))
 
 
 def spectral_norm(data: Dataset) -> float:

@@ -38,6 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import _check_real
+
 MCP = "mcp"
 
 _MAX = float(np.finfo(float).max)
@@ -70,8 +72,8 @@ class PenaltySpec:
     beta: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "zeta", float(self.zeta))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "zeta", _check_real("zeta", self.zeta))
+        object.__setattr__(self, "beta", _check_real("beta", self.beta))
         if not np.isfinite(self.zeta) or self.zeta < 0:
             raise ValueError(f"zeta must be a finite nonnegative real, got {self.zeta}")
         if not np.isfinite(4.0 * self.zeta):
@@ -201,7 +203,7 @@ def penalty_total(theta, spec: PenaltySpec) -> float:
 
 
 def _check_weight(weight: float, spec: PenaltySpec) -> float:
-    weight = float(weight)
+    weight = _check_real("prox weight", weight)
     if not math.isfinite(weight) or weight <= 0:
         raise ValueError(f"prox weight must be a finite positive real, got {weight}")
     if weight * spec.zeta >= 0.5:

@@ -225,16 +225,18 @@ the 40 us of the objective it skips.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import _check_bool, _is_integer, _write_csv
+from .data import _write_csv
 from .model import (
     Dataset,
     NumericalError,
+    _check_bool,
+    _check_integer,
+    _check_real,
     _check_theta,
     _kernels,
     _margins,
@@ -329,7 +331,7 @@ class SolverConfig:
         for name in ("alpha", "eta", "eps_tol"):
             # None is alpha's default
             if getattr(self, name) is not None or name != "alpha":
-                _check_real(name, getattr(self, name))
+                setattr(self, name, _check_real(name, getattr(self, name)))
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.stepsize_rule == CONSTANT and self.eta != 0.5:
@@ -337,19 +339,7 @@ class SolverConfig:
                              "stepsize rule; only backtracking reads it")
         if not (np.isfinite(self.eps_tol) and self.eps_tol > 0):
             raise ValueError(f"eps_tol must be a positive real, got {self.eps_tol}")
-        # a bool is an int, and int() would truncate 2.5 or parse '7'
-        if not _is_integer(self.max_iters) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        self.max_iters = int(self.max_iters)
-
-
-def _check_real(name: str, value):
-    """``value``, refused with ``ValueError`` unless it is a real number: True
-    would run as 1.0, and "0.5" would be parsed late or fail a comparison
-    with a TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
+        self.max_iters = _check_integer("max_iters", self.max_iters, 1)
 
 
 class TraceRow(NamedTuple):
@@ -410,6 +400,7 @@ def max_constant_stepsize(beta: float, spec: PenaltySpec, data: Dataset) -> floa
 def prox_grad_step(theta, alpha: float, beta: float, spec: PenaltySpec, data: Dataset):
     """One update theta -> prox_{alpha*beta*J}(theta - alpha*grad(theta))."""
     beta = _check_beta(beta, spec)
+    alpha = _check_real("alpha", alpha)
     g = loss_gradient(theta, data)
     return prox_vector(np.asarray(theta, dtype=float) - alpha * g, alpha * beta, spec)
 
@@ -509,19 +500,20 @@ def backtrack_stepsize(theta_prev, alpha_prev: float, config: SolverConfig,
                        beta: float, spec: PenaltySpec, data: Dataset):
     """One backtracked update from theta_prev; returns (alpha_k, theta_k)."""
     beta = _check_beta(beta, spec)
+    alpha_prev = _check_real("alpha_prev", alpha_prev)
     theta_prev = _as_float_array(theta_prev)
-    _check_weight(float(alpha_prev) * beta, spec)
+    _check_weight(alpha_prev * beta, spec)
     grad = loss_gradient(theta_prev, data)
     evaluate, _, _ = _kernels(data)
-    alpha, cand, _, _ = _backtrack(theta_prev, grad, loss(theta_prev, data), float(alpha_prev),
+    alpha, cand, _, _ = _backtrack(theta_prev, grad, loss(theta_prev, data), alpha_prev,
                                    config.eta, beta, spec, evaluate)
     return alpha, cand
 
 
 def _initial_alpha(alpha, config: SolverConfig, spec: PenaltySpec, data: Dataset) -> float:
     """The run's first stepsize, ``alpha`` or the default of ``config``'s
-    rule, checked against that rule's bound for ``spec`` (and its beta)."""
-    alpha = None if alpha is None else float(alpha)
+    rule, checked against that rule's bound for ``spec`` (and its beta);
+    ``alpha`` is None or a float, as ``_check_real`` returns it."""
     if config.stepsize_rule == CONSTANT:
         bound = max_constant_stepsize(None, spec, data)
         if alpha is None:

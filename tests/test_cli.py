@@ -445,7 +445,7 @@ def test_num_features_below_one_is_a_usage_error(tmp_path, capsys):
                      ["certify", model, sparse]):
             assert run(*argv, "--sparse-format", "--num-features", value) == 1
             captured = capsys.readouterr()
-            assert captured.err == f"error: num_features must be at least 1, got {value}\n"
+            assert captured.err == f"error: num_features must be an integer >= 1, got {value}\n"
             assert captured.out == ""
     assert not any(path.exists() for path in outputs)
 
@@ -758,7 +758,10 @@ def test_certify_rejects_data_with_another_feature_count(synth, tmp_path, capsys
 def test_cv_grid_rejects_malformed_fields(field, bad):
     fields = {"betas": (0.1, 1.0), "zetas": (0.0, 0.1), "repeats": 2, "seed": 0}
     fields[field] = bad
-    with pytest.raises(ValueError, match=field):
+    # each beta and zeta is read by PenaltySpec, with its message
+    match = {"betas": "beta must be a finite positive real",
+             "zetas": "zeta must be a finite nonnegative real"}.get(field, field)
+    with pytest.raises(ValueError, match=match):
         CvGrid(**fields)
 
 
@@ -879,7 +882,7 @@ def test_run_cv_grid_refuses_an_alpha_that_is_not_a_real_number():
         raise AssertionError("a pair was drawn")
 
     for alpha in (True, "0.1", 1 + 0j):
-        with pytest.raises(ValueError, match="alpha must be a finite positive real"):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
             run_cv_grid(CvGrid(betas=(0.1,), zetas=(0.0,), repeats=1), no_pairs, alpha=alpha)
 
 

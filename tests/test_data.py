@@ -625,7 +625,7 @@ def test_synth_spec_validation():
         SynthSpec(d=5, n_train=10, k=2, noise_sigma=-1.0)
     with pytest.raises(ValueError):
         SynthSpec(d=5, n_train=0, k=2)
-    with pytest.raises(ValueError, match="n_test must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="n_test must be an integer >= 0, got -1"):
         SynthSpec(d=5, n_train=10, k=2, n_test=-1)
 
 
@@ -644,7 +644,7 @@ def test_synth_spec_refuses_a_count_or_seed_that_is_not_an_integer():
                          ("n_test", "3"), ("latent_dim", False), ("seed", 1.5)]:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SynthSpec(**{"d": 5, "n_train": 10, "k": 2, field: value})
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
         SynthSpec(d=5, n_train=10, k=2, seed=-1)
     SynthSpec(d=np.int64(5), n_train=10, k=2, latent_dim=None, seed=np.uint32(3))
 

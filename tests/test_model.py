@@ -202,6 +202,15 @@ def test_non_finite_margins_give_a_non_finite_loss_without_warnings():
     margins, value = evaluate(np.array([-np.inf]))
     assert value == math.inf
 
+def test_margins_beyond_the_float_range_give_inf_and_a_finite_gradient_without_warnings():
+    # both margins overflow to -inf, which numpy's warning (an error here)
+    # would announce: the label-1 sample then costs inf, and both sigmoids
+    # are exactly 0
+    data = Dataset(np.array([[1e10, 1.0], [1.0, -1e10]]), np.array([1, 0]))
+    theta = np.array([-1e300, 1e300])
+    assert loss(theta, data) == math.inf
+    assert loss_gradient(theta, data).tolist() == [-1e10, -1.0]
+
 
 def test_gradient_lipschitz_bound_holds():
     rng = np.random.default_rng(7)

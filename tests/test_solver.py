@@ -200,12 +200,10 @@ def test_backtracking_shrinks_oversized_alpha():
 def test_a_search_that_finds_no_stepsize_is_a_numerical_error_whatever_eta(eta):
     # every trial overflows; at eta = 1e-300 the third trial stepsize
     # underflows to 0, whose bound is not finite, so it fails the acceptance
-    # test as the overflowed ones do, with no ZeroDivisionError or warning.
-    # The start's own margins overflow, which the public loss_gradient warns of.
+    # test as the overflowed ones do, with no ZeroDivisionError or warning
     data = Dataset(np.array([[1e10, 1.0], [1.0, -1e10]]), np.array([1, 0]))
     config = SolverConfig(stepsize_rule=BACKTRACKING, eta=eta)
-    with np.errstate(over="ignore"), pytest.raises(NumericalError,
-                                                   match="did not accept a stepsize"):
+    with pytest.raises(NumericalError, match="did not accept a stepsize"):
         backtrack_stepsize(np.array([-1e300, 1e300]), 1.0, config, 0.5,
                            PenaltySpec(zeta=0.1, beta=0.5), data)
 
