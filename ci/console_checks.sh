@@ -86,6 +86,15 @@ traced ""
 traced acc_ --accelerate
 traced bt_ --backtracking
 traced bt_acc_ --backtracking --accelerate
+# the installed package writes back, byte for byte, each of the eight model
+# files that the four runs above wrote
+models=$(ls ./*traced.txt ./*plain.txt)
+test "$(echo "$models" | wc -l)" -eq 8
+python -W error -c 'import sys
+from wclogit.modelfile import load_model, save_model
+for path in sys.argv[1:]:
+    save_model(path + ".again", load_model(path))' $models
+for f in $models; do cmp "$f" "$f.again"; done
 # generate and predict twice each: every file byte-identical
 for run in 1 2; do
   wclogit generate --d 10 --n-train 300 --k 3 --n-test 100 --noise-sigma 1.0 --amplitude normal --seed 2 --out-prefix "gen$run"

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _check_real, loss_gradient, spectral_norm
-from .penalty import PenaltySpec, _as_float_array, convexified_second_derivatives
+from .model import Dataset, _check_real, _check_theta, loss_gradient, spectral_norm
+from .penalty import PenaltySpec, convexified_second_derivatives
 from .solver import _check_beta, _conditions, _violation
 
 CASE_ZERO_STRICT = "zero_strict"
@@ -190,8 +190,8 @@ def check_necessary_local_opt(theta, beta: float, spec: PenaltySpec, data: Datas
 
 
 def _point_and_gradient(theta, data: Dataset):
-    """theta as a finite float array, and its loss gradient (which checks its width)."""
-    theta = _as_float_array(theta)
+    """theta as a finite float array of the data's width, and its loss gradient."""
+    theta = _check_theta(theta, data)
     return theta, loss_gradient(theta, data)
 
 

@@ -253,8 +253,6 @@ def cmd_cv(args) -> int:
         base = SynthSpec(d=args.d, n_train=args.n_train, k=args.k, n_test=args.n_test,
                          latent_dim=args.latent_dim, amplitude=args.amplitude,
                          noise_sigma=args.noise_sigma)
-        if base.n_test < 1:
-            raise ValueError("cv needs test data; pass --n-test >= 1")
         pair_for_repeat = synthetic_pairs(base, grid.seed)
 
     error_grid = run_cv_grid(grid, pair_for_repeat, alpha=args.alpha,

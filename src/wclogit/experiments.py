@@ -159,9 +159,12 @@ def _notify_unconverged(grids, max_iters: int) -> None:
 
 def synthetic_pairs(base: SynthSpec, seed: int):
     """``dataset_for_repeat`` for :func:`run_cv_grid`: repeat r draws ``base``
-    at seed ``seed + r`` (``base.n_test`` must be >= 1) and centers the pair;
-    ``seed`` is an integer >= 0."""
+    at seed ``seed + r`` and centers the pair; ``base.n_test`` must be >= 1
+    and ``seed`` an integer >= 0, both checked before any pair is drawn."""
     _check_integer("seed", seed, 0)
+    if base.n_test < 1:
+        raise ValueError(f"synthetic pairs need test points: n_test must be >= 1, "
+                         f"got {base.n_test}")
 
     def pair_for_repeat(r):
         train, test, _ = gen_noisy(dataclasses.replace(base, seed=seed + r))

@@ -14,7 +14,10 @@ one SVD per dataset computes and caches; the certificate takes the
 matrix rank from the same vector.
 
 The public functions check their inputs and then call the private kernels
-below, which the solver calls directly.  ``_margins`` makes the one pass
+below, which the solver calls directly.  A point ``theta`` must be a finite
+vector of the data's width: ``_check_theta`` refuses any other with
+``ValueError``, for ``loss``, ``loss_gradient`` and every solver and
+certificate function that takes a point.  ``_margins`` makes the one pass
 ``z = X @ theta`` of a point and computes its one ``e = exp(-|z|)`` in
 place; that pair serves both the loss (``_loss_from_margins``) and the
 gradient (``_gradient_from_margins``, through the sigmoid
@@ -65,11 +68,15 @@ def _is_integer(value) -> bool:
 
 def _check_real(name: str, value) -> float:
     """``value`` as a float, refused with ``ValueError`` unless it is a real
-    number: True would run as 1.0, and "0.5" would be parsed late or fail a
-    comparison with a TypeError."""
+    number that a float holds: True would run as 1.0, "0.5" would be parsed
+    late or fail a comparison with a TypeError, and 10**400 would raise
+    ``OverflowError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number in the float range") from None
 
 
 def _check_integer(name: str, value, low: int) -> int:
@@ -268,11 +275,17 @@ def sigmoid(t):
 
 
 def _check_theta(theta, data: Dataset) -> np.ndarray:
+    """``theta`` as a float array, refused with ``ValueError`` unless it is a
+    finite vector of the data's width: an infinite or NaN coordinate would
+    give a NaN loss, or an iteration that stalls at once."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (data.n_features,):
         raise ValueError(
             f"theta has shape {theta.shape} but the dataset has {data.n_features} features"
         )
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(f"theta must be finite, got {theta[bad[0]]} at coordinate {bad[0]}")
     return theta
 
 

@@ -10,7 +10,11 @@ Line-oriented ``key value`` text with a leading format-version line, e.g.
     center 0.0 0.5 0.0
     theta 1.25 0.0 -0.75
 
-Floats are written with ``repr`` so loading reproduces them exactly.
+``_FIELDS`` is the one statement of the format: each field's key, in file
+order, and its kind, through which ``save_model`` writes it and
+``load_model`` reads it.  Floats are written with ``repr`` so loading
+reproduces them exactly; a numpy scalar is written as the Python scalar of
+its field's kind (``repr(float(x))`` for a float, never ``np.float64(...)``).
 Loading rejects a malformed file with :class:`~wclogit.data.DataError`:
 a bad header, a missing, repeated or unknown field, an unparsable or
 non-finite number, or a ``kind``/``stepsize_rule`` outside the values the
@@ -34,10 +38,16 @@ FORMAT_VERSION = 1
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "ModelFile", "save_model", "load_model"]
 
-# the fields after the header line, each written once by save_model
-_FIELDS = ("dimension", "beta", "zeta", "kind", "centered", "has_intercept",
-           "stepsize_rule", "accelerate", "iterations", "converged",
-           "final_objective", "center", "theta")
+# every line after the header, in file order, with its kind: int, float,
+# bool, a vector (np.ndarray), or the tuple of the words the library
+# writes.  save_model writes and load_model reads exactly these lines;
+# dimension and kind are written and checked, and ModelFile keeps neither.
+_FIELDS = {
+    "dimension": int, "beta": float, "zeta": float, "kind": (MCP,),
+    "centered": bool, "has_intercept": bool, "stepsize_rule": (CONSTANT, BACKTRACKING),
+    "accelerate": bool, "iterations": int, "converged": bool, "final_objective": float,
+    "center": np.ndarray, "theta": np.ndarray,
+}
 
 
 @dataclass
@@ -55,36 +65,37 @@ class ModelFile:
     final_objective: float
 
 
+def _format(value, kind) -> str:
+    """``value`` as its field's token(s); a numpy scalar reads as the Python
+    scalar of the field's kind, so ``load_model`` reads it back."""
+    if kind is np.ndarray:
+        return " ".join(map(repr, value.tolist()))
+    if kind is bool:
+        return "true" if value else "false"
+    return repr(kind(value)) if kind in (int, float) else str(value)
+
+
 def save_model(path, model: ModelFile) -> None:
-    lines = [
-        f"{MAGIC} {FORMAT_VERSION}",
-        f"dimension {model.theta.size}",
-        f"beta {model.beta!r}",
-        f"zeta {model.zeta!r}",
-        f"kind {MCP}",
-        f"centered {str(model.centered).lower()}",
-        f"has_intercept {str(model.has_intercept).lower()}",
-        f"stepsize_rule {model.stepsize_rule}",
-        f"accelerate {str(model.accelerate).lower()}",
-        f"iterations {model.iterations}",
-        f"converged {str(model.converged).lower()}",
-        f"final_objective {model.final_objective!r}",
-        "center " + " ".join(map(repr, model.center.tolist())),
-        "theta " + " ".join(map(repr, model.theta.tolist())),
-    ]
+    values = {"dimension": model.theta.size, "kind": MCP, **vars(model)}
+    lines = [f"{MAGIC} {FORMAT_VERSION}"]
+    lines += [f"{key} {_format(values[key], kind)}" for key, kind in _FIELDS.items()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_bool(token: str, key: str) -> bool:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise DataError(f"model file field {key!r} must be true or false, got {token!r}")
-
-
-def _parse_number(token: str, key: str, kind=float):
+def _parse(token: str, key: str, kind):
+    """The value of field ``key`` of kind ``kind`` from its ``token``."""
+    if kind is np.ndarray:
+        return np.array([_parse(t, key, float) for t in token.split()])
+    if kind is bool:
+        if token not in ("true", "false"):
+            raise DataError(f"model file field {key!r} must be true or false, got {token!r}")
+        return token == "true"
+    if isinstance(kind, tuple):
+        if token not in kind:
+            raise DataError(f"model file field {key!r} must be one of {list(kind)}, "
+                            f"got {token!r}")
+        return token
     try:
         value = kind(token)
     except ValueError:
@@ -93,13 +104,6 @@ def _parse_number(token: str, key: str, kind=float):
     if not math.isfinite(value):
         raise DataError(f"model file field {key!r} must be finite, got {token!r}")
     return value
-
-
-def _parse_choice(token: str, key: str, allowed: tuple) -> str:
-    if token not in allowed:
-        raise DataError(f"model file field {key!r} must be one of {list(allowed)}, "
-                        f"got {token!r}")
-    return token
 
 
 def load_model(path) -> ModelFile:
@@ -129,25 +133,11 @@ def load_model(path) -> ModelFile:
     if missing:
         raise DataError(f"{path}: model file is missing fields {missing}")
     try:
-        dim = _parse_number(fields["dimension"], "dimension", int)
-        theta = np.array([_parse_number(t, "theta") for t in fields["theta"].split()])
-        centervec = np.array([_parse_number(t, "center") for t in fields["center"].split()])
-        if theta.size != dim or centervec.size != dim:
+        values = {key: _parse(fields[key], key, kind) for key, kind in _FIELDS.items()}
+        dim = values.pop("dimension")
+        del values["kind"]
+        if values["theta"].size != dim or values["center"].size != dim:
             raise DataError(f"vector lengths disagree with dimension {dim}")
-        _parse_choice(fields["kind"], "kind", (MCP,))
-        return ModelFile(
-            theta=theta,
-            beta=_parse_number(fields["beta"], "beta"),
-            zeta=_parse_number(fields["zeta"], "zeta"),
-            centered=_parse_bool(fields["centered"], "centered"),
-            center=centervec,
-            has_intercept=_parse_bool(fields["has_intercept"], "has_intercept"),
-            stepsize_rule=_parse_choice(fields["stepsize_rule"], "stepsize_rule",
-                                        (CONSTANT, BACKTRACKING)),
-            accelerate=_parse_bool(fields["accelerate"], "accelerate"),
-            iterations=_parse_number(fields["iterations"], "iterations", int),
-            converged=_parse_bool(fields["converged"], "converged"),
-            final_objective=_parse_number(fields["final_objective"], "final_objective"),
-        )
+        return ModelFile(**values)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -251,7 +251,6 @@ from .penalty import (
     PenaltySpec,
     _repeat_rows,
     _StackedSpec,
-    _as_float_array,
     _check_weight,
     _convexified_derivatives,
     _penalty_sum,
@@ -409,8 +408,8 @@ def criticality_residual(theta, beta: float, spec: PenaltySpec, data: Dataset) -
     """Distance to criticality: min over subgradients g of H of
     ||beta*g - 2*beta*zeta*theta + grad(theta)||_2, computed coordinatewise."""
     beta = _check_beta(beta, spec)
-    g = loss_gradient(theta, data)
-    return float(_residuals(_as_float_array(theta), g, beta, spec))
+    theta = _check_theta(theta, data)
+    return float(_residuals(theta, loss_gradient(theta, data), beta, spec))
 
 
 def _conditions(theta, grad, beta, spec):
@@ -501,7 +500,7 @@ def backtrack_stepsize(theta_prev, alpha_prev: float, config: SolverConfig,
     """One backtracked update from theta_prev; returns (alpha_k, theta_k)."""
     beta = _check_beta(beta, spec)
     alpha_prev = _check_real("alpha_prev", alpha_prev)
-    theta_prev = _as_float_array(theta_prev)
+    theta_prev = _check_theta(theta_prev, data)
     _check_weight(alpha_prev * beta, spec)
     grad = loss_gradient(theta_prev, data)
     evaluate, _, _ = _kernels(data)

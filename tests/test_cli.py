@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wclogit.cli import CvGrid, ErrorRow, main, run_cv_grid
+from wclogit.experiments import synthetic_pairs
 from wclogit.data import (
     SynthSpec,
     apply_center,
@@ -684,6 +685,23 @@ def test_model_file_checks_beta_and_zeta(synth, tmp_path, capsys, key, value, me
     assert captured.out == "" and message in captured.err
 
 
+def test_model_file_writes_numpy_scalars_as_python_ones(tmp_path):
+    # a model built from a fit_cells result holds numpy scalars, and
+    # np.float64(157.25611297406948) was written where load_model reads a float
+    def model(real, integer, switch):
+        return ModelFile(theta=np.array([0.5, -0.0]), beta=real(0.5), zeta=real(0.1),
+                         centered=True, center=np.array([1e-300, 2.0]), has_intercept=False,
+                         stepsize_rule="constant", accelerate=False, iterations=integer(12),
+                         converged=switch(True), final_objective=real(157.25611297406948))
+
+    twin = model(float, int, bool)
+    save_model(tmp_path / "numpy.txt", model(np.float64, np.int64, np.bool_))
+    save_model(tmp_path / "python.txt", twin)
+    assert (tmp_path / "numpy.txt").read_bytes() == (tmp_path / "python.txt").read_bytes()
+    back = load_model(tmp_path / "numpy.txt")
+    assert repr(vars(back)) == repr(vars(twin))
+
+
 # --- certify ----------------------------------------------------------------------
 
 
@@ -884,6 +902,18 @@ def test_run_cv_grid_refuses_an_alpha_that_is_not_a_real_number():
     for alpha in (True, "0.1", 1 + 0j):
         with pytest.raises(ValueError, match="alpha must be a real number"):
             run_cv_grid(CvGrid(betas=(0.1,), zetas=(0.0,), repeats=1), no_pairs, alpha=alpha)
+
+
+def test_synthetic_pairs_need_test_points_before_any_draw(tmp_path, capsys):
+    # a spec with no test points failed with an AttributeError inside the
+    # first draw
+    with pytest.raises(ValueError, match="n_test must be >= 1, got 0"):
+        synthetic_pairs(SynthSpec(d=5, n_train=20, k=2), 0)
+    assert run("cv", "--d", 5, "--n-train", 20, "--k", 2, "--n-test", 0, "--repeats", 1,
+               "--out", tmp_path / "g.csv") == 1
+    assert capsys.readouterr().err == ("error: synthetic pairs need test points: "
+                                       "n_test must be >= 1, got 0\n")
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_cv_reports_convergence_per_cell(tmp_path, capsys):

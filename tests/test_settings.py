@@ -7,10 +7,10 @@ value, and a call that passes the setting a value.  The valid value must
 be accepted.  Each bad value of the row's kind, and each of the row's own,
 must be refused with a ``ValueError`` that names the setting, before any
 file is read or any pair is drawn: a bool or a string is not a real or an
-integer, 2.5 is not an integer, and "no" or 1 is not a switch.  Every
-parameter or dataclass field of those entry points annotated ``float``,
-``int`` or ``bool`` (with or without ``| None``) must have a row, or sit
-on the exempt list with its reason.
+integer, 10**400 is not a real that a float holds, 2.5 is not an integer,
+and "no" or 1 is not a switch.  Every parameter or dataclass field of those
+entry points annotated ``float``, ``int`` or ``bool`` (with or without
+``| None``) must have a row, or sit on the exempt list with its reason.
 """
 
 import inspect
@@ -48,7 +48,7 @@ from wclogit.experiments import CvGrid, run_cv_grid, synthetic_pairs
 from wclogit.solver import fit_cells
 
 BAD = {
-    "real": (True, "0.5"),
+    "real": (True, "0.5", 10**400),
     "integer": (True, "0.5", 2.5),
     "switch": ("0.5", "no", 1),
 }

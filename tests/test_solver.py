@@ -220,6 +220,29 @@ def test_backtrack_stepsize_checks_its_first_prox_weight():
             backtrack_stepsize(np.zeros(2), bad, config, 0.5, spec, data)
 
 
+POINT_DATA = Dataset(np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, -2.0]]), np.array([1, 0, 1]))
+POINT_SPEC = PenaltySpec(zeta=0.1, beta=0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda t: fit(POINT_DATA, 0.5, POINT_SPEC, SolverConfig(), theta0=t),
+    lambda t: loss(t, POINT_DATA),
+    lambda t: loss_gradient(t, POINT_DATA),
+    lambda t: prox_grad_step(t, 0.1, 0.5, POINT_SPEC, POINT_DATA),
+    lambda t: criticality_residual(t, 0.5, POINT_SPEC, POINT_DATA),
+    lambda t: backtrack_stepsize(t, 1.0, SolverConfig(stepsize_rule=BACKTRACKING), 0.5,
+                                 POINT_SPEC, POINT_DATA),
+    lambda t: check_critical_point(t, 0.5, POINT_SPEC, POINT_DATA),
+], ids=["fit", "loss", "loss_gradient", "prox_grad_step", "criticality_residual",
+        "backtrack_stepsize", "check_critical_point"])
+def test_a_point_that_is_not_finite_is_refused(call, bad):
+    # fit from (inf, 0) "converged" at (inf, 0), and loss and its gradient
+    # returned NaN without a word; a point is an input, not a numerical fault
+    with pytest.raises(ValueError, match=f"theta must be finite, got {bad} at coordinate 0"):
+        call(np.array([bad, 0.0]))
+
+
 def test_each_input_is_checked_once_where_the_run_starts(monkeypatch):
     # the run's beta, spec and first prox weight are checked before the first
     # iteration, and nothing in the iteration checks them again
