@@ -139,6 +139,15 @@ test ! -e refused.csv
 # a model file whose beta the penalty refuses is a data error: exit 2
 sed 's/^beta .*/beta -1.0/' plain.txt > bad_beta.txt
 exits 2 wclogit certify bad_beta.txt stall_train.csv
+# a number that only Python's float() or int() reads (1_0 as 10), which no
+# writer writes, is a data error in a CSV and in a model file: exit 2, and
+# nothing written
+printf 'label,f1,f2\n1,1_0,2\n0,0.5,3\n' > underscore.csv
+exits 2 wclogit train underscore.csv --beta 0.1 --out underscore_model.txt
+test ! -e underscore_model.txt
+sed 's/^iterations .*/iterations 1_297/' plain.txt > underscore_iterations.txt
+exits 2 wclogit predict underscore_iterations.txt stall_train.csv --out underscore_pred.csv
+test ! -e underscore_pred.csv
 # a non-finite generator setting, and one the run would not read:
 # exit 1 without a traceback, and no file written
 for flags in "--noise-sigma nan" "--amplitude normal --amp-low 3"; do

@@ -82,6 +82,9 @@ class CertificateReport:
     beta_threshold: float | None
     problem_nonconvex: bool
     possible_separable_escape: bool
+    # whether theta = 0 is a local minimizer at this beta; None where the
+    # threshold is unavailable
+    zero_vector_status: str | None
 
     def to_text(self) -> str:
         lines = [f"problem nonconvex (rank-deficient features): {_yn(self.problem_nonconvex)}"]
@@ -106,6 +109,8 @@ class CertificateReport:
                 f"  [{row.index}] {row.case}: |theta| = {row.theta_abs:.6g}, "
                 f"|grad| = {row.grad_abs:.6g} ({status})"
             )
+        if self.zero_vector_status is not None:
+            lines.append(f"zero-vector status: {self.zero_vector_status}")
         return "\n".join(lines)
 
 
@@ -191,7 +196,7 @@ def check_necessary_local_opt(theta, beta: float, spec: PenaltySpec, data: Datas
 
 def _point_and_gradient(theta, data: Dataset):
     """theta as a finite float array of the data's width, and its loss gradient."""
-    theta = _check_theta(theta, data)
+    theta = _check_theta(theta, data.n_features)
     return theta, loss_gradient(theta, data)
 
 
@@ -277,4 +282,5 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
         beta_threshold=threshold,
         problem_nonconvex=is_problem_nonconvex(data),
         possible_separable_escape=escape,
+        zero_vector_status=None if threshold is None else _zero_vector_status(beta, threshold),
     )

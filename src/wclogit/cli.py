@@ -205,11 +205,7 @@ def cmd_certify(args) -> int:
         print(f"zero-solution beta threshold: {beta_threshold(data, spec)!r}")
         return EXIT_OK
 
-    report = check_mcp_local_opt(model.theta, model.beta, spec, data)
-    print(report.to_text())
-    if report.beta_threshold is not None:
-        print("zero-vector status: "
-              + _zero_vector_status(model.beta, report.beta_threshold))
+    print(check_mcp_local_opt(model.theta, model.beta, spec, data).to_text())
     return EXIT_OK
 
 
@@ -235,6 +231,10 @@ def cmd_cv(args) -> int:
     if args.data is not None:
         _refuse_unread(args, ("--d", "--n-train", "--k", "--n-test", "--latent-dim",
                               "--noise-sigma", "--amplitude"), "with --data: no data is drawn")
+        fraction = args.validation_fraction
+        # otherwise it reaches train_test_split as its test_fraction, by that name
+        if fraction is not None and not 0.0 < fraction < 1.0:
+            raise ValueError(f"validation_fraction must lie in (0, 1), got {fraction}")
         full = _load_dataset(args, args.data, add_intercept=False)
 
         def pair_for_repeat(r):

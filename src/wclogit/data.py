@@ -228,13 +228,28 @@ def train_test_split(data: Dataset, test_fraction: float, seed: int,
     return train, test
 
 
+def _number(token: str, kind=float):
+    """``kind(token)``, ``kind`` float or int, for a number token of a file.
+
+    After ``strip()`` the token must be ASCII with no ``_``: the spelling
+    that numpy's C reader and the ``repr`` writers share.  Python's
+    ``float()`` and ``int()`` also read digit-group underscores and
+    non-ASCII digits (``1_0`` as 10, a full-width ``２`` as 2); such a token
+    raises the ``ValueError`` that ``float()`` raises for one it cannot read.
+    """
+    text = token.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to {kind.__name__}: {token!r}")
+    return kind(text)
+
+
 def _parse_label(token: str, label_map: dict | None, where: str) -> int:
     if label_map is not None:
         if token in label_map:
             return int(label_map[token])
         raise DataError(f"{where}: label {token!r} is not covered by the label map")
     try:
-        value = float(token)
+        value = _number(token)
     except ValueError:
         raise DataError(
             f"{where}: cannot parse label {token!r}; pass a label map for string labels"
@@ -251,7 +266,7 @@ def _parse_feature(token: str, where: str) -> float:
     if token == "":
         return 0.0  # missing values are filled with zeros
     try:
-        value = float(token)
+        value = _number(token)
     except ValueError:
         raise DataError(f"{where}: cannot parse feature value {token!r}") from None
     # nan, inf, and numbers beyond the float range such as 1e400
@@ -262,7 +277,10 @@ def _parse_feature(token: str, where: str) -> float:
 
 def _looks_like_header(row: list[str]) -> bool:
     """A header row has a non-blank cell and no cell that parses as a number,
-    so a data row with one bad token stays data and fails at that token."""
+    so a data row with one bad token stays data and fails at that token.
+    Plain ``float()`` decides, not ``_number``: a first row of ``1_0`` or
+    ``２`` cells is then data, refused at its first such cell, not dropped
+    as a header."""
     named = False
     for cell in row:
         if cell.strip() == "":
@@ -322,10 +340,11 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     inf, or a number beyond the float range); a file read with a label map
     (whose labels are matched as text) goes to it directly.  The row loop
     fills empty (or whitespace-only) cells with 0.0 and reports the exact
-    row and column of what does not parse or is not finite.  The C reader
-    converts numbers as Python's ``float`` does and declines the spellings
-    only ``float`` accepts (underscores, non-ASCII digits), so both readers
-    give the same bits.
+    row and column of what does not parse or is not finite.  Both readers
+    read one number language: the C reader converts numbers as Python's
+    ``float`` does, and both refuse the spellings that only ``float``
+    accepts, digit-group underscores (``1_0``) and non-ASCII digits (``２``),
+    so they give the same bits or the same refusal.
 
     ``label_column`` may be a header name or a 0-based index; None means
     the column named "label" when a header exists, else column 0.  A
@@ -421,9 +440,9 @@ def _read_rows(path, label_column, label_map, header: str, labeled: bool):
             labels.append(_parse_label(row[label_idx].strip(), label_map, where))
             cells = row[:label_idx] + row[label_idx + 1:]
         try:
-            # float() ignores surrounding whitespace itself; a cell it
-            # rejects, or a non-finite value, sends the row to the per-cell parse
-            values = list(map(float, cells))
+            # a cell the reader rejects, or a non-finite value, sends the row
+            # to the per-cell parse
+            values = list(map(_number, cells))
         except ValueError:  # an empty cell, or a bad one to point at
             values = None
         if values is None or not all(map(math.isfinite, values)):
@@ -468,7 +487,7 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
                     raise DataError(f"{where}: malformed entry {tok!r}, expected idx:val")
                 idx_str, val_str = tok.split(":", 1)
                 try:
-                    idx = int(idx_str)
+                    idx = _number(idx_str, int)
                 except ValueError:
                     raise DataError(f"{where}: feature index {idx_str!r} is not an integer") from None
                 if idx < 1:

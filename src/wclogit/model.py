@@ -16,10 +16,10 @@ matrix rank from the same vector.
 The public functions check their inputs and then call the private kernels
 below, which the solver calls directly.  A point ``theta`` must be a finite
 vector of the data's width: ``_check_theta`` refuses any other with
-``ValueError``, for ``loss``, ``loss_gradient`` and every solver and
-certificate function that takes a point.  ``_margins`` makes the one pass
-``z = X @ theta`` of a point and computes its one ``e = exp(-|z|)`` in
-place; that pair serves both the loss (``_loss_from_margins``) and the
+``ValueError``, for ``loss``, ``loss_gradient``, ``predict``,
+``predict_many`` and every solver and certificate function that takes a
+point.  ``_margins`` makes the one pass ``z = X @ theta`` of a point and
+computes its one ``e = exp(-|z|)`` in place; that pair serves both the loss (``_loss_from_margins``) and the
 gradient (``_gradient_from_margins``, through the sigmoid
 ``max(e, [z >= 0]) / (1 + e)``).  The kernels also take points stacked as the rows of a
 matrix, one pass for all of them; their label operands are then the first
@@ -274,15 +274,13 @@ def sigmoid(t):
     return float(out[0]) if t.ndim == 0 else out
 
 
-def _check_theta(theta, data: Dataset) -> np.ndarray:
+def _check_theta(theta, width: int) -> np.ndarray:
     """``theta`` as a float array, refused with ``ValueError`` unless it is a
-    finite vector of the data's width: an infinite or NaN coordinate would
-    give a NaN loss, or an iteration that stalls at once."""
+    finite vector of the features' width: an infinite or NaN coordinate would
+    give a NaN loss or probability, or an iteration that stalls at once."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (data.n_features,):
-        raise ValueError(
-            f"theta has shape {theta.shape} but the dataset has {data.n_features} features"
-        )
+    if theta.shape != (width,):
+        raise ValueError(f"theta has shape {theta.shape} but the dataset has {width} features")
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         raise ValueError(f"theta must be finite, got {theta[bad[0]]} at coordinate {bad[0]}")
@@ -293,7 +291,7 @@ def loss(theta, data: Dataset) -> float:
     """Negative log-likelihood of the dataset under theta; inf where it lies
     beyond the float range, without numpy's overflow warning."""
     evaluate, _, _ = _kernels(data)
-    theta = _check_theta(theta, data)
+    theta = _check_theta(theta, data.n_features)
     with np.errstate(over="ignore"):
         return evaluate(theta)[1]
 
@@ -303,7 +301,7 @@ def loss_gradient(theta, data: Dataset) -> np.ndarray:
     float range reads +-inf, whose sigmoid is exact, without numpy's
     overflow warning."""
     _, gradient, _ = _kernels(data)
-    theta = _check_theta(theta, data)
+    theta = _check_theta(theta, data.n_features)
     with np.errstate(over="ignore"):
         return gradient(_margins(data.features, theta))
 
@@ -330,13 +328,12 @@ def predict(theta, x):
     x = np.asarray(x, dtype=float)
     if x.shape != theta.shape:
         raise ValueError(f"sample has shape {x.shape} but theta has shape {theta.shape}")
-    z = float(x @ theta)
+    z = float(x @ _check_theta(theta, x.size))
     return (1 if z >= 0 else 0), sigmoid(z)
 
 
 def predict_many(theta, features):
     """Vectorized predict over the rows of a feature matrix."""
-    theta = np.asarray(theta, dtype=float)
     X = np.asarray(features, dtype=float)
-    z = X @ theta
+    z = X @ _check_theta(theta, X.shape[-1] if X.ndim else 0)
     return (z >= 0).astype(int), sigmoid(z)

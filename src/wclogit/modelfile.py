@@ -18,8 +18,10 @@ its field's kind (``repr(float(x))`` for a float, never ``np.float64(...)``).
 Loading rejects a malformed file with :class:`~wclogit.data.DataError`:
 a bad header, a missing, repeated or unknown field, an unparsable or
 non-finite number, or a ``kind``/``stepsize_rule`` outside the values the
-library writes.  ``kind`` names the penalty, always ``mcp``: loading checks
-it, and :class:`ModelFile` does not keep it.
+library writes.  Numbers are read by ``data._number``, as in the data
+files: a ``1_0`` or a non-ASCII digit, which no writer writes, does not
+parse.  ``kind`` names the penalty, always ``mcp``: loading checks it,
+and :class:`ModelFile` does not keep it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, _number
 from .penalty import MCP
 from .solver import BACKTRACKING, CONSTANT
 
@@ -97,7 +99,7 @@ def _parse(token: str, key: str, kind):
                             f"got {token!r}")
         return token
     try:
-        value = kind(token)
+        value = _number(token, kind)
     except ValueError:
         raise DataError(f"model file field {key!r} is not a valid {kind.__name__}: "
                         f"{token!r}") from None

@@ -408,7 +408,7 @@ def criticality_residual(theta, beta: float, spec: PenaltySpec, data: Dataset) -
     """Distance to criticality: min over subgradients g of H of
     ||beta*g - 2*beta*zeta*theta + grad(theta)||_2, computed coordinatewise."""
     beta = _check_beta(beta, spec)
-    theta = _check_theta(theta, data)
+    theta = _check_theta(theta, data.n_features)
     return float(_residuals(theta, loss_gradient(theta, data), beta, spec))
 
 
@@ -500,7 +500,7 @@ def backtrack_stepsize(theta_prev, alpha_prev: float, config: SolverConfig,
     """One backtracked update from theta_prev; returns (alpha_k, theta_k)."""
     beta = _check_beta(beta, spec)
     alpha_prev = _check_real("alpha_prev", alpha_prev)
-    theta_prev = _check_theta(theta_prev, data)
+    theta_prev = _check_theta(theta_prev, data.n_features)
     _check_weight(alpha_prev * beta, spec)
     grad = loss_gradient(theta_prev, data)
     evaluate, _, _ = _kernels(data)
@@ -890,7 +890,7 @@ def fit(data: Dataset, beta: float, spec: PenaltySpec, config: SolverConfig,
     # the run's spec, its beta checked once
     spec = spec if beta is None else replace(spec, beta=beta)
     # the loop writes into no point it was given
-    theta = np.zeros(data.n_features) if theta0 is None else _check_theta(theta0, data)
+    theta = np.zeros(data.n_features) if theta0 is None else _check_theta(theta0, data.n_features)
     alpha = _initial_alpha(config.alpha, config, spec, data)
     return _iterate(_Block(data, spec, alpha, config, theta), config)
 

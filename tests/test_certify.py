@@ -139,6 +139,24 @@ def test_beta_threshold_requires_centering():
         beta_threshold(with_icpt, PenaltySpec(zeta=0.1))
 
 
+def test_report_states_the_zero_vector_status_last_where_the_threshold_exists():
+    data = Dataset(np.array([[2.0, -1.0], [-2.0, 1.0]]), np.array([1, 0]), centered=True)
+    spec = PenaltySpec(zeta=0.1)  # the threshold is 2.0
+    for beta, status in ((3.0, "local minimum (beta above the threshold)"),
+                         (1.0, "not a critical point (beta below the threshold)"),
+                         (2.0, "indeterminate (beta equals the threshold within rounding)")):
+        report = check_mcp_local_opt(np.zeros(2), beta, spec, data)
+        assert report.zero_vector_status == status
+        # certify prints the report's text and nothing else
+        lines = report.to_text().splitlines()
+        assert lines[-1] == f"zero-vector status: {status}"
+        assert lines[-2].startswith("  [1] ")
+    uncentered = Dataset(data.features, data.labels)
+    report = check_mcp_local_opt(np.zeros(2), 3.0, spec, uncentered)
+    assert report.zero_vector_status is None
+    assert "zero-vector status" not in report.to_text()
+
+
 def test_beta_threshold_separates_critical_from_noncritical_zero():
     rng = np.random.default_rng(43)
     for _ in range(20):

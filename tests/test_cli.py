@@ -3,6 +3,7 @@ process, checking exit codes, emitted files, and determinism."""
 
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 from wclogit.cli import CvGrid, ErrorRow, main, run_cv_grid
 from wclogit.experiments import synthetic_pairs
 from wclogit.data import (
+    DataError,
     SynthSpec,
     apply_center,
     center,
     gen_noisy,
     load_csv,
+    load_sparse_classification_format,
     train_test_split,
 )
 from wclogit.model import predict_many
@@ -629,10 +632,13 @@ def test_model_file_corrupt_header_is_a_data_error(synth, tmp_path, capsys):
 
 
 def test_model_file_rejects_a_theta_of_another_dimension(synth, tmp_path, capsys):
-    path = edited_model(synth, tmp_path, "theta", "1.0 " * 6 + "1.0")
-    code, err = predict_exit_code(synth, tmp_path, path, capsys)
-    assert code == 2 and "vector lengths disagree with dimension 8" in err
-    assert not (tmp_path / "p.csv").exists()
+    # a center of one value is the same file fault, not Dataset's shape
+    # error (exit 1) once the data are centered with it
+    for key, value in (("theta", "1.0 " * 6 + "1.0"), ("center", "0.0")):
+        path = edited_model(synth, tmp_path, key, value)
+        code, err = predict_exit_code(synth, tmp_path, path, capsys)
+        assert code == 2 and "vector lengths disagree with dimension 8" in err
+        assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["theta", "center", "beta", "zeta", "final_objective"])
@@ -649,6 +655,49 @@ def test_model_file_rejects_unknown_choices(synth, tmp_path, capsys, key):
     path = edited_model(synth, tmp_path, key, "fancy")
     code, err = predict_exit_code(synth, tmp_path, path, capsys)
     assert code == 2 and key in err and "fancy" in err
+
+
+# each place where a file gives a number: its reader, the file with the
+# token in that place (for a model file, the field), and the reader's message
+NUMBER_PLACES = {
+    "csv feature": (load_csv, "label,a,b\n1,{},3\n0,4,5\n", "cannot parse feature value {!r}"),
+    "csv label": (load_csv, "label,a,b\n{},2,3\n0,4,5\n", "cannot parse label {!r}"),
+    "sparse index": (load_sparse_classification_format, "1 {}:0.5\n0 1:2\n",
+                     "feature index {!r} is not an integer"),
+    "sparse value": (load_sparse_classification_format, "1 1:{}\n0 1:2\n",
+                     "cannot parse feature value {!r}"),
+    "sparse label": (load_sparse_classification_format, "{} 1:0.5\n0 1:2\n",
+                     "cannot parse label {!r}"),
+    "iterations": (load_model, "iterations", "field 'iterations' is not a valid int: {!r}"),
+    "zeta": (load_model, "zeta", "field 'zeta' is not a valid float: {!r}"),
+    "theta": (load_model, "theta", "field 'theta' is not a valid float: {!r}"),
+}
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff12", "\u0663"])
+def test_file_readers_refuse_numbers_that_no_writer_writes(synth, tmp_path, capsys, token):
+    # Python's float() and int() read a digit-group underscore and non-ASCII
+    # digits (as 10, 2 and 3); numpy's C reader and the repr writers do not,
+    # and no reader of a file does: a data error (exit 2), nothing written
+    assert float(token) == int(token) > 1
+    for place, (reader, text, message) in NUMBER_PLACES.items():
+        message = message.format(token)
+        if reader is load_model:
+            path = edited_model(synth, tmp_path, text,
+                                token + " 0.0" * 7 if text == "theta" else token)
+            commands = [("predict", path, synth["test"], "--out", tmp_path / "p.csv"),
+                        ("certify", path, synth["train"])]
+        else:
+            path = tmp_path / "numbers.txt"
+            path.write_text(text.format(token), encoding="utf-8")
+            sparse = ("--sparse-format",) if reader is load_sparse_classification_format else ()
+            commands = [("train", path, *sparse, "--beta", 0.1, "--out", tmp_path / "m.txt")]
+        with pytest.raises(DataError, match=re.escape(message)):
+            reader(path)
+        for argv in commands:
+            assert run(*argv) == 2, (place, argv[0])
+            assert message in capsys.readouterr().err, (place, argv[0])
+        assert not (tmp_path / "p.csv").exists() and not (tmp_path / "m.txt").exists()
 
 
 def test_model_file_rejects_a_repeated_field(synth, tmp_path, capsys):
@@ -946,6 +995,17 @@ def test_cv_validation_split(synth, tmp_path, capsys):
     assert "validation error" in capsys.readouterr().out
     assert run("cv", "--d", 5, "--n-train", 20, "--k", 1,
                "--validation-fraction", 0.2, "--out", tmp_path / "h.csv") == 1
+
+
+def test_cv_validation_fraction_names_itself_before_the_data_is_read(synth, tmp_path, capsys):
+    # it reached train_test_split, whose message named it test_fraction
+    for data in (synth["train"], tmp_path / "absent.csv"):
+        for bad in (1.5, 0.0, -0.25, math.nan):
+            assert run("cv", "--data", data, "--validation-fraction", bad,
+                       "--out", tmp_path / "g.csv") == 1
+            assert capsys.readouterr().err == ("error: validation_fraction must lie in "
+                                               f"(0, 1), got {bad}\n")
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_cv_with_data_refuses_synthetic_flags(synth, tmp_path, capsys):

@@ -418,12 +418,24 @@ EDGE_FILES = {
     "header and blank lines": b"label,a,b\n\n\n",
     "empty file": b"",
     "fullwidth digit": b"1,\xef\xbc\x91,3\n",
+    "arabic-indic digit": "1,\u0663,3\n".encode(),
+    "underscore label": b"label,a,b\n1_0,2,3\n",
+    "underscores in the first row": b"1_0,2_5,3\n0,4,5\n",
     "nul": b"1,2\x00,3\n",
     "hex": b"1,0x10,3\n",
     "one column": b"1\n0\n",
     "label named y": b"a,y,b\n0.5,1,-2\n3,0,4\n",
     "padded names": b"a , label ,y\n0.5,1,-2\n3,0,4\n",
 }
+
+
+def test_a_first_row_of_numbers_only_float_reads_is_data_and_refused(tmp_path):
+    # float() reads 1_0 as 10, so the row is no header; then no reader reads it
+    path = write(tmp_path / "u.csv", "1_0,2_5,1\n0,4,0\n")
+    with pytest.raises(DataError, match=r"row 1: cannot parse label '1_0'"):
+        load_csv(path)
+    with pytest.raises(DataError, match=r"row 1, column 1: cannot parse feature value '1_0'"):
+        load_csv(path, label_column=2)
 
 
 @pytest.mark.parametrize("name", EDGE_FILES)

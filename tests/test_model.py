@@ -285,6 +285,23 @@ def test_predict_many_matches_predict():
         assert probs[i] == pytest.approx(p1, abs=1e-15)
 
 
+def test_predict_refuses_a_non_finite_theta():
+    # numpy warned in the product, and the probability read nan
+    with pytest.raises(ValueError, match=r"theta must be finite, got inf at coordinate 0"):
+        predict([np.inf, 0.0], np.array([0.0, 1.0]))
+
+
+def test_predict_many_refuses_a_theta_that_is_not_a_finite_vector_of_the_width():
+    # labels (0, 0) came back with nan probabilities, and no error
+    features = [[1.0, 2.0], [0.5, 0.5]]
+    with pytest.raises(ValueError, match=r"theta must be finite, got nan at coordinate 0"):
+        predict_many([np.nan, 0.0], features)
+    with pytest.raises(ValueError, match=r"theta has shape \(3,\) but the dataset has 2"):
+        predict_many(np.zeros(3), features)
+    with pytest.raises(ValueError, match=r"theta has shape \(1,\) but the dataset has 0"):
+        predict_many([1.0], 5.0)
+
+
 # --- dataset validation -------------------------------------------------------
 
 

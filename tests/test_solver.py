@@ -978,6 +978,28 @@ def test_fit_cells_single_cell_is_fit_bitwise(cell):
                 assert type(single.final_objective) is float
 
 
+def test_fit_cells_stalls_at_a_change_equal_to_eps_tol_as_fit_does():
+    # eps_tol is set to the change |F_k - F_{k-1}| that the traced fit
+    # computes at k, and every earlier change is larger: fit stalls at k
+    # (|change| <= eps_tol), and so must the one-cell stack, which has its bits
+    rng = np.random.default_rng(41)
+    data = centered_instance(rng, 60, 7)
+    beta, zeta = 0.4, 0.3
+    spec = PenaltySpec(zeta=zeta)
+    traced = fit(data, beta, spec, SolverConfig(eps_tol=1e-300, max_iters=60))
+    objectives = [row.objective for row in traced.trace]
+    changes = [abs(new - old) for old, new in zip(objectives, objectives[1:])]
+    k = next(k for k in range(10, len(changes) + 1)
+             if 0.0 < changes[k - 1] < min(changes[:k - 1]))
+    eps_tol = changes[k - 1]
+    single = fit(data, beta, spec, SolverConfig(eps_tol=eps_tol, max_iters=60,
+                                                record_trace=False))
+    assert (single.iterations, single.converged) == (k, True)
+    stacked = fit_cells(data, [(beta, zeta)], [None], eps_tol=eps_tol, max_iters=60)
+    assert (stacked.iterations.tolist(), stacked.converged.tolist()) == ([k], [True])
+    assert stacked.final_objective[0] == single.final_objective == objectives[k]
+
+
 @pytest.mark.parametrize("accelerate", [False, True])
 def test_fit_constant_rule_is_the_one_row_oracle_on_fig1(accelerate):
     # reproduce fig1's and fig2's problem and stepsizes, 200 iterations
