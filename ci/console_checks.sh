@@ -148,6 +148,18 @@ test ! -e underscore_model.txt
 sed 's/^iterations .*/iterations 1_297/' plain.txt > underscore_iterations.txt
 exits 2 wclogit predict underscore_iterations.txt stall_train.csv --out underscore_pred.csv
 test ! -e underscore_pred.csv
+# a number flag or list entry that only Python's float() or int() reads (a
+# full-width 0, 1_0 as 10) is refused as in a file: exit 1, nothing written
+exits 1 wclogit train stall_train.csv --beta ０.5 --out fullwidth.txt
+test ! -e fullwidth.txt
+exits 1 wclogit cv --data stall_train.csv --betas 1_0 --repeats 1 --out underscore_grid.csv
+test ! -e underscore_grid.csv
+# a CSV that starts with a UTF-8 byte-order mark trains to the same model;
+# its first column is found by its name, which the mark does not hide
+printf '\357\273\277' > bom_train.csv
+cat stall_train.csv >> bom_train.csv
+wclogit train bom_train.csv --label-col label --beta 0.5 --zeta 0.1 --center --out bom.txt --quiet
+cmp bom.txt plain.txt
 # a non-finite generator setting, and one the run would not read:
 # exit 1 without a traceback, and no file written
 for flags in "--noise-sigma nan" "--amplitude normal --amp-low 3"; do

@@ -26,8 +26,8 @@ import numpy as np
 
 from .certify import (_ZERO_LOCAL_MINIMUM, _zero_vector_status, beta_threshold,
                       check_mcp_local_opt)
-from .data import (AMPLITUDE_NORMAL, DataError, SynthSpec, _write_csv, apply_center, center,
-                   gen_noisy, load_csv, load_sparse_classification_format, save_csv,
+from .data import (AMPLITUDE_NORMAL, DataError, SynthSpec, _number, _write_csv, apply_center,
+                   center, gen_noisy, load_csv, load_sparse_classification_format, save_csv,
                    train_test_split)
 from .experiments import (CvGrid, ErrorGrid, ErrorRow, reproduce_convergence,
                           reproduce_error_grid, reproduce_noise_table, run_cv_grid,
@@ -45,6 +45,22 @@ EXIT_NUMERICAL = 3
 __all__ = ["CvGrid", "ErrorRow", "ErrorGrid", "run_cv_grid", "main"]
 
 
+# --- number flags ---------------------------------------------------------------
+
+
+def _flag_number(kind):
+    """An argparse ``type=`` that reads a flag's value as ``kind`` (float or
+    int) with ``data._number``, the grammar of every number in a file; its
+    name is ``kind``'s, so a refusal reads "invalid float value"."""
+    def read(text: str):
+        return _number(text, kind)
+    read.__name__ = kind.__name__
+    return read
+
+
+_real, _integer = _flag_number(float), _flag_number(int)
+
+
 # --- dataset plumbing ---------------------------------------------------------
 
 
@@ -55,7 +71,7 @@ def _add_dataset_flags(parser, required_path=True):
         parser.add_argument("--data", help="dataset path (omit to use synthetic data)")
     parser.add_argument("--sparse-format", action="store_true",
                         help="read 'label idx:val ...' text instead of CSV")
-    parser.add_argument("--num-features", type=int, default=None,
+    parser.add_argument("--num-features", type=_integer, default=None,
                         help="pin the sparse feature dimension")
     parser.add_argument("--label-col", default=None,
                         help="label column name or 0-based index (CSV only)")
@@ -101,8 +117,8 @@ def _load_dataset(args, path, add_intercept: bool, labeled: bool = True) -> Data
     label_col = args.label_col
     if label_col is not None:
         try:
-            label_col = int(label_col)
-        except ValueError:
+            label_col = _number(label_col, int)
+        except ValueError:  # not a number: a column name
             pass
     return load_csv(path, label_column=label_col, add_intercept=add_intercept,
                     label_map=label_map, header=args.header)
@@ -139,13 +155,14 @@ def cmd_train(args) -> int:
 
     result = fit(data, args.beta, spec, config, theta0=theta0)
 
+    # the model file last: one on disk means the whole run succeeded
+    if args.trace_out:
+        write_trace_csv(result, args.trace_out)
     save_model(args.out, ModelFile(
         theta=result.theta, beta=args.beta, zeta=args.zeta, centered=data.centered,
         center=data.center, has_intercept=data.has_intercept, stepsize_rule=rule,
         accelerate=args.accelerate, iterations=result.iterations,
         converged=result.converged, final_objective=result.final_objective))
-    if args.trace_out:
-        write_trace_csv(result, args.trace_out)
 
     if not args.quiet:
         print(f"iterations: {result.iterations}")
@@ -214,7 +231,7 @@ def cmd_certify(args) -> int:
 
 def _parse_float_list(text: str, what: str) -> tuple:
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        values = tuple(_real(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise ValueError(f"cannot parse {what} list {text!r}") from None
     if not values:
@@ -327,32 +344,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="fit a model and save it")
     _add_dataset_flags(train)
-    train.add_argument("--beta", type=float, required=True,
+    train.add_argument("--beta", type=_real, required=True,
                        help="regularization weight (> 0)")
-    train.add_argument("--zeta", type=float, default=0.0,
+    train.add_argument("--zeta", type=_real, default=0.0,
                        help="nonconvexity parameter (0 gives the l1 penalty)")
-    train.add_argument("--alpha", type=float, default=None,
+    train.add_argument("--alpha", type=_real, default=None,
                        help="first stepsize: the constant stepsize (default: just "
                             "under the bound), or with --backtracking the first one "
                             "the search tries (default: 0.49/(beta*zeta), or 1 where "
                             "that is not finite, as at zeta = 0)")
     train.add_argument("--backtracking", action="store_true",
                        help="use the backtracking stepsize rule")
-    train.add_argument("--eta", type=float, default=0.5,
+    train.add_argument("--eta", type=_real, default=0.5,
                        help="backtracking reduction factor in (0, 1); "
                             "needs --backtracking")
     train.add_argument("--accelerate", action="store_true",
                        help="use the momentum schedule")
-    train.add_argument("--eps-tol", type=float, default=1e-8,
+    train.add_argument("--eps-tol", type=_real, default=1e-8,
                        help="stop when the objective change drops below this")
-    train.add_argument("--max-iters", type=int, default=10000)
+    train.add_argument("--max-iters", type=_integer, default=10000)
     train.add_argument("--init", choices=("zeros", "small-random"), default="zeros",
                        help="starting point (small-random is uniform in [-0.01, 0.01])")
     train.add_argument("--add-intercept", action="store_true",
                        help="append an all-ones feature column")
     train.add_argument("--center", action="store_true",
                        help="subtract feature column means before training")
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_integer, default=0)
     train.add_argument("--out", default="model.txt", help="model file path")
     train.add_argument("--trace-out", default=None, help="iteration trace CSV path")
     train.add_argument("--quiet", action="store_true")
@@ -381,46 +398,46 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated beta grid")
     cv.add_argument("--zetas", default="0,0.001,0.01,0.1,1,10",
                     help="comma-separated zeta grid (include 0 for the l1 baseline)")
-    cv.add_argument("--repeats", type=int, default=10)
-    cv.add_argument("--seed", type=int, default=0)
-    cv.add_argument("--alpha", type=float, default=None,
+    cv.add_argument("--repeats", type=_integer, default=10)
+    cv.add_argument("--seed", type=_integer, default=0)
+    cv.add_argument("--alpha", type=_real, default=None,
                     help="constant stepsize; inadmissible cells fall back with a notice")
-    cv.add_argument("--eps-tol", type=float, default=1e-9)
-    cv.add_argument("--max-iters", type=int, default=1000)
-    cv.add_argument("--test-fraction", type=float, default=0.2,
+    cv.add_argument("--eps-tol", type=_real, default=1e-9)
+    cv.add_argument("--max-iters", type=_integer, default=1000)
+    cv.add_argument("--test-fraction", type=_real, default=0.2,
                     help="held-out fraction per repeat (with --data)")
-    cv.add_argument("--validation-fraction", type=float, default=None,
+    cv.add_argument("--validation-fraction", type=_real, default=None,
                     help="carve a validation split out of the training side and "
                          "select on it instead of the test split (with --data); "
                          "the grid then reports validation errors only, and the "
                          "held-out test split is not scored")
-    cv.add_argument("--d", type=int, default=None, help="synthetic feature count")
-    cv.add_argument("--n-train", type=int, default=None)
-    cv.add_argument("--k", type=int, default=None, help="nonzeros in the ground truth")
-    cv.add_argument("--n-test", type=int, default=1000)
-    cv.add_argument("--latent-dim", type=int, default=None)
-    cv.add_argument("--noise-sigma", type=float, default=0.0)
+    cv.add_argument("--d", type=_integer, default=None, help="synthetic feature count")
+    cv.add_argument("--n-train", type=_integer, default=None)
+    cv.add_argument("--k", type=_integer, default=None, help="nonzeros in the ground truth")
+    cv.add_argument("--n-test", type=_integer, default=1000)
+    cv.add_argument("--latent-dim", type=_integer, default=None)
+    cv.add_argument("--noise-sigma", type=_real, default=0.0)
     cv.add_argument("--amplitude", choices=("uniform", "normal"), default="normal")
     cv.add_argument("--out", default="cv_grid.csv")
     cv.add_argument("--quiet", action="store_true")
     cv.set_defaults(func=cmd_cv, parser=cv)
 
     generate = sub.add_parser("generate", help="write synthetic dataset files")
-    generate.add_argument("--d", type=int, required=True)
-    generate.add_argument("--n-train", type=int, required=True)
-    generate.add_argument("--k", type=int, required=True)
-    generate.add_argument("--n-test", type=int, default=0)
-    generate.add_argument("--latent-dim", type=int, default=None)
+    generate.add_argument("--d", type=_integer, required=True)
+    generate.add_argument("--n-train", type=_integer, required=True)
+    generate.add_argument("--k", type=_integer, required=True)
+    generate.add_argument("--n-test", type=_integer, default=0)
+    generate.add_argument("--latent-dim", type=_integer, default=None)
     generate.add_argument("--amplitude", choices=("uniform", "normal"),
                           default="uniform")
-    generate.add_argument("--amp-low", type=float, default=SynthSpec.amp_low,
+    generate.add_argument("--amp-low", type=_real, default=SynthSpec.amp_low,
                           help="uniform amplitudes' lower end")
-    generate.add_argument("--amp-high", type=float, default=SynthSpec.amp_high,
+    generate.add_argument("--amp-high", type=_real, default=SynthSpec.amp_high,
                           help="uniform amplitudes' upper end")
-    generate.add_argument("--noise-sigma", type=float, default=0.0)
+    generate.add_argument("--noise-sigma", type=_real, default=0.0)
     generate.add_argument("--clean-test-labels", action="store_true",
                           help="generate test labels without label noise")
-    generate.add_argument("--seed", type=int, default=0)
+    generate.add_argument("--seed", type=_integer, default=0)
     generate.add_argument("--out-prefix", default="synth")
     generate.add_argument("--quiet", action="store_true")
     generate.set_defaults(func=cmd_generate, parser=generate)
@@ -429,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="experiment presets emitting plot-ready CSVs")
     reproduce.add_argument("preset", choices=("fig1", "fig2", "fig3", "table3"))
     reproduce.add_argument("--out-dir", default=".")
-    reproduce.add_argument("--max-iters", type=int, default=1000)
-    reproduce.add_argument("--repeats", type=int, default=10)
+    reproduce.add_argument("--max-iters", type=_integer, default=1000)
+    reproduce.add_argument("--repeats", type=_integer, default=10)
     reproduce.add_argument("--quiet", action="store_true")
     reproduce.set_defaults(func=cmd_reproduce, parser=reproduce)
 

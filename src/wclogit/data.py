@@ -344,7 +344,9 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     read one number language: the C reader converts numbers as Python's
     ``float`` does, and both refuse the spellings that only ``float``
     accepts, digit-group underscores (``1_0``) and non-ASCII digits (``２``),
-    so they give the same bits or the same refusal.
+    so they give the same bits or the same refusal.  Every reader of a file
+    (this one, the sparse reader and ``load_model``) reads UTF-8 and skips
+    a leading byte-order mark.
 
     ``label_column`` may be a header name or a 0-based index; None means
     the column named "label" when a header exists, else column 0.  A
@@ -382,7 +384,7 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
 
 def _read_table(path, label_column, header: str, labeled: bool):
     """``(X, y)`` from numpy's C reader, or None for a file it declines."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         first = next((row for row in csv.reader(fh) if row), None)
         if first is None:
             return None
@@ -415,7 +417,7 @@ def _read_table(path, label_column, header: str, labeled: bool):
 
 def _read_rows(path, label_column, label_map, header: str, labeled: bool):
     """``(X, y)`` parsed row by row: blank cells, label maps and messages."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise DataError(f"{path}: file contains no rows")
@@ -473,7 +475,7 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
     entries = []
     labels = []
     max_idx = 0
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

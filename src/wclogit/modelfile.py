@@ -110,7 +110,7 @@ def _parse(token: str, key: str, kind):
 
 def load_model(path) -> ModelFile:
     """Read a model file; a malformed file raises :class:`DataError`."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty model file")

@@ -161,6 +161,16 @@ def test_train_trace_out_changes_no_other_output(synth, tmp_path, capsys):
     assert (tmp_path / "t.csv").exists()
 
 
+def test_train_writes_its_model_file_last(synth, tmp_path, capsys):
+    # a trace that cannot be written fails the run before the model is saved,
+    # so a model file on disk means the run succeeded
+    model_path = tmp_path / "m.txt"
+    assert run("train", synth["train"], "--beta", 0.3, "--out", model_path,
+               "--trace-out", tmp_path / "missing_dir" / "t.csv") == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_train_non_finite_feature_is_a_data_error(tmp_path, capsys):
     dense, sparse = tmp_path / "d.csv", tmp_path / "d.txt"
     dense.write_text("label,f1,f2\n1,0.5,2\n0,1.5,1e400\n")
@@ -452,6 +462,19 @@ def test_num_features_below_one_is_a_usage_error(tmp_path, capsys):
             assert captured.err == f"error: num_features must be an integer >= 1, got {value}\n"
             assert captured.out == ""
     assert not any(path.exists() for path in outputs)
+
+
+def test_a_label_column_the_number_grammar_refuses_is_a_name(synth, tmp_path, capsys):
+    # a full-width zero is no index, as in a file: the header has no such name
+    out = tmp_path / "m.txt"
+    assert run("train", synth["train"], "--beta", 0.3, "--label-col", "\uff10",
+               "--out", out) == 2
+    assert capsys.readouterr().err == (f"error: {synth['train']}: no column named "
+                                       "'\uff10' in header\n")
+    assert not out.exists()
+    # padding around an index is read as in a file, as int() reads it
+    assert run("train", synth["train"], "--beta", 0.3, "--label-col", " 0 ",
+               "--out", out, "--quiet") == 0
 
 
 def test_negative_label_column_is_a_usage_error(synth, tmp_path, capsys):
@@ -749,6 +772,13 @@ def test_model_file_writes_numpy_scalars_as_python_ones(tmp_path):
     assert (tmp_path / "numpy.txt").read_bytes() == (tmp_path / "python.txt").read_bytes()
     back = load_model(tmp_path / "numpy.txt")
     assert repr(vars(back)) == repr(vars(twin))
+
+
+def test_model_file_reads_a_byte_order_mark_as_no_byte(synth, tmp_path):
+    path = trained_model(synth, tmp_path)
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert repr(vars(load_model(marked))) == repr(vars(load_model(path)))
 
 
 # --- certify ----------------------------------------------------------------------

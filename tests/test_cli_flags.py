@@ -9,9 +9,12 @@ gains must be given a value here, so a setting that the run silently
 ignores cannot slip in.
 """
 
+import argparse
+import math
+
 import pytest
 
-from wclogit.cli import build_parser, main
+from wclogit.cli import _integer, _real, build_parser, main
 
 # one value per flag of each command, chosen so that reading it changes the
 # outcome of every base run below; a flag with no value tokens is a switch
@@ -141,3 +144,67 @@ def test_every_flag_is_read_or_refused(mode, inputs, tmp_path, monkeypatch, caps
         elif (code, out, err, written) == expected:
             ignored.append(flag)
     assert ignored == [], f"{mode} runs ignore {ignored}"
+
+
+# --- the number census ---------------------------------------------------------
+
+# a run of each command that a number flag's refused value stops before any
+# file is read or written
+NUMBER_BASES = {
+    "train": ["train", "{train}", "--beta", "0.1"],
+    "predict": ["predict", "{model}", "{test}"],
+    "certify": ["certify", "{model}", "{train}"],
+    "cv": ["cv", "--data", "{train}"],
+    "generate": ["generate", "--d", "4", "--n-train", "10", "--k", "2"],
+    "reproduce": ["reproduce", "fig1"],
+}
+
+# the comma-separated lists that cmd_cv reads token by token with _real
+NUMBER_LISTS = {("cv", "--betas"): "beta", ("cv", "--zetas"): "zeta"}
+
+
+def _typed_options():
+    """``(command, flag, type)`` of every option that converts its value."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return [(command, action.option_strings[0], action.type)
+            for command, parser in commands.items() for action in parser._actions
+            if action.type is not None]
+
+
+def test_every_number_flag_reads_the_file_number_grammar():
+    # Python's float() and int() also read 1_0 and non-ASCII digits; no flag
+    # may use them directly
+    types = {kind for _, _, kind in _typed_options()}
+    assert float not in types and int not in types
+    assert types == {_real, _integer}
+    assert set(NUMBER_BASES) == {command for command, _, _ in _typed_options()}
+
+
+def test_number_flags_read_what_float_and_int_read_in_the_grammar():
+    # values the library's own checks refuse still reach them as before
+    for text in ("0.5", " 5", "+2", "-1", "1e400", "-inf", "1e-320"):
+        assert _real(text) == float(text)
+    assert math.isnan(_real("nan"))
+    for text in ("7", " 5", "+2", "-1", "0", "10000000000000000000000000000000"):
+        assert _integer(text) == int(text)
+    for text in ("2.5", "1e3", "", "x"):
+        with pytest.raises(ValueError):
+            _integer(text)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff12", "\u0663"])
+@pytest.mark.parametrize("command, flag, kind", _typed_options()
+                         + [(command, flag, None) for command, flag in NUMBER_LISTS])
+def test_a_number_flag_refuses_what_only_python_reads(command, flag, kind, token, inputs,
+                                                      tmp_path, monkeypatch, capsys):
+    # float() reads these as 10, 2 and 3; the flag refuses them as a file
+    # does: exit 1, the flag named, nothing written
+    argv = [part.format(**inputs) for part in NUMBER_BASES[command]] + [flag, token]
+    code, out, err, written = _outcome(argv, tmp_path / "run", monkeypatch, capsys)
+    assert (code, out, written) == (1, "", {})
+    if kind is None:
+        assert err == f"error: cannot parse {NUMBER_LISTS[command, flag]} list {token!r}\n"
+    else:
+        name = {_real: "float", _integer: "int"}[kind]  # argparse's words, as before
+        assert err.endswith(f"error: argument {flag}: invalid {name} value: {token!r}\n")

@@ -426,6 +426,8 @@ EDGE_FILES = {
     "one column": b"1\n0\n",
     "label named y": b"a,y,b\n0.5,1,-2\n3,0,4\n",
     "padded names": b"a , label ,y\n0.5,1,-2\n3,0,4\n",
+    "byte-order mark": b"\xef\xbb\xbflabel,a,b\n1,2,3\n0,4,5\n",
+    "byte-order mark, no header": b"\xef\xbb\xbf1,2,3\n0,4,5\n",
 }
 
 
@@ -447,6 +449,19 @@ def test_load_csv_equals_the_row_loop_on_edge_cases(tmp_path, name):
     for mode in modes:
         loaded, row_loop = csv_outcomes(path, **mode)
         assert loaded == row_loop, mode
+
+
+@pytest.mark.parametrize("name", ["byte-order mark", "byte-order mark, no header"])
+def test_load_csv_reads_a_byte_order_mark_as_no_byte(tmp_path, name):
+    # a spreadsheet's "CSV UTF-8" export starts with one; both readers skip it
+    path = tmp_path / "edge.csv"  # one path, as messages name it
+    modes = [{}, {"label_column": "label"}, {"label_column": 0}, {"header": "no"}]
+    outcomes = []
+    for text in (EDGE_FILES[name], EDGE_FILES[name].removeprefix(b"\xef\xbb\xbf")):
+        path.write_bytes(text)
+        outcomes.append([csv_outcomes(path, **mode) for mode in modes])
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][0][0] == (2, 2)
 
 
 # --- sparse format -----------------------------------------------------------
@@ -535,6 +550,16 @@ def test_load_sparse_intercept_and_label_map(tmp_path):
     assert data.has_intercept
     assert np.array_equal(data.features, np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0]]))
     assert np.array_equal(data.labels, np.array([1, 0]))
+
+
+def test_load_sparse_reads_a_byte_order_mark_as_no_byte(tmp_path):
+    text = b"1 1:2 3:0.5\n0 2:-1\n"
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    plain = load_sparse_classification_format(write(tmp_path / "plain.txt", text.decode()))
+    data = load_sparse_classification_format(marked)
+    assert data.features.tobytes() == plain.features.tobytes()
+    assert data.labels.tolist() == plain.labels.tolist() == [1, 0]
 
 
 # --- synthetic generation -------------------------------------------------------
