@@ -32,8 +32,8 @@ paths, and the root's and the tree's paths are replaced by ``<root>`` and
 ``<src>`` in stdout and stderr. The JSON also records the Python, numpy and
 BLAS versions. A matrix product's last bits depend on the BLAS build, so
 compare two trees on one machine and never keep the digests as goldens
-across machines. Standard library only; 15-18 s on two cores (two runs at
-a time, ``--jobs``).
+across machines. Standard library only; two runs at a time, 15-18 s on two
+cores.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def _machine(env: dict) -> dict:
     return {**json.loads(found.stdout), "blas_threads": env["OPENBLAS_NUM_THREADS"]}
 
 
-def collect(src: Path, jobs: int) -> dict:
+def collect(src: Path) -> dict:
     src = src.resolve()
     if not (src / "wclogit" / "cli.py").is_file():
         raise SystemExit(f"error: {src} holds no wclogit/cli.py")
@@ -199,7 +199,7 @@ def collect(src: Path, jobs: int) -> dict:
         (root / "inputs").mkdir()
         for filename, text in INPUTS.items():
             (root / "inputs" / filename).write_text(text)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=2) as pool:
             for stage in stages():
                 runs = [pool.submit(_run, name, argv, root, src, env)
                         for name, argv in stage.items()]
@@ -229,7 +229,6 @@ def compare(old_path: Path, new_path: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, help="the tree's src directory")
-    parser.add_argument("--jobs", type=int, default=2, help="runs at once")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A.json", "B.json"),
                         help="list the items that moved from A to B")
     parser.add_argument("out", nargs="?", type=Path, help="the JSON to write")
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if args.src is None or args.out is None:
         parser.error("give --src SRC and OUT.json, or --compare A.json B.json")
-    record = collect(args.src, args.jobs)
+    record = collect(args.src)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"{len(record['items'])} items in {record['wall_s']} s written to {args.out}")
     return 0

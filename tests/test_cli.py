@@ -169,6 +169,12 @@ def test_train_writes_its_model_file_last(synth, tmp_path, capsys):
                "--trace-out", tmp_path / "missing_dir" / "t.csv") == 2
     assert "No such file or directory" in capsys.readouterr().err
     assert not model_path.exists()
+    # the trace comes first, so a model that cannot be written leaves it behind
+    trace_path = tmp_path / "t.csv"
+    assert run("train", synth["train"], "--beta", 0.3,
+               "--out", tmp_path / "missing_dir" / "m.txt", "--trace-out", trace_path) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert trace_path.exists()
 
 
 def test_train_non_finite_feature_is_a_data_error(tmp_path, capsys):
