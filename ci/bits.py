@@ -21,9 +21,11 @@ The runs:
   ``TRAIN_FLAGS``; then ``predict`` and ``certify`` on every model
 - ``cv --data stall_train.csv --alpha 0.5`` at 10 and at 2 repeats and with
   ``--validation-fraction 0.2``, and a 3 x 3 synthetic ``cv``
-- twelve error probes (``PROBES``): inadmissible stepsizes, overflowing
-  features, settings at the float range's edges, ``--num-features 0`` and a
-  missing file
+- eighteen error probes (``PROBES``): inadmissible stepsizes, overflowing
+  features, settings at the float range's edges, ``--num-features 0``, a
+  missing file, a CSV, a sparse file and a model file that are not UTF-8,
+  ``cv`` lists that do not parse and a model file whose beta the penalty
+  refuses
 
 Each run is a fresh ``python -m wclogit.cli`` process with the tree's
 ``src`` first on ``PYTHONPATH``, BLAS pinned to one thread, in its own
@@ -32,7 +34,7 @@ paths, and the root's and the tree's paths are replaced by ``<root>`` and
 ``<src>`` in stdout and stderr. The JSON also records the Python, numpy and
 BLAS versions. A matrix product's last bits depend on the BLAS build, so
 compare two trees on one machine and never keep the digests as goldens
-across machines. Standard library only; two runs at a time, 15-18 s on two
+across machines. Standard library only; two runs at a time, 18-21 s on two
 cores.
 """
 
@@ -77,10 +79,20 @@ TRAIN_FLAGS = {
     "alpha-0.01": ["--alpha", "0.01"],
 }
 
-# files the probes read, written into the "inputs" directory
+# a model file for sparse.txt's three features, with its beta line's value
+_MODEL = (b"wclogit-model 1\ndimension 3\nbeta %s\nzeta 0.1\nkind mcp\ncentered false\n"
+          b"has_intercept false\nstepsize_rule constant\naccelerate false\niterations 1\n"
+          b"converged true\nfinal_objective 0.5\ncenter 0.0 0.0 0.0\ntheta 0.0 0.0 0.0\n")
+
+# files the probes read, written into the "inputs" directory; the latin1
+# ones hold a byte that is not UTF-8 (0xe9, Latin-1's e acute)
 INPUTS = {
-    "overflow.csv": "label,f1,f2\n1,1e200,1\n0,-1e200,2\n1,3e200,0\n",
-    "sparse.txt": "1 1:2.0 3:1.0\n0 2:1.5\n1 1:0.5\n0 3:-2.0\n",
+    "overflow.csv": b"label,f1,f2\n1,1e200,1\n0,-1e200,2\n1,3e200,0\n",
+    "sparse.txt": b"1 1:2.0 3:1.0\n0 2:1.5\n1 1:0.5\n0 3:-2.0\n",
+    "latin1.csv": b"label,f1,f2\n1,caf\xe9,2\n0,0.5,3\n",
+    "latin1_sparse.txt": b"1 1:2.0\n0 2:1\xe9 3:1\n",
+    "latin1_model.txt": _MODEL % b"0.1\xe9",
+    "beta_negative_model.txt": _MODEL % b"-1.0",
 }
 
 _STALL_CSV = "../generate-stall/stall_train.csv"
@@ -106,6 +118,14 @@ PROBES = {
     "missing-file": ["train", "../inputs/missing.csv", "--beta", "0.5"],
     "missing-file-no-header": ["train", "../inputs/missing.csv", "--beta", "0.5",
                                "--header", "no"],
+    "latin1-csv": ["train", "../inputs/latin1.csv", "--beta", "0.1"],
+    "latin1-sparse": ["train", "../inputs/latin1_sparse.txt", "--sparse-format", "--beta",
+                      "0.1"],
+    "latin1-model": ["certify", "../inputs/latin1_model.txt", _SPARSE, "--sparse-format"],
+    "cv-betas-underscore": ["cv", "--data", _STALL_CSV, "--betas", "1_0"],
+    "cv-zetas-empty": ["cv", "--data", _STALL_CSV, "--zetas", ","],
+    "model-beta-negative": ["certify", "../inputs/beta_negative_model.txt", _SPARSE,
+                            "--sparse-format"],
 }
 
 
@@ -197,8 +217,8 @@ def collect(src: Path) -> dict:
     with tempfile.TemporaryDirectory(prefix="wclogit-bits-") as tmp:
         root = Path(tmp).resolve()
         (root / "inputs").mkdir()
-        for filename, text in INPUTS.items():
-            (root / "inputs" / filename).write_text(text)
+        for filename, data in INPUTS.items():
+            (root / "inputs" / filename).write_bytes(data)
         with ThreadPoolExecutor(max_workers=2) as pool:
             for stage in stages():
                 runs = [pool.submit(_run, name, argv, root, src, env)

@@ -152,8 +152,15 @@ test ! -e underscore_pred.csv
 # full-width 0, 1_0 as 10) is refused as in a file: exit 1, nothing written
 exits 1 wclogit train stall_train.csv --beta ０.5 --out fullwidth.txt
 test ! -e fullwidth.txt
-exits 1 wclogit cv --data stall_train.csv --betas 1_0 --repeats 1 --out underscore_grid.csv
+exits 1 wclogit cv --data stall_train.csv --betas 1_0 --repeats 1 --out underscore_grid.csv 2> underscore_grid.err
 test ! -e underscore_grid.csv
+grep -q 'argument --betas: ' underscore_grid.err
+# a CSV that is not UTF-8 (a Latin-1 cell) is a data error naming the
+# file: exit 2, and no model written
+printf 'label,f1,f2\n1,caf\351,2\n0,0.5,3\n' > latin1.csv
+exits 2 wclogit train latin1.csv --beta 0.1 --out latin1_model.txt 2> latin1.err
+test ! -e latin1_model.txt
+grep -q '^error: latin1.csv: ' latin1.err
 # a CSV that starts with a UTF-8 byte-order mark trains to the same model;
 # its first column is found by its name, which the mark does not hide
 printf '\357\273\277' > bom_train.csv

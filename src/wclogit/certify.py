@@ -49,10 +49,12 @@ __all__ = [
     "CASE_INNER_REGION",
     "CASE_GRADIENT_NONZERO",
     "SEPARABLE_ESCAPE_NORM",
+    "ZERO_LOCAL_MINIMUM",
     "CoordinateVerdict",
     "CertificateReport",
     "is_problem_nonconvex",
     "beta_threshold",
+    "zero_vector_status",
     "check_critical_point",
     "check_sufficient_local_opt",
     "check_necessary_local_opt",
@@ -144,17 +146,19 @@ def beta_threshold(data: Dataset, spec: PenaltySpec) -> float:
     return float(np.max(np.abs(pos_sum)))
 
 
-_ZERO_LOCAL_MINIMUM = "local minimum (beta above the threshold)"
+ZERO_LOCAL_MINIMUM = "local minimum (beta above the threshold)"
 
 
-def _zero_vector_status(beta: float, threshold: float) -> str:
+def zero_vector_status(beta: float, threshold: float) -> str:
     """Whether theta = 0 is a local minimizer at ``beta``, given the
     zero-solution threshold: a beta within 1e-12 (relative) of it is a tie,
-    which rounding in the threshold cannot decide."""
+    which rounding in the threshold cannot decide.  The one verdict of both
+    the report's ``zero-vector status`` line and ``train``'s warning that a
+    start from zeros stays there (the status ``ZERO_LOCAL_MINIMUM``)."""
     if abs(beta - threshold) <= 1e-12 * max(abs(beta), abs(threshold)):
         return "indeterminate (beta equals the threshold within rounding)"
     if beta > threshold:
-        return _ZERO_LOCAL_MINIMUM
+        return ZERO_LOCAL_MINIMUM
     return "not a critical point (beta below the threshold)"
 
 
@@ -282,5 +286,5 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
         beta_threshold=threshold,
         problem_nonconvex=is_problem_nonconvex(data),
         possible_separable_escape=escape,
-        zero_vector_status=None if threshold is None else _zero_vector_status(beta, threshold),
+        zero_vector_status=None if threshold is None else zero_vector_status(beta, threshold),
     )

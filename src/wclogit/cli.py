@@ -1,5 +1,10 @@
-"""Command-line front end: argparse, the commands, output paths and exit
-codes.  The grid search and the presets live in :mod:`wclogit.experiments`.
+"""Command-line front end: each command's flags, its calls into the library,
+its output paths, and the mapping from exception type to exit code.  The
+flags are read here (every number by ``data._number``'s grammar, and a flag
+that the run would not read is refused); every fault of a file and every
+verdict a command prints are the library's: the file readers raise
+``DataError`` naming the file, and ``certify`` decides the zero vector's
+status.  The grid search and the presets live in :mod:`wclogit.experiments`.
 
 Subcommands
 
@@ -24,8 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import (_ZERO_LOCAL_MINIMUM, _zero_vector_status, beta_threshold,
-                      check_mcp_local_opt)
+from .certify import ZERO_LOCAL_MINIMUM, beta_threshold, check_mcp_local_opt, zero_vector_status
 from .data import (AMPLITUDE_NORMAL, DataError, SynthSpec, _number, _write_csv, apply_center,
                    center, gen_noisy, load_csv, load_sparse_classification_format, save_csv,
                    train_test_split)
@@ -59,6 +63,18 @@ def _flag_number(kind):
 
 
 _real, _integer = _flag_number(float), _flag_number(int)
+
+
+def _real_list(text: str) -> tuple:
+    """An argparse ``type=`` for a comma-separated list of reals, each read
+    by ``_real``; blank entries are skipped, and a list of none is refused."""
+    values = tuple(_real(tok) for tok in text.split(",") if tok.strip() != "")
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+_real_list.__name__ = "list"  # a refusal reads "invalid list value"
 
 
 # --- dataset plumbing ---------------------------------------------------------
@@ -148,7 +164,7 @@ def cmd_train(args) -> int:
         theta0 = rng.uniform(-0.01, 0.01, data.n_features)
     elif data.centered and not data.has_intercept:
         threshold = beta_threshold(data, spec)
-        if _zero_vector_status(args.beta, threshold) == _ZERO_LOCAL_MINIMUM:
+        if zero_vector_status(args.beta, threshold) == ZERO_LOCAL_MINIMUM:
             print(f"warning: beta = {args.beta:g} exceeds the zero-solution "
                   f"threshold {threshold:.6g}; training from zeros stays at the "
                   "zero vector", file=sys.stderr)
@@ -179,16 +195,12 @@ def cmd_train(args) -> int:
 
 def _load_for_model(args, labeled: bool = True) -> tuple[ModelFile, PenaltySpec, Dataset]:
     """The model file, its penalty and the data file.  The dataset flags are
-    checked before either file is read; a beta or zeta that the penalty
-    refuses is a fault in the model file (a data error), as is a data
-    file with another feature count; the data are centered with the
+    checked before either file is read; a data file with another feature
+    count than the model is a data error; the data are centered with the
     model's center."""
     _check_dataset_flags(args, labeled)
     model = load_model(args.model)
-    try:
-        spec = PenaltySpec(zeta=model.zeta, beta=model.beta)
-    except ValueError as exc:
-        raise DataError(f"{args.model}: model file {exc}") from None
+    spec = PenaltySpec(zeta=model.zeta, beta=model.beta)
     data = _load_dataset(args, args.data, model.has_intercept, labeled)
     if data.n_features != model.theta.size:
         raise DataError(f"model has {model.theta.size} features but the data has "
@@ -229,21 +241,9 @@ def cmd_certify(args) -> int:
 # --- cv ----------------------------------------------------------------------------
 
 
-def _parse_float_list(text: str, what: str) -> tuple:
-    try:
-        values = tuple(_real(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError:
-        raise ValueError(f"cannot parse {what} list {text!r}") from None
-    if not values:
-        raise ValueError(f"{what} list is empty")
-    return values
-
-
 def cmd_cv(args) -> int:
     _check_dataset_flags(args)
-    grid = CvGrid(betas=_parse_float_list(args.betas, "beta"),
-                  zetas=_parse_float_list(args.zetas, "zeta"),
-                  repeats=args.repeats, seed=args.seed)
+    grid = CvGrid(betas=args.betas, zetas=args.zetas, repeats=args.repeats, seed=args.seed)
 
     if args.data is not None:
         _refuse_unread(args, ("--d", "--n-train", "--k", "--n-test", "--latent-dim",
@@ -394,9 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cv = sub.add_parser("cv", help="grid search over (beta, zeta)")
     _add_dataset_flags(cv, required_path=False)
-    cv.add_argument("--betas", default="0.001,0.00464,0.0215,0.1,0.464,2.15,10",
+    cv.add_argument("--betas", type=_real_list,
+                    default=(0.001, 0.00464, 0.0215, 0.1, 0.464, 2.15, 10.0),
                     help="comma-separated beta grid")
-    cv.add_argument("--zetas", default="0,0.001,0.01,0.1,1,10",
+    cv.add_argument("--zetas", type=_real_list, default=(0.0, 0.001, 0.01, 0.1, 1.0, 10.0),
                     help="comma-separated zeta grid (include 0 for the l1 baseline)")
     cv.add_argument("--repeats", type=_integer, default=10)
     cv.add_argument("--seed", type=_integer, default=0)

@@ -11,6 +11,7 @@ noise_sigma = 0.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -243,6 +244,20 @@ def _number(token: str, kind=float):
     return kind(text)
 
 
+@contextlib.contextmanager
+def _open_text(path, newline=None):
+    """``path`` opened for reading as UTF-8, past a leading byte-order mark,
+    for the ``with`` block of every file reader: a byte that is not UTF-8,
+    wherever in the block it is read, raises :class:`DataError` naming the
+    file.  The decoder's byte offset is left out: it counts from the start
+    of the chunk it decoded, not of the file."""
+    try:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: the file is not UTF-8 text ({exc.reason})") from None
+
+
 def _parse_label(token: str, label_map: dict | None, where: str) -> int:
     if label_map is not None:
         if token in label_map:
@@ -345,8 +360,9 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     ``float`` does, and both refuse the spellings that only ``float``
     accepts, digit-group underscores (``1_0``) and non-ASCII digits (``２``),
     so they give the same bits or the same refusal.  Every reader of a file
-    (this one, the sparse reader and ``load_model``) reads UTF-8 and skips
-    a leading byte-order mark.
+    (this one, the sparse reader and ``load_model``) reads it through
+    ``_open_text``: UTF-8, past a leading byte-order mark, and a byte that
+    is not UTF-8 is a :class:`DataError` naming the file.
 
     ``label_column`` may be a header name or a 0-based index; None means
     the column named "label" when a header exists, else column 0.  A
@@ -384,7 +400,7 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
 
 def _read_table(path, label_column, header: str, labeled: bool):
     """``(X, y)`` from numpy's C reader, or None for a file it declines."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_text(path, newline="") as fh:
         first = next((row for row in csv.reader(fh) if row), None)
         if first is None:
             return None
@@ -417,7 +433,7 @@ def _read_table(path, label_column, header: str, labeled: bool):
 
 def _read_rows(path, label_column, label_map, header: str, labeled: bool):
     """``(X, y)`` parsed row by row: blank cells, label maps and messages."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_text(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise DataError(f"{path}: file contains no rows")
@@ -475,7 +491,7 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
     entries = []
     labels = []
     max_idx = 0
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -17,10 +17,11 @@ reproduces them exactly; a numpy scalar is written as the Python scalar of
 its field's kind (``repr(float(x))`` for a float, never ``np.float64(...)``).
 Loading rejects a malformed file with :class:`~wclogit.data.DataError`:
 a bad header, a missing, repeated or unknown field, an unparsable or
-non-finite number, or a ``kind``/``stepsize_rule`` outside the values the
-library writes.  Numbers are read by ``data._number``, as in the data
-files: a ``1_0`` or a non-ASCII digit, which no writer writes, does not
-parse.  ``kind`` names the penalty, always ``mcp``: loading checks it,
+non-finite number, a ``kind``/``stepsize_rule`` outside the values the
+library writes, a ``beta`` or ``zeta`` that :class:`PenaltySpec` refuses,
+or a byte that is not UTF-8.  Numbers are read by ``data._number``, as in
+the data files: a ``1_0`` or a non-ASCII digit, which no writer writes,
+does not parse.  ``kind`` names the penalty, always ``mcp``: loading checks it,
 and :class:`ModelFile` does not keep it.
 """
 
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, _number
-from .penalty import MCP
+from .data import DataError, _number, _open_text
+from .penalty import MCP, PenaltySpec
 from .solver import BACKTRACKING, CONSTANT
 
 MAGIC = "wclogit-model"
@@ -110,7 +111,7 @@ def _parse(token: str, key: str, kind):
 
 def load_model(path) -> ModelFile:
     """Read a model file; a malformed file raises :class:`DataError`."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty model file")
@@ -140,6 +141,9 @@ def load_model(path) -> ModelFile:
         del values["kind"]
         if values["theta"].size != dim or values["center"].size != dim:
             raise DataError(f"vector lengths disagree with dimension {dim}")
-        return ModelFile(**values)
+        PenaltySpec(zeta=values["zeta"], beta=values["beta"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    except ValueError as exc:  # the penalty's refusal
+        raise DataError(f"{path}: model file {exc}") from None
+    return ModelFile(**values)

@@ -258,13 +258,19 @@ def test_train_threshold_warning_and_zero_stall(synth, tmp_path, capsys):
     assert model.converged and model.iterations == 1
 
 
-def test_train_warns_only_where_certify_calls_zero_a_local_minimum(tmp_path, capsys):
-    # beta is the threshold 24.193396312547943 times 1 + 1e-13: inside the tie
-    # band, where certify calls the zero vector indeterminate
+@pytest.fixture()
+def tie_data(tmp_path):
+    """A training CSV whose zero-solution threshold is 24.193396312547943."""
     prefix = tmp_path / "tie"
     assert run("generate", "--d", 6, "--n-train", 80, "--k", 2, "--noise-sigma", 0.5,
                "--seed", 4, "--out-prefix", prefix, "--quiet") == 0
-    data, model = f"{prefix}_train.csv", tmp_path / "m.txt"
+    return f"{prefix}_train.csv"
+
+
+def test_train_warns_only_where_certify_calls_zero_a_local_minimum(tie_data, tmp_path, capsys):
+    # beta is the threshold 24.193396312547943 times 1 + 1e-13: inside the tie
+    # band, where certify calls the zero vector indeterminate
+    data, model = tie_data, tmp_path / "m.txt"
     assert run("train", data, "--beta", "24.19339631255036", "--zeta", 0.1, "--center",
                "--out", model, "--quiet") == 0
     assert capsys.readouterr().err == ""
@@ -273,6 +279,23 @@ def test_train_warns_only_where_certify_calls_zero_a_local_minimum(tmp_path, cap
     assert "zero-solution beta threshold: 24.193396312547943\n" in out
     assert out.endswith("zero-vector status: indeterminate (beta equals the threshold "
                         "within rounding)\n")
+
+
+@pytest.mark.parametrize("beta, status", [
+    ("10", "not a critical point (beta below the threshold)"),
+    ("24.19339631255036", "indeterminate (beta equals the threshold within rounding)"),
+    ("30", "local minimum (beta above the threshold)"),
+])
+def test_train_warning_and_certify_status_agree(tie_data, tmp_path, capsys, beta, status):
+    # train warns exactly where certify's zero-vector line calls the zero
+    # vector a local minimum
+    data, model = tie_data, tmp_path / "m.txt"
+    assert run("train", data, "--beta", beta, "--zeta", 0.1, "--center",
+               "--out", model, "--quiet") == 0
+    warned = "exceeds the zero-solution threshold" in capsys.readouterr().err
+    assert run("certify", model, data) == 0
+    assert capsys.readouterr().out.endswith(f"zero-vector status: {status}\n")
+    assert warned == (status.startswith("local minimum"))
 
 
 def test_train_no_warning_below_threshold(synth, tmp_path, capsys):
@@ -753,14 +776,50 @@ def test_model_file_rejects_an_unknown_field(synth, tmp_path, capsys):
     ("zeta", "1e308", "zeta must be at most"),
 ])
 def test_model_file_checks_beta_and_zeta(synth, tmp_path, capsys, key, value, message):
-    # a fault in the file is a data error, in predict as in certify
+    # a fault in the file is a data error, in predict as in certify, and
+    # load_model's library callers get the same check
     path = edited_model(synth, tmp_path, key, value)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: model file {key} must be "):
+        load_model(path)
     code, err = predict_exit_code(synth, tmp_path, path, capsys)
     assert code == 2 and err.startswith(f"error: {path}: ") and message in err
     assert not (tmp_path / "p.csv").exists()
     assert run("certify", path, synth["train"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+# a file with a Latin-1 byte (0xe9, "é") for each reader: the CSV C reader
+# (on its first row, and past the decoder's first 8 KiB chunk, inside
+# numpy's loadtxt), the CSV row loop (which a label map selects), the sparse
+# reader and load_model; the second item is the command after the file
+LATIN1 = {
+    "csv": (b"label,f1,f2\n1,caf\xe9,2\n0,0.5,3\n", ["--beta", "0.1"]),
+    "csv-late": (b"label,f1,f2\n" + b"1,0.5,2\n" * 2000 + b"0,caf\xe9,1\n", ["--beta", "0.1"]),
+    "csv-rows": (b"label,f1,f2\n1,caf\xe9,2\n-1,0.5,3\n", ["--pm1-labels", "--beta", "0.1"]),
+    "sparse": (b"1 1:2.0\n0 2:1\xe9 3:1\n", ["--sparse-format", "--beta", "0.1"]),
+    "model": (None, None),
+}
+
+
+@pytest.mark.parametrize("kind", LATIN1)
+def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(synth, tmp_path, capsys, kind):
+    text, flags = LATIN1[kind]
+    if kind == "model":
+        path = trained_model(synth, tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"\nzeta", b"\n\xe9zeta"))
+        argv, reader = ["certify", path, synth["train"]], load_model
+    else:
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text)
+        argv = ["train", path, *flags, "--out", tmp_path / "m.txt"]
+        reader = load_sparse_classification_format if kind == "sparse" else load_csv
+    message = f"{path}: the file is not UTF-8 text (invalid continuation byte)"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        reader(path, **({"label_map": {"-1": 0, "1": 1}} if kind == "csv-rows" else {}))
+    assert run(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "m.txt").exists()
 
 
 def test_model_file_writes_numpy_scalars_as_python_ones(tmp_path):

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from wclogit.cli import _integer, _real, build_parser, main
+from wclogit.cli import _integer, _real, _real_list, build_parser, main
 
 # one value per flag of each command, chosen so that reading it changes the
 # outcome of every base run below; a flag with no value tokens is a switch
@@ -159,10 +159,6 @@ NUMBER_BASES = {
     "reproduce": ["reproduce", "fig1"],
 }
 
-# the comma-separated lists that cmd_cv reads token by token with _real
-NUMBER_LISTS = {("cv", "--betas"): "beta", ("cv", "--zetas"): "zeta"}
-
-
 def _typed_options():
     """``(command, flag, type)`` of every option that converts its value."""
     commands = next(action for action in build_parser()._actions
@@ -177,7 +173,7 @@ def test_every_number_flag_reads_the_file_number_grammar():
     # may use them directly
     types = {kind for _, _, kind in _typed_options()}
     assert float not in types and int not in types
-    assert types == {_real, _integer}
+    assert types == {_real, _integer, _real_list}
     assert set(NUMBER_BASES) == {command for command, _, _ in _typed_options()}
 
 
@@ -194,8 +190,7 @@ def test_number_flags_read_what_float_and_int_read_in_the_grammar():
 
 
 @pytest.mark.parametrize("token", ["1_0", "\uff12", "\u0663"])
-@pytest.mark.parametrize("command, flag, kind", _typed_options()
-                         + [(command, flag, None) for command, flag in NUMBER_LISTS])
+@pytest.mark.parametrize("command, flag, kind", _typed_options())
 def test_a_number_flag_refuses_what_only_python_reads(command, flag, kind, token, inputs,
                                                       tmp_path, monkeypatch, capsys):
     # float() reads these as 10, 2 and 3; the flag refuses them as a file
@@ -203,8 +198,5 @@ def test_a_number_flag_refuses_what_only_python_reads(command, flag, kind, token
     argv = [part.format(**inputs) for part in NUMBER_BASES[command]] + [flag, token]
     code, out, err, written = _outcome(argv, tmp_path / "run", monkeypatch, capsys)
     assert (code, out, written) == (1, "", {})
-    if kind is None:
-        assert err == f"error: cannot parse {NUMBER_LISTS[command, flag]} list {token!r}\n"
-    else:
-        name = {_real: "float", _integer: "int"}[kind]  # argparse's words, as before
-        assert err.endswith(f"error: argument {flag}: invalid {name} value: {token!r}\n")
+    name = {_real: "float", _integer: "int", _real_list: "list"}[kind]  # argparse's words
+    assert err.endswith(f"error: argument {flag}: invalid {name} value: {token!r}\n")

@@ -530,10 +530,13 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def model_files(draw):
+    # beta and zeta in the ranges PenaltySpec accepts: loading refuses any other
     d = draw(st.integers(1, 6))
     vector = arrays(float, d, elements=finite_floats)
     return ModelFile(
-        theta=draw(vector), beta=draw(finite_floats), zeta=draw(finite_floats),
+        theta=draw(vector), beta=draw(st.floats(min_value=np.finfo(float).tiny,
+                                                allow_infinity=False)),
+        zeta=draw(st.floats(min_value=-0.0, max_value=np.finfo(float).max / 4)),
         centered=draw(st.booleans()), center=draw(vector), has_intercept=draw(st.booleans()),
         stepsize_rule=draw(st.sampled_from(["constant", "backtracking"])),
         accelerate=draw(st.booleans()), iterations=draw(st.integers(0, 10**9)),
