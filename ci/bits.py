@@ -21,11 +21,16 @@ The runs:
   ``TRAIN_FLAGS``; then ``predict`` and ``certify`` on every model
 - ``cv --data stall_train.csv --alpha 0.5`` at 10 and at 2 repeats and with
   ``--validation-fraction 0.2``, and a 3 x 3 synthetic ``cv``
-- eighteen error probes (``PROBES``): inadmissible stepsizes, overflowing
-  features, settings at the float range's edges, ``--num-features 0``, a
-  missing file, a CSV, a sparse file and a model file that are not UTF-8,
-  ``cv`` lists that do not parse and a model file whose beta the penalty
-  refuses
+- twenty-three error probes (``PROBES``): inadmissible stepsizes,
+  overflowing features, settings at the float range's edges,
+  ``--num-features 0``, a missing file, a CSV, a sparse file and a model
+  file that are not UTF-8, ``cv`` lists that do not parse, a model file
+  whose beta the penalty refuses, and an output path that names an input
+  or the run's other output (``train``, ``cv``, ``predict``); each input
+  file is hashed as the runs left it
+- in process (``solver_items``, in a subprocess of its own): ``fit`` on
+  fig1's problem and ``fit_cells`` on fig3's grid, each field of each
+  result one item
 
 Each run is a fresh ``python -m wclogit.cli`` process with the tree's
 ``src`` first on ``PYTHONPATH``, BLAS pinned to one thread, in its own
@@ -34,8 +39,9 @@ paths, and the root's and the tree's paths are replaced by ``<root>`` and
 ``<src>`` in stdout and stderr. The JSON also records the Python, numpy and
 BLAS versions. A matrix product's last bits depend on the BLAS build, so
 compare two trees on one machine and never keep the digests as goldens
-across machines. Standard library only; two runs at a time, 18-21 s on two
-cores.
+across machines. The command-line half uses the standard library only, and
+the in-process half imports the tree's wclogit and numpy. Two processes at
+a time, 16-20 s on two cores.
 """
 
 from __future__ import annotations
@@ -94,6 +100,13 @@ INPUTS = {
     "latin1_model.txt": _MODEL % b"0.1\xe9",
     "beta_negative_model.txt": _MODEL % b"-1.0",
 }
+# the inputs of the probes that name an input as an output: each probe has
+# its own copy, which a run that writes over it would change
+_ROWS = b"label,f1,f2\n" + b"".join(b"%d,%d,%d\n" % (i % 2, (7 * i) % 11 - 5, (3 * i) % 5 - 2)
+                                   for i in range(40))
+INPUTS.update({"clobber_train.csv": _ROWS, "clobber_cv.csv": _ROWS,
+               "clobber_model.txt": _MODEL % b"0.1", "clobber_model_2.txt": _MODEL % b"0.1",
+               "clobber_sparse.txt": INPUTS["sparse.txt"]})
 
 _STALL_CSV = "../generate-stall/stall_train.csv"
 _SPARSE = "../inputs/sparse.txt"
@@ -126,7 +139,89 @@ PROBES = {
     "cv-zetas-empty": ["cv", "--data", _STALL_CSV, "--zetas", ","],
     "model-beta-negative": ["certify", "../inputs/beta_negative_model.txt", _SPARSE,
                             "--sparse-format"],
+    "train-out-data": ["train", "../inputs/clobber_train.csv", "--beta", "0.5", "--out",
+                       "../inputs/clobber_train.csv"],
+    "train-trace-out-out": ["train", _SPARSE, "--sparse-format", "--beta", "0.1", "--out",
+                            "same.txt", "--trace-out", "same.txt"],
+    "cv-out-data": ["cv", "--data", "../inputs/clobber_cv.csv", "--repeats", "1", "--out",
+                    "../inputs/clobber_cv.csv"],
+    "predict-out-model": ["predict", "../inputs/clobber_model.txt", _SPARSE, "--sparse-format",
+                          "--out", "../inputs/clobber_model.txt"],
+    "predict-out-data": ["predict", "../inputs/clobber_model_2.txt",
+                         "../inputs/clobber_sparse.txt", "--sparse-format", "--out",
+                         "../inputs/clobber_sparse.txt"],
 }
+
+
+# the in-process solver items: fig1's problem and penalty, and fig3's grid on
+# its first four draws
+FIG1 = {"d": 50, "n_train": 1000, "k": 8, "latent_dim": 45, "seed": 0}
+FIG1_PENALTY = {"beta": 1.2, "zeta": 0.1}
+FIG3 = {"d": 50, "n_train": 200, "k": 5, "n_test": 1000, "amplitude": "normal"}
+FIG3_SEEDS = (1000, 1001, 1002, 1003)
+FIG3_ZETAS = (0.0, 0.01, 0.1, 1.0)
+
+
+def solver_items() -> dict[str, str]:
+    """The digests of ``fit`` and ``fit_cells`` runs of the wclogit on the
+    path, each field of each result its own item.
+
+    ``fit`` runs fig1's problem under either rule, with and without
+    momentum, trace and a start off zero, once stalling (eps_tol 1e-8) and
+    once at its cap (eps_tol 1e-15, 500 iterations, as fig1 runs it).
+    ``fit_cells`` runs fig3's 28 cells on each of its first four draws at
+    their default stepsizes (every cell refuses fig3's 0.1): the whole grid,
+    each cell alone and the 6 cells of betas 2-4 and zetas 0.01 and 0.1."""
+    import numpy as np
+
+    from wclogit.data import SynthSpec, center, gen_noisy, gen_separable
+    from wclogit.penalty import PenaltySpec
+    from wclogit.solver import BACKTRACKING, CONSTANT, SolverConfig, fit, fit_cells
+
+    items = {}
+
+    def add(name, fields):
+        for field, value in fields.items():
+            items[f"{name}:{field}"] = _sha256(np.asarray(value).tobytes())
+
+    train, _, _ = gen_separable(SynthSpec(**FIG1))
+    spec = PenaltySpec(**FIG1_PENALTY)
+    start = np.random.default_rng(3).uniform(-0.01, 0.01, train.n_features)
+    for rule in (CONSTANT, BACKTRACKING):
+        for accelerate in (False, True):
+            for traced in (False, True):
+                for theta0 in (None, start):
+                    for eps_tol, max_iters in ((1e-8, 2000), (1e-15, 500)):
+                        config = SolverConfig(stepsize_rule=rule, accelerate=accelerate,
+                                              eps_tol=eps_tol, max_iters=max_iters,
+                                              record_trace=traced)
+                        result = fit(train, None, spec, config, theta0=theta0)
+                        name = (f"fit-{rule}" + "-accelerate" * accelerate
+                                + "-traced" * traced + "-theta0" * (theta0 is not None)
+                                + f"-eps{eps_tol:g}")
+                        add(name, {"theta": result.theta, "iterations": result.iterations,
+                                   "converged": result.converged,
+                                   "objective": result.final_objective,
+                                   "trace": np.array(result.trace, dtype=float)})
+    # cell 4*i + j is (beta i, zeta j)
+    cells = [(b, z) for b in 10.0 ** np.linspace(-2.8, 0.6, 7) for z in FIG3_ZETAS]
+    grids = {"all": list(range(len(cells))),
+             "sub6": [4 * i + j for i in (2, 3, 4) for j in (1, 2)],
+             **{f"cell{c}": [c] for c in range(len(cells))}}
+    for seed in FIG3_SEEDS:
+        train = center(gen_noisy(SynthSpec(**FIG3, seed=seed))[0])
+        for grid, picked in grids.items():
+            result = fit_cells(train, [cells[c] for c in picked], [None] * len(picked),
+                               eps_tol=1e-9, max_iters=1000)
+            add(f"fit_cells-{seed}-{grid}", result._asdict())
+    return items
+
+
+def _solver_run(src: Path, env: dict) -> dict[str, str]:
+    """``solver_items`` of the tree at ``src``, in a process of its own."""
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--solver-items"],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def stages() -> list[dict[str, list[str]]]:
@@ -220,11 +315,16 @@ def collect(src: Path) -> dict:
         for filename, data in INPUTS.items():
             (root / "inputs" / filename).write_bytes(data)
         with ThreadPoolExecutor(max_workers=2) as pool:
+            solver = pool.submit(_solver_run, src, env)
             for stage in stages():
                 runs = [pool.submit(_run, name, argv, root, src, env)
                         for name, argv in stage.items()]
                 for run in runs:
                     items.update(run.result())
+            items.update(solver.result())
+        # the inputs as the runs left them: a probe may have written over its own
+        for path in sorted((root / "inputs").iterdir()):
+            items[f"inputs:file:{path.name}"] = _sha256(path.read_bytes())
     return {"machine": _machine(env), "wall_s": round(time.perf_counter() - started, 1),
             "items": dict(sorted(items.items()))}
 
@@ -251,8 +351,14 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, help="the tree's src directory")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A.json", "B.json"),
                         help="list the items that moved from A to B")
+    parser.add_argument("--solver-items", action="store_true",
+                        help="print the in-process solver items of the wclogit on the "
+                             "path as JSON")
     parser.add_argument("out", nargs="?", type=Path, help="the JSON to write")
     args = parser.parse_args(argv)
+    if args.solver_items:
+        print(json.dumps(solver_items()))
+        return 0
     if args.compare:
         return compare(*args.compare)
     if args.src is None or args.out is None:

@@ -117,6 +117,11 @@ grep -q '^notice: stepsize 0.5 is outside' cv1.err
 # no file has a negative label column: exit 1, and no model written
 exits 1 wclogit train stall_train.csv --beta 0.5 --label-col=-1 --out refused.txt
 test ! -e refused.txt
+# an output that names an input is refused before anything is read or
+# written: exit 1, and the training data left byte-identical
+cp stall_train.csv clobber.csv
+exits 1 wclogit train clobber.csv --beta 0.5 --out clobber.csv
+cmp clobber.csv stall_train.csv
 # --alpha is backtracking's first stepsize too
 wclogit train stall_train.csv --beta 0.5 --zeta 0.1 --center --backtracking --alpha 0.05 --out bt_alpha.txt > bt_alpha.out
 grep -qx 'converged: true' bt_alpha.out

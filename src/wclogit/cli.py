@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -140,6 +141,23 @@ def _load_dataset(args, path, add_intercept: bool, labeled: bool = True) -> Data
                     label_map=label_map, header=args.header)
 
 
+def _refuse_overwrite(reads, writes) -> None:
+    """Refuse an output path that names the same file as one of the
+    command's inputs or as its other output, before anything is read or
+    written: the run would replace a file it reads, or lose one it wrote.
+    ``reads`` and ``writes`` pair what names each path with the path, None
+    where it is not given."""
+    named = [(what, path) for what, path in reads if path is not None]
+    for flag, path in writes:
+        if path is None:
+            continue
+        for what, other in named:
+            if (os.path.samefile(path, other) if os.path.exists(path) and os.path.exists(other)
+                    else Path(path).resolve() == Path(other).resolve()):
+                raise ValueError(f"{flag} {path} names the same file as {what}")
+        named.append((flag, path))
+
+
 # --- train ---------------------------------------------------------------------
 
 
@@ -147,6 +165,8 @@ def cmd_train(args) -> int:
     _check_dataset_flags(args)
     if args.init != "small-random":
         _refuse_unread(args, ("--seed",), "without --init small-random, the one seeded start")
+    _refuse_overwrite([("the data file", args.data)],
+                      [("--out", args.out), ("--trace-out", args.trace_out)])
     rule = BACKTRACKING if args.backtracking else CONSTANT
     config = SolverConfig(stepsize_rule=rule, alpha=args.alpha, eta=args.eta,
                           accelerate=args.accelerate, eps_tol=args.eps_tol,
@@ -209,6 +229,8 @@ def _load_for_model(args, labeled: bool = True) -> tuple[ModelFile, PenaltySpec,
 
 
 def cmd_predict(args) -> int:
+    _refuse_overwrite([("the model file", args.model), ("the data file", args.data)],
+                      [("--out", args.out)])
     model, _, data = _load_for_model(args, labeled=not args.no_labels)
 
     predicted, probs = predict_many(model.theta, data.features)
@@ -243,6 +265,7 @@ def cmd_certify(args) -> int:
 
 def cmd_cv(args) -> int:
     _check_dataset_flags(args)
+    _refuse_overwrite([("the data file", args.data)], [("--out", args.out)])
     grid = CvGrid(betas=args.betas, zetas=args.zetas, repeats=args.repeats, seed=args.seed)
 
     if args.data is not None:

@@ -19,13 +19,19 @@ vector of the data's width: ``_check_theta`` refuses any other with
 ``ValueError``, for ``loss``, ``loss_gradient``, ``predict``,
 ``predict_many`` and every solver and certificate function that takes a
 point.  ``_margins`` makes the one pass ``z = X @ theta`` of a point and
-computes its one ``e = exp(-|z|)`` in place; that pair serves both the loss (``_loss_from_margins``) and the
-gradient (``_gradient_from_margins``, through the sigmoid
-``max(e, [z >= 0]) / (1 + e)``).  The kernels also take points stacked as the rows of a
-matrix, one pass for all of them; their label operands are then the first
-rows of a block of repeated label rows, so that every elementwise step
-has operands of one shape.  Each step keeps the bits of the plain
-formulas: the tests hold those as oracles.
+computes its one ``e = exp(-|z|)`` in place; that pair serves both the
+loss (``_loss_from_margins``) and the gradient
+(``_gradient_from_margins``, through the sigmoid
+``max(e, [z >= 0]) / (1 + e)``).  The kernels also take points stacked as
+the rows of a matrix, one pass for all of them, or a batch of one-row
+stacks, (m, 1, d) points with (m, 1, N) margins, one gemv per point;
+their label operands are then the first rows of a block of repeated label
+rows in the margins' shape, so that every elementwise step has operands
+of one shape.  ``_exp_pair``, ``_margins`` and ``_gradient_from_margins``
+write into the arrays their ``out`` gives, as numpy's ``out=`` does, so
+that a caller with preallocated rows (a fit's block of iterates) computes
+them with the same calls.  Each step keeps the bits of the plain formulas:
+the tests hold those as oracles.
 
 Every real, integer and switch setting the library takes is read by one
 of the three readers here, where it enters: ``_check_real``,
@@ -160,11 +166,12 @@ class Dataset:
         return s
 
 
-def _exp_pair(z: np.ndarray):
+def _exp_pair(z: np.ndarray, out=None):
     """The margins z with e = exp(-|z|), the one exponential per margin,
-    computed in one buffer.  ``z`` has at least one dimension: ``out=``
-    needs an array, and ``np.abs`` of a 0-d array returns a scalar."""
-    e = np.abs(z)
+    computed in one buffer, ``out`` or a new one.  ``z`` has at least one
+    dimension: ``out=`` needs an array, and ``np.abs`` of a 0-d array
+    returns a scalar."""
+    e = np.abs(z, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
     return z, e
@@ -186,14 +193,15 @@ def _probabilities(z: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 class _RepeatedRows:
     """A length-N vector shaped as the operand of an elementwise step on
-    margins: the vector itself for the (N,) margins of one point, and for a
-    (c, N) stack the first c rows of a block of copies of it, because a
+    margins, a view in the margins' shape of the first c rows of a block
+    of copies of it: c = 1 for the (N,) margins of one point, and c rows
+    for a (c, N) stack or a batch (c, 1, N) of one-row stacks, because a
     same-shape operand costs about half of a broadcast row.
 
     Every row of the block holds the same values, so its first c rows are
     exact for any stack of c points.  The block is built at the largest
     stack height seen and grown on demand, and the view of its first c
-    rows is kept per height: a loop asks for the same height on every
+    rows is kept per shape: a loop asks for the same shape on every
     iteration, and a dict lookup costs less than a new view.
     """
 
@@ -203,22 +211,22 @@ class _RepeatedRows:
         self.rows = {}
 
     def like(self, z: np.ndarray) -> np.ndarray:
-        if z.ndim == 1:
-            return self.vector
-        height = z.shape[0]
-        rows = self.rows.get(height)
+        rows = self.rows.get(z.shape)
         if rows is None:
-            if height > self.block.shape[0]:
+            height = z.size // self.vector.size
+            if height > len(self.block):
                 self.block = np.tile(self.vector, (height, 1))
                 self.rows.clear()
-            rows = self.rows[height] = self.block[:height]
+            rows = self.rows[z.shape] = self.block[:height].reshape(z.shape)
         return rows
 
 
-def _margins(X, theta):
+def _margins(X, theta, out=(None, None)):
     """The one pass over X for a point: the pair (z, exp(-|z|)) of its
-    margins z = theta @ X^T; (C, N) arrays for a (C, d) stack of points."""
-    return _exp_pair(theta @ X.T)
+    margins z = theta @ X^T, written into the pair ``out`` or new arrays;
+    (C, N) arrays for a (C, d) stack of points, and (m, 1, N) for a batch
+    of m one-point stacks, one gemv per point."""
+    return _exp_pair(np.matmul(theta, X.T, out=out[0]), out=out[1])
 
 
 def _loss_from_margins(neg_signs: _RepeatedRows, margins):
@@ -244,12 +252,13 @@ def _margins_loss(X, neg_signs: _RepeatedRows, theta):
     return margins, _loss_from_margins(neg_signs, margins)
 
 
-def _gradient_from_margins(X, labels: _RepeatedRows, margins) -> np.ndarray:
+def _gradient_from_margins(X, labels: _RepeatedRows, margins, out=None) -> np.ndarray:
     """Loss gradient (sigmoid(z) - y) @ X from the margins pair of a point,
-    or of each row of stacked margins.  The pair is left as it is."""
+    or of each row of stacked margins, written into ``out`` or a new array.
+    The pair is left as it is."""
     residual = _probabilities(*margins)
     residual -= labels.like(residual)
-    return residual @ X
+    return np.matmul(residual, X, out=out)
 
 
 def _kernels(data: Dataset):

@@ -115,17 +115,17 @@ steps.  A backtracking step past the stall may find no stepsize and raise
 if it stalled, the fit ends there as it would have without that step.
 
 With momentum the block stores only the iterates' points (and, under
-backtracking, their losses) and computes the rest when it evaluates: under
-the constant rule the margins, as one ``np.matmul`` of the (m, 1, d) stack
-of points with X^T and one stacked exp(-|z|), and for a traced fit the
-gradients, as one stacked sigmoid and one ``np.matmul`` of the (m, 1, N)
-residuals with X; a traced backtracking fit keeps the search's margins for
-them.  For such a batch of one-row products numpy makes one gemv call per
-row, the call that a 1-D product makes, so every margin, gradient and
-trace row keeps its bits (an (m, N) product would not: see the stack
-above).  Both write into the block's preallocated rows, the
-margins under the objective's overflow guard.  The passes over X are as
-many as before, but one call per block replaces about ten numpy calls per
+backtracking, their losses) and computes the rest when it evaluates, by
+calling ``model``'s kernels into its own preallocated rows (their
+``out=``) on the iterates as a batch of one-point stacks: under the
+constant rule the margins, ``_margins`` of the (m, 1, d) points, and for
+a traced fit the gradients, the ``gradient`` kernel of the (m, 1, N)
+margins; a traced backtracking fit keeps the search's margins for them.
+For such a batch numpy makes one gemv call per row, the call that a 1-D
+product makes, so every margin, gradient and trace row keeps its bits (an
+(m, N) product would not: see the stack above).  The margins are computed
+under the objective's overflow guard.  The passes over X are as many as
+before, but one call per block replaces about ten numpy calls per
 iteration: at that size a traced momentum iteration takes about 58 us
 instead of 66, an untraced one 45 instead of 49.
 
@@ -240,8 +240,6 @@ from .model import (
     _check_theta,
     _kernels,
     _margins,
-    _probabilities,
-    _RepeatedRows,
     loss,
     loss_gradient,
     spectral_norm,
@@ -605,10 +603,10 @@ class _Block(_Job):
     iterate's point, margins pair (under backtracking, its loss),
     stepsize and, for a traced fit, gradient go into preallocated rows.
     With momentum no step needs the iterate's margins or gradient, so the
-    block computes them itself when it evaluates, as batches of one-point
-    products into those rows: the margins from the points (constant rule),
-    and the gradients of a traced fit from the margins, which under
-    backtracking it keeps from the search.  A block that starts at
+    block computes them when it evaluates, calling ``model``'s margins and
+    gradient kernels into those rows on a batch of one-point stacks: the
+    margins from the points (constant rule), and the gradients of a traced
+    fit from the margins, which under backtracking it keeps from the search.  A block that starts at
     iteration s holds min(s, cap, the iterations left) iterates; it is
     evaluated when full, at once when an iterate fails the finiteness
     guard, and when the backtracking search of the next step fails.  One
@@ -640,7 +638,6 @@ class _Block(_Job):
         # for those gradients (backtracking)
         self.keeps_margins = (not backtrack and not self.momentum
                               or backtrack and self.momentum and config.record_trace)
-        self.labels = _RepeatedRows(data.labels.astype(float))
         # ||theta||^2 below this keeps the objective below 1e300 (see the
         # module docs); ||theta|| < 1e154 keeps its square finite.  ||X||_F
         # overflows to inf only when every limit would be 0 anyway.
@@ -689,12 +686,8 @@ class _Block(_Job):
                 losses = np.array(self.losses[:m])
             else:
                 if self.momentum:
-                    # one gemv per row, the call of one point's product, and
-                    # the pair of model._exp_pair in the block's own rows
-                    np.matmul(points[:, None, :], self.X.T, out=z[:, None, :])
-                    np.abs(z, out=e)
-                    np.negative(e, out=e)
-                    np.exp(e, out=e)
+                    # a batch of one-point stacks: one gemv per row
+                    _margins(self.X, points[:, None, :], out=(z[:, None, :], e[:, None, :]))
                 losses = self.loss_of((z, e))
             objectives = (losses + self.spec.beta * _penalty_sum(points, self.spec)).tolist()
         last, eps_tol = self.obj, self.eps_tol
@@ -708,11 +701,7 @@ class _Block(_Job):
             last = obj
         if self.grads is not None:
             if self.momentum:
-                # (sigmoid(z) - y) @ X as the gradient kernel computes it, one
-                # gemv per row
-                residual = _probabilities(z[:m], e[:m])
-                residual -= self.labels.like(residual)
-                np.matmul(residual[:, None, :], self.X, out=self.grads[:m, None, :])
+                self.gradient((z[:m, None, :], e[:m, None, :]), out=self.grads[:m, None, :])
             self.trace += _trace_rows(self.points[:m], self.points[1:m + 1], self.grads[:m],
                                       objectives[:m], self.stepsizes[:m], self.spec.beta,
                                       self.spec)

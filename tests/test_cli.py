@@ -656,6 +656,79 @@ def test_predict_unlabeled_csv(synth, tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 30
 
 
+# --- output paths that name an input ----------------------------------------------
+
+
+def files_under(directory):
+    return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+def assert_refused(argv, message, directory, capsys):
+    """The run exits 1 with ``message`` and leaves every file under
+    ``directory`` as it was, writing none."""
+    before = files_under(directory)
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert files_under(directory) == before
+
+
+@pytest.fixture(params=["same", "dotted", "symlink"])
+def spelled(request, tmp_path):
+    """Another spelling of a path to the same file: the path itself, one
+    through a directory and .., or a symbolic link to it."""
+    def spell(path):
+        if request.param == "same":
+            return path
+        if request.param == "dotted":
+            (tmp_path / "sub").mkdir(exist_ok=True)
+            return tmp_path / "sub" / ".." / path.name
+        link = tmp_path / f"link_{path.name}"
+        link.symlink_to(path)
+        return link
+    return spell
+
+
+def test_train_refuses_an_out_that_names_its_data(synth, tmp_path, capsys, spelled):
+    # the parent wrote the model over the training data and exited 0
+    data = tmp_path / "data_train.csv"
+    out = spelled(data)
+    assert_refused(["train", data, "--beta", 0.1, "--out", out],
+                   f"--out {out} names the same file as the data file", tmp_path, capsys)
+
+
+def test_train_refuses_a_trace_out_that_names_its_out(synth, tmp_path, capsys, spelled):
+    # the parent wrote the trace and then the model over it: no trace, exit 0
+    model = tmp_path / "m.txt"
+    model.write_text("an older model\n")
+    trace = spelled(model)
+    assert_refused(["train", synth["train"], "--beta", 0.1, "--out", model,
+                    "--trace-out", trace],
+                   f"--trace-out {trace} names the same file as --out", tmp_path, capsys)
+    # neither exists yet: the resolved paths are compared
+    new = tmp_path / "new.txt"
+    assert_refused(["train", synth["train"], "--beta", 0.1, "--out", new,
+                    "--trace-out", tmp_path / "sub" / ".." / "new.txt"],
+                   f"--trace-out {tmp_path / 'sub' / '..' / 'new.txt'} names the same "
+                   "file as --out", tmp_path, capsys)
+    assert not new.exists()
+
+
+def test_cv_refuses_an_out_that_names_its_data(synth, tmp_path, capsys, spelled):
+    data = tmp_path / "data_train.csv"
+    out = spelled(data)
+    assert_refused(["cv", "--data", data, "--repeats", 1, "--out", out],
+                   f"--out {out} names the same file as the data file", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("target", ["model", "data"])
+def test_predict_refuses_an_out_that_names_an_input(synth, tmp_path, capsys, spelled, target):
+    model = trained_model(synth, tmp_path)
+    data = tmp_path / "data_test.csv"
+    out = spelled(model if target == "model" else data)
+    assert_refused(["predict", model, data, "--out", out],
+                   f"--out {out} names the same file as the {target} file", tmp_path, capsys)
+
+
 # --- model-file validation -------------------------------------------------------
 
 

@@ -13,6 +13,8 @@ import pytest
 from wclogit.model import (
     Dataset,
     _kernels,
+    _margins,
+    _RepeatedRows,
     lipschitz_bound,
     loss,
     loss_gradient,
@@ -373,3 +375,31 @@ def test_one_svd_per_dataset(monkeypatch):
     spectral_norm(centered)
     is_problem_nonconvex(centered)
     assert calls == ["svd", "svd"]
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 7), (5, 1, 7)])
+def test_repeated_rows_take_the_operands_shape_and_keep_the_view(shape):
+    vector = np.arange(7.0) - 3.0
+    rows = _RepeatedRows(vector)
+    # a taller stack first, so that the block holds more rows than asked for
+    rows.like(np.empty((9, 7)))
+    view = rows.like(np.empty(shape))
+    assert view.shape == shape
+    assert all(np.array_equal(row, vector) for row in view.reshape(-1, 7))
+    assert rows.like(np.empty(shape)) is view
+
+
+def test_kernels_write_a_batch_of_one_point_stacks_into_out_with_each_points_bits():
+    rng = np.random.default_rng(4)
+    data = random_instance(rng, 30, 5)
+    _, gradient, _ = _kernels(data)
+    points = rng.standard_normal((4, 5)) * [[1.0], [10.0], [-3.0], [0.0]]
+    z, e, grads = np.empty((4, 30)), np.empty((4, 30)), np.empty((4, 5))
+    pair = _margins(data.features, points[:, None, :], out=(z[:, None, :], e[:, None, :]))
+    assert np.shares_memory(pair[0], z) and np.shares_memory(pair[1], e)
+    assert np.shares_memory(gradient(pair, out=grads[:, None, :]), grads)
+    for point, z_row, e_row, grad in zip(points, z, e, grads):
+        alone = _margins(data.features, point)
+        assert z_row.tobytes() == alone[0].tobytes()
+        assert e_row.tobytes() == alone[1].tobytes()
+        assert grad.tobytes() == gradient(alone).tobytes()
