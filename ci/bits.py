@@ -15,19 +15,25 @@ only one side has) and exits 1 if there are any, 0 otherwise.
 The runs:
 
 - ``reproduce`` fig1 and fig2, and fig3 and table3 at ``--repeats 1``
-- ``generate`` of ``stall_train.csv`` (10 features, the console checks'
-  stalling file) and of a 1000 x 50 file with a test split
+- ``generate`` of ``stall_train.csv`` (300 x 10, noisy labels: its fits
+  stall) and of a 1000 x 50 file with a test split
 - ``train`` on each file, traced and untraced, under each flag set of
   ``TRAIN_FLAGS``; then ``predict`` and ``certify`` on every model
 - ``cv --data stall_train.csv --alpha 0.5`` at 10 and at 2 repeats and with
   ``--validation-fraction 0.2``, and a 3 x 3 synthetic ``cv``
-- twenty-three error probes (``PROBES``): inadmissible stepsizes,
-  overflowing features, settings at the float range's edges,
-  ``--num-features 0``, a missing file, a CSV, a sparse file and a model
-  file that are not UTF-8, ``cv`` lists that do not parse, a model file
-  whose beta the penalty refuses, and an output path that names an input
-  or the run's other output (``train``, ``cv``, ``predict``); each input
-  file is hashed as the runs left it
+- thirty-eight probes (``PROBES``), all but two of them error paths:
+  inadmissible stepsizes, overflowing features, settings at the float
+  range's edges, ``--num-features 0``, a negative label column, a missing
+  file, a CSV, a sparse file and a model file that are not UTF-8, numbers
+  that only Python's ``float()`` or ``int()`` reads (in a flag, a ``cv``
+  list, a CSV and a model file), a model file whose beta the penalty
+  refuses, an output path that names an input or the run's other output
+  (``train``, ``cv``, ``predict``), flags the run would not read or that
+  are gone (``train``, ``predict``, ``cv``, ``generate``, ``reproduce``), a
+  non-finite ``generate`` setting and ``reproduce --max-iters 0``; the two
+  that succeed train on all-zero features at zeta = 0 and on a CSV that
+  starts with a UTF-8 byte-order mark. Each input file is hashed as the
+  runs left it
 - in process (``solver_items``, in a subprocess of its own): ``fit`` on
   fig1's problem and ``fit_cells`` on fig3's grid, each field of each
   result one item
@@ -41,7 +47,7 @@ BLAS versions. A matrix product's last bits depend on the BLAS build, so
 compare two trees on one machine and never keep the digests as goldens
 across machines. The command-line half uses the standard library only, and
 the in-process half imports the tree's wclogit and numpy. Two processes at
-a time, 16-20 s on two cores.
+a time, 23-32 s on two cores.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ TRAIN_FLAGS = {
     "eta-0.1": ["--backtracking", "--eta", "0.1"],
     "backtracking-alpha-0.05": ["--backtracking", "--alpha", "0.05"],
     "alpha-0.01": ["--alpha", "0.01"],
+    "add-intercept": ["--add-intercept"],
 }
 
 # a model file for sparse.txt's three features, with its beta line's value
@@ -99,6 +106,10 @@ INPUTS = {
     "latin1_sparse.txt": b"1 1:2.0\n0 2:1\xe9 3:1\n",
     "latin1_model.txt": _MODEL % b"0.1\xe9",
     "beta_negative_model.txt": _MODEL % b"-1.0",
+    "zeros.csv": b"label,f1,f2\n1,0,0\n0,0,0\n",
+    "underscore.csv": b"label,f1,f2\n1,1_0,2\n0,0.5,3\n",
+    "underscore_iterations_model.txt": (_MODEL % b"0.1").replace(b"iterations 1\n",
+                                                                 b"iterations 1_297\n"),
 }
 # the inputs of the probes that name an input as an output: each probe has
 # its own copy, which a run that writes over it would change
@@ -107,6 +118,8 @@ _ROWS = b"label,f1,f2\n" + b"".join(b"%d,%d,%d\n" % (i % 2, (7 * i) % 11 - 5, (3
 INPUTS.update({"clobber_train.csv": _ROWS, "clobber_cv.csv": _ROWS,
                "clobber_model.txt": _MODEL % b"0.1", "clobber_model_2.txt": _MODEL % b"0.1",
                "clobber_sparse.txt": INPUTS["sparse.txt"]})
+# a CSV that starts with a UTF-8 byte-order mark
+INPUTS["bom.csv"] = b"\xef\xbb\xbf" + _ROWS
 
 _STALL_CSV = "../generate-stall/stall_train.csv"
 _SPARSE = "../inputs/sparse.txt"
@@ -150,6 +163,26 @@ PROBES = {
     "predict-out-data": ["predict", "../inputs/clobber_model_2.txt",
                          "../inputs/clobber_sparse.txt", "--sparse-format", "--out",
                          "../inputs/clobber_sparse.txt"],
+    "zeros-zeta-0": ["train", "../inputs/zeros.csv", "--beta", "0.1"],
+    "label-col-negative": ["train", _STALL_CSV, "--beta", "0.5", "--label-col=-1"],
+    "eta-constant": ["train", _STALL_CSV, "--beta", "0.5", "--zeta", "0.1", "--eta", "0.3"],
+    "alpha0-gone": ["train", _STALL_CSV, "--beta", "0.5", "--zeta", "0.1", "--alpha0", "0.3"],
+    "predict-no-labels-label-col": ["predict", "../train-stall-constant/model.txt", _STALL_CSV,
+                                    "--no-labels", "--label-col", "0"],
+    "cv-data-n-test": ["cv", "--data", _STALL_CSV, "--n-test", "5", "--repeats", "1"],
+    "underscore-csv": ["train", "../inputs/underscore.csv", "--beta", "0.1"],
+    "model-iterations-underscore": ["predict", "../inputs/underscore_iterations_model.txt",
+                                    _SPARSE, "--sparse-format"],
+    "beta-fullwidth": ["train", _STALL_CSV, "--beta", "\uff10.5"],
+    "bom-csv": ["train", "../inputs/bom.csv", "--label-col", "label", "--beta", "0.1"],
+    "generate-noise-sigma-nan": ["generate", "--d", "5", "--n-train", "20", "--k", "2",
+                                 "--noise-sigma", "nan"],
+    "generate-normal-amp-low": ["generate", "--d", "5", "--n-train", "20", "--k", "2",
+                                "--amplitude", "normal", "--amp-low", "3"],
+    "reproduce-fig1-repeats": ["reproduce", "fig1", "--repeats", "2", "--out-dir", "out"],
+    "reproduce-fig1-max-iters-0": ["reproduce", "fig1", "--max-iters", "0", "--out-dir", "out"],
+    "reproduce-table3-max-iters-0": ["reproduce", "table3", "--repeats", "1", "--max-iters",
+                                     "0", "--out-dir", "out"],
 }
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "CertificateReport",
     "is_problem_nonconvex",
     "beta_threshold",
+    "why_no_threshold",
     "zero_vector_status",
     "check_critical_point",
     "check_sufficient_local_opt",
@@ -82,6 +83,8 @@ class CertificateReport:
     mcp_iff_applicable: bool
     mcp_iff_verdict: bool | None
     beta_threshold: float | None
+    # why beta_threshold is None (see ``why_no_threshold``), None where it exists
+    why_no_threshold: str | None
     problem_nonconvex: bool
     possible_separable_escape: bool
     # whether theta = 0 is a local minimizer at this beta; None where the
@@ -91,7 +94,7 @@ class CertificateReport:
     def to_text(self) -> str:
         lines = [f"problem nonconvex (rank-deficient features): {_yn(self.problem_nonconvex)}"]
         if self.beta_threshold is None:
-            lines.append("zero-solution beta threshold: unavailable (data not centered)")
+            lines.append(f"zero-solution beta threshold: unavailable ({self.why_no_threshold})")
         else:
             lines.append(f"zero-solution beta threshold: {self.beta_threshold!r}")
         lines.append(f"critical point: {_yn(self.is_critical_point)}")
@@ -128,20 +131,28 @@ def is_problem_nonconvex(data: Dataset) -> bool:
     return bool(rank < data.n_features)
 
 
+def why_no_threshold(data: Dataset) -> str | None:
+    """Why the zero-solution threshold is undefined on ``data``, or None where
+    it is defined: on centered data without an intercept column, whose every
+    feature column sums to zero.  The one precondition of ``beta_threshold``,
+    of the report's threshold line and of ``train``'s threshold warning."""
+    if not data.centered:
+        return "data not centered"
+    if data.has_intercept:
+        return "data has an intercept column, which cannot sum to zero"
+    return None
+
+
 def beta_threshold(data: Dataset, spec: PenaltySpec) -> float:
     """Smallest beta at which theta = 0 becomes a local minimizer.
 
     Equals ||sum of positive-class samples||_inf / F'_+(0), and MCP's slope
     F'_+(0) is 1 for every zeta.  Only meaningful when every feature column
-    sums to zero, i.e. on centered data without an intercept column.
+    sums to zero (see ``why_no_threshold``); elsewhere a ``ValueError``.
     """
-    if not data.centered:
-        raise ValueError("beta_threshold requires centered data")
-    if data.has_intercept:
-        raise ValueError(
-            "beta_threshold is undefined with an intercept column: the constant "
-            "feature cannot sum to zero"
-        )
+    why = why_no_threshold(data)
+    if why is not None:
+        raise ValueError(f"beta_threshold is undefined: {why}")
     pos_sum = data.features[data.labels == 1].sum(axis=0)
     return float(np.max(np.abs(pos_sum)))
 
@@ -265,10 +276,8 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
     verdict = all(r.passes for r in rows) if applicable else None
     slack = grad_tol / beta
 
-    try:
-        threshold = beta_threshold(data, spec)
-    except ValueError:
-        threshold = None
+    why_no = why_no_threshold(data)
+    threshold = None if why_no is not None else beta_threshold(data, spec)
 
     conditions = _conditions(theta, grad, beta, spec)
     with np.errstate(over="ignore"):  # a norm beyond the float range reads inf
@@ -284,6 +293,7 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
         mcp_iff_applicable=applicable,
         mcp_iff_verdict=verdict,
         beta_threshold=threshold,
+        why_no_threshold=why_no,
         problem_nonconvex=is_problem_nonconvex(data),
         possible_separable_escape=escape,
         zero_vector_status=None if threshold is None else zero_vector_status(beta, threshold),

@@ -30,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import ZERO_LOCAL_MINIMUM, beta_threshold, check_mcp_local_opt, zero_vector_status
+from .certify import (ZERO_LOCAL_MINIMUM, beta_threshold, check_mcp_local_opt,
+                      why_no_threshold, zero_vector_status)
 from .data import (AMPLITUDE_NORMAL, DataError, SynthSpec, _number, _write_csv, apply_center,
                    center, gen_noisy, load_csv, load_sparse_classification_format, save_csv,
                    train_test_split)
@@ -182,7 +183,7 @@ def cmd_train(args) -> int:
     if args.init == "small-random":
         rng = np.random.default_rng(args.seed)
         theta0 = rng.uniform(-0.01, 0.01, data.n_features)
-    elif data.centered and not data.has_intercept:
+    elif why_no_threshold(data) is None:
         threshold = beta_threshold(data, spec)
         if zero_vector_status(args.beta, threshold) == ZERO_LOCAL_MINIMUM:
             print(f"warning: beta = {args.beta:g} exceeds the zero-solution "
@@ -344,8 +345,7 @@ def cmd_reproduce(args) -> int:
     convergence = args.preset in ("fig1", "fig2")
     if convergence:
         _refuse_unread(args, ("--repeats",), f"to {args.preset}: each run is one traced fit")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out_dir)  # each preset makes it once its settings pass
     if convergence:
         reproduce_convergence(out_dir, args.preset == "fig2", args.max_iters, args.quiet)
     elif args.preset == "fig3":

@@ -4,7 +4,9 @@
 (train, test) pair; ``synthetic_pairs`` draws a repeat's synthetic pair.
 The presets write the plot-ready CSVs of fig1/fig2 (convergence traces),
 fig3 (the error grid) and table3 (the noise sweep) into a directory and,
-unless ``quiet``, print a summary to stdout and notices to stderr.
+unless ``quiet``, print a summary to stdout and notices to stderr.  Each
+checks its settings before it makes the directory, opens a file or prints a
+line, so a refused run leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -194,6 +196,10 @@ def reproduce_convergence(out_dir: Path, accelerate: bool, max_iters: int,
     """fig1 (plain) or fig2 (momentum): a trace CSV per constant stepsize and
     the normalized estimates beside the ground truth and the l1 fit."""
     tag = "fig2" if accelerate else "fig1"
+    configs = [SolverConfig(alpha=alpha, accelerate=accelerate, eps_tol=1e-15,
+                            max_iters=max_iters) for alpha in _CONVERGENCE_ALPHAS]
+    l1_config = SolverConfig(eps_tol=1e-15, max_iters=max_iters, record_trace=False)
+    out_dir.mkdir(parents=True, exist_ok=True)
     train, _, theta0 = gen_separable(_CONVERGENCE_SPEC)
     spec = PenaltySpec(zeta=_CONVERGENCE_ZETA, beta=_CONVERGENCE_BETA)
     bound = max_constant_stepsize(_CONVERGENCE_BETA, spec, train)
@@ -201,9 +207,7 @@ def reproduce_convergence(out_dir: Path, accelerate: bool, max_iters: int,
         print(f"admissible constant stepsizes: (0, {bound:.6g})")
 
     estimates = {}
-    for alpha in _CONVERGENCE_ALPHAS:
-        config = SolverConfig(alpha=alpha, accelerate=accelerate,
-                              eps_tol=1e-15, max_iters=max_iters)
+    for alpha, config in zip(_CONVERGENCE_ALPHAS, configs):
         result = fit(train, _CONVERGENCE_BETA, spec, config)
         trace_path = out_dir / f"{tag}_alpha{alpha:g}.csv"
         write_trace_csv(result, trace_path)
@@ -212,7 +216,6 @@ def reproduce_convergence(out_dir: Path, accelerate: bool, max_iters: int,
             print(f"alpha = {alpha:g}: final objective {result.final_objective:.6f}, "
                   f"trace in {trace_path}")
 
-    l1_config = SolverConfig(eps_tol=1e-15, max_iters=max_iters, record_trace=False)
     l1_result = fit(train, _CONVERGENCE_BETA, PenaltySpec(zeta=0.0), l1_config)
     estimates["l1"] = _normalized(l1_result.theta)
 
@@ -230,6 +233,8 @@ def reproduce_error_grid(out_dir: Path, repeats: int, max_iters: int,
     """fig3: test errors of the 7 x 4 (beta, zeta) grid, in fig3_grid.csv."""
     grid = CvGrid(betas=tuple(10.0 ** np.linspace(-2.8, 0.6, 7)),
                   zetas=(0.0, 0.01, 0.1, 1.0), repeats=repeats)
+    _check_integer("max_iters", max_iters, 1)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # the published stepsize 0.1 predates the admissibility bound of the raw
     # Gaussian features; inadmissible cells fall back to the default
     error_grid = run_cv_grid(grid, synthetic_pairs(_ERROR_GRID_SPEC, 1000), alpha=0.1,
@@ -242,6 +247,8 @@ def reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
     """table3: per label-noise level, the best l1 and weakly convex test errors."""
     grid = CvGrid(betas=tuple(10.0 ** np.linspace(-3.0, 1.0, 7)),
                   zetas=(0.0, 0.001, 0.01, 0.1, 1.0, 10.0), repeats=repeats)
+    _check_integer("max_iters", max_iters, 1)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "table3.csv"
     grids = []
 

@@ -131,12 +131,15 @@ def test_beta_threshold_scales_with_data():
 def test_beta_threshold_requires_centering():
     rng = np.random.default_rng(42)
     data = random_instance(rng, 10, 3)
-    with pytest.raises(ValueError):
-        beta_threshold(data, PenaltySpec(zeta=0.1))
     with_icpt = Dataset(np.hstack([data.features, np.ones((10, 1))]),
                         data.labels, centered=True, has_intercept=True)
-    with pytest.raises(ValueError):
-        beta_threshold(with_icpt, PenaltySpec(zeta=0.1))
+    # the report states the reason that beta_threshold refuses with
+    for case, why in ((data, "data not centered"),
+                      (with_icpt, "data has an intercept column, which cannot sum to zero")):
+        with pytest.raises(ValueError, match=f"^beta_threshold is undefined: {why}$"):
+            beta_threshold(case, PenaltySpec(zeta=0.1))
+        report = check_mcp_local_opt(np.zeros(case.n_features), 1.0, PenaltySpec(zeta=0.1), case)
+        assert f"\nzero-solution beta threshold: unavailable ({why})\n" in report.to_text()
 
 
 def test_report_states_the_zero_vector_status_last_where_the_threshold_exists():

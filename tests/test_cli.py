@@ -5,6 +5,7 @@ import csv
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,16 +150,27 @@ def test_train_deterministic_output(synth, tmp_path):
     assert (tmp_path / "m1.txt").read_bytes() == (tmp_path / "m2.txt").read_bytes()
 
 
-def test_train_trace_out_changes_no_other_output(synth, tmp_path, capsys):
-    # the trace is recorded only when written; the fit is the same either way
-    outputs = []
-    for extra in ([], ["--trace-out", tmp_path / "t.csv"]):
-        assert run("train", synth["train"], "--beta", 0.3, "--zeta", 0.5, "--center",
-                   "--backtracking", "--out", tmp_path / "m.txt", *extra) == 0
-        stdout = capsys.readouterr().out
-        outputs.append(((tmp_path / "m.txt").read_bytes(), stdout))
-    assert outputs[0] == outputs[1]
-    assert (tmp_path / "t.csv").exists()
+@pytest.mark.parametrize("rule", [[], ["--accelerate"], ["--backtracking"],
+                                  ["--backtracking", "--accelerate"]],
+                         ids=["constant", "accelerate", "backtracking", "backtracking-accelerate"])
+def test_train_trace_out_changes_no_other_output(synth, tmp_path, capsys, rule):
+    # the trace is recorded only when written; the fit is the same either way,
+    # on a run to its cap and on one that stalls (with momentum, its blocks'
+    # margins and trace gradients too), and the trace holds the header, the
+    # start and one row per iteration
+    assert run("generate", "--d", 10, "--n-train", 300, "--k", 3, "--noise-sigma", 1.0,
+               "--amplitude", "normal", "--seed", 2, "--out-prefix", tmp_path / "stall",
+               "--quiet") == 0
+    for data, converged in ((synth["train"], "false"), (tmp_path / "stall_train.csv", "true")):
+        outputs = []
+        for extra in ([], ["--trace-out", tmp_path / "t.csv"]):
+            assert run("train", data, "--beta", 0.3, "--zeta", 0.5, "--center", *rule,
+                       "--out", tmp_path / "m.txt", *extra) == 0
+            outputs.append(((tmp_path / "m.txt").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert f"\nconverged: {converged}\n" in outputs[0][1]
+        iterations = load_model(tmp_path / "m.txt").iterations
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == iterations + 2
 
 
 def test_train_writes_its_model_file_last(synth, tmp_path, capsys):
@@ -294,7 +306,9 @@ def test_train_warning_and_certify_status_agree(tie_data, tmp_path, capsys, beta
                "--out", model, "--quiet") == 0
     warned = "exceeds the zero-solution threshold" in capsys.readouterr().err
     assert run("certify", model, data) == 0
-    assert capsys.readouterr().out.endswith(f"zero-vector status: {status}\n")
+    out = capsys.readouterr().out
+    assert out.endswith(f"zero-vector status: {status}\n")
+    assert out.count("zero-vector status: ") == 1
     assert warned == (status.startswith("local minimum"))
 
 
@@ -917,6 +931,13 @@ def test_model_file_reads_a_byte_order_mark_as_no_byte(synth, tmp_path):
     marked = tmp_path / "marked.txt"
     marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert repr(vars(load_model(marked))) == repr(vars(load_model(path)))
+    # a training CSV with the mark trains the same model; the mark does not
+    # hide its first column's name
+    marked_csv = tmp_path / "marked.csv"
+    marked_csv.write_bytes(b"\xef\xbb\xbf" + Path(synth["train"]).read_bytes())
+    assert run("train", marked_csv, "--label-col", "label", "--beta", 0.1, "--zeta", 0.5,
+               "--center", "--out", tmp_path / "marked_model.txt", "--quiet") == 0
+    assert (tmp_path / "marked_model.txt").read_bytes() == path.read_bytes()
 
 
 # --- certify ----------------------------------------------------------------------
@@ -1243,6 +1264,31 @@ def test_reproduce_convergence_presets_refuse_repeats(tmp_path, capsys, preset):
     # an explicit default is harmless
     assert run("reproduce", preset, "--repeats", 10, "--max-iters", 5, "--quiet",
                "--out-dir", out_dir) == 0
+
+
+# the files each preset writes into its --out-dir
+PRESET_FILES = {**{tag: [f"{tag}_alpha{alpha}.csv" for alpha in (1, 2, 4)] + [f"{tag}_theta.csv"]
+                   for tag in ("fig1", "fig2")},
+                "fig3": ["fig3_grid.csv"], "table3": ["table3.csv"]}
+
+
+@pytest.mark.parametrize("preset, flag", [*((preset, "--max-iters") for preset in PRESET_FILES),
+                                          ("fig3", "--repeats"), ("table3", "--repeats")])
+def test_a_refused_preset_makes_no_directory_file_or_line(tmp_path, capsys, preset, flag):
+    # every setting is checked before --out-dir is made, a file opened or a
+    # line printed: a refused run makes no directory, prints nothing to
+    # stdout and leaves an earlier run's files as they were
+    old = tmp_path / "old"
+    old.mkdir()
+    for name in PRESET_FILES[preset]:
+        (old / name).write_text("an older run\n")
+    before = files_under(old)
+    for out_dir in (tmp_path / "new", old):
+        assert run("reproduce", preset, flag, 0, "--out-dir", out_dir) == 1
+        assert capsys.readouterr() == ("", f"error: {flag[2:].replace('-', '_')} must be an "
+                                           "integer >= 1, got 0\n")
+    assert not (tmp_path / "new").exists()
+    assert files_under(old) == before
 
 
 def test_reproduce_accelerated_preset_beats_plain(tmp_path):
