@@ -18,7 +18,9 @@ The runs:
 - ``generate`` of ``stall_train.csv`` (300 x 10, noisy labels: its fits
   stall) and of a 1000 x 50 file with a test split
 - ``train`` on each file, traced and untraced, under each flag set of
-  ``TRAIN_FLAGS``; then ``predict`` and ``certify`` on every model
+  ``TRAIN_FLAGS``; then ``predict`` and ``certify`` on every model, and
+  ``certify --threshold-only`` on each family's constant and
+  ``--add-intercept`` models and on the uncentered sparse one (an exit 1)
 - ``cv --data stall_train.csv --alpha 0.5`` at 10 and at 2 repeats and with
   ``--validation-fraction 0.2``, and a 3 x 3 synthetic ``cv``
 - thirty-eight probes (``PROBES``), all but two of them error paths:
@@ -36,7 +38,8 @@ The runs:
   runs left it
 - in process (``solver_items``, in a subprocess of its own): ``fit`` on
   fig1's problem and ``fit_cells`` on fig3's grid, each field of each
-  result one item
+  result one item; and each ``fit`` theta's certificate report and the
+  standalone ``check_*`` verdicts, which the command line never calls
 
 Each run is a fresh ``python -m wclogit.cli`` process with the tree's
 ``src`` first on ``PYTHONPATH``, BLAS pinned to one thread, in its own
@@ -202,12 +205,18 @@ def solver_items() -> dict[str, str]:
     ``fit`` runs fig1's problem under either rule, with and without
     momentum, trace and a start off zero, once stalling (eps_tol 1e-8) and
     once at its cap (eps_tol 1e-15, 500 iterations, as fig1 runs it).
+    Each ``fit`` result's theta is also certified: the report's text, and
+    the critical, sufficient and necessary verdicts of the standalone
+    checks at tolerance 0 and at the report's own slack.
     ``fit_cells`` runs fig3's 28 cells on each of its first four draws at
     their default stepsizes (every cell refuses fig3's 0.1): the whole grid,
     each cell alone and the 6 cells of betas 2-4 and zetas 0.01 and 0.1."""
     import numpy as np
 
+    from wclogit.certify import (check_critical_point, check_mcp_local_opt,
+                                 check_necessary_local_opt, check_sufficient_local_opt)
     from wclogit.data import SynthSpec, center, gen_noisy, gen_separable
+    from wclogit.model import spectral_norm
     from wclogit.penalty import PenaltySpec
     from wclogit.solver import BACKTRACKING, CONSTANT, SolverConfig, fit, fit_cells
 
@@ -219,6 +228,10 @@ def solver_items() -> dict[str, str]:
 
     train, _, _ = gen_separable(SynthSpec(**FIG1))
     spec = PenaltySpec(**FIG1_PENALTY)
+    checks = {"critical": check_critical_point, "sufficient": check_sufficient_local_opt,
+              "necessary": check_necessary_local_opt}
+    # the slack of the report's own verdicts, grad_tol / beta at its default grad_tol
+    slack = 1e-6 * (1.0 + spectral_norm(train)) / spec.beta
     start = np.random.default_rng(3).uniform(-0.01, 0.01, train.n_features)
     for rule in (CONSTANT, BACKTRACKING):
         for accelerate in (False, True):
@@ -236,6 +249,12 @@ def solver_items() -> dict[str, str]:
                                    "converged": result.converged,
                                    "objective": result.final_objective,
                                    "trace": np.array(result.trace, dtype=float)})
+                        report = check_mcp_local_opt(result.theta, None, spec, train)
+                        add(name, {"certificate": report.to_text(),
+                                   **{f"{what}-tol{tag}": check(result.theta, None, spec,
+                                                                train, tol)
+                                      for what, check in checks.items()
+                                      for tag, tol in (("0", 0.0), ("-slack", slack))}})
     # cell 4*i + j is (beta i, zeta j)
     cells = [(b, z) for b in 10.0 ** np.linspace(-2.8, 0.6, 7) for z in FIG3_ZETAS]
     grids = {"all": list(range(len(cells))),
@@ -276,6 +295,13 @@ def stages() -> list[dict[str, list[str]]]:
                 model, run = f"../{name}/model.txt", name.removeprefix("train-")
                 scores[f"predict-{run}"] = ["predict", model, f"../{generated}/{score_file}"]
                 scores[f"certify-{run}"] = ["certify", model, f"../{generated}/{train_file}"]
+                if flags in ("constant", "add-intercept") and not traced:
+                    scores[f"threshold-{run}"] = ["certify", model,
+                                                  f"../{generated}/{train_file}",
+                                                  "--threshold-only"]
+    # uncentered: its threshold is undefined, an exit 1
+    scores["threshold-sparse"] = ["certify", _SPARSE_MODEL, _SPARSE, "--sparse-format",
+                                  "--threshold-only"]
     cv = ["cv", "--data", _STALL_CSV, "--alpha", "0.5"]
     train.update({
         "cv-stall-10": cv + ["--repeats", "10"],

@@ -16,6 +16,12 @@ has either  theta_j = 0 and |grad_j| < beta,  or  |theta_j| > 1/(2*zeta)
 and grad_j = 0.  ``check_mcp_local_opt`` classifies each coordinate
 against that characterization and assembles the full report.
 
+Every verdict comes from one pass at the point: theta checked, one loss
+gradient, one violation of the inclusion and one pair of one-sided
+curvatures.  ``check_critical_point``, ``check_sufficient_local_opt`` and
+``check_necessary_local_opt`` each return one verdict of that pass, and the
+report takes all three from one pass at the slack ``grad_tol / beta``.
+
 The four ``check_*`` functions take ``beta = None`` to mean ``spec.beta``,
 and refuse a beta that :class:`PenaltySpec` refuses with ``ValueError``,
 and so a tolerance (``tol``, ``grad_tol``, ``margin``) that is not a
@@ -24,6 +30,7 @@ finite real >= 0: NaN would pass or fail a comparison by its side.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +191,7 @@ def check_critical_point(theta, beta: float, spec: PenaltySpec, data: Dataset,
                          tol: float = 0.0) -> bool:
     """Coordinatewise subgradient inclusion test with additive slack ``tol``."""
     beta, tol = _check_beta(beta, spec), _check_tolerance("tol", tol)
-    theta, grad = _point_and_gradient(theta, data)
-    return _is_critical(_violation(*_conditions(theta, grad, beta, spec)), tol)
+    return _verdicts(theta, beta, spec, data, tol).critical
 
 
 def check_sufficient_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
@@ -193,9 +199,7 @@ def check_sufficient_local_opt(theta, beta: float, spec: PenaltySpec, data: Data
     """Sufficient condition: strict interior membership at kinks, or gradient
     match plus one-sided curvature H'' >= 2*zeta at smooth coordinates."""
     beta, tol = _check_beta(beta, spec), _check_tolerance("tol", tol)
-    theta, grad = _point_and_gradient(theta, data)
-    return _is_local_opt(theta, *_conditions(theta, grad, beta, spec), spec, tol,
-                         curvature_floor=2.0 * spec.zeta, strict_kinks=True)
+    return _verdicts(theta, beta, spec, data, tol).sufficient
 
 
 def check_necessary_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
@@ -203,45 +207,43 @@ def check_necessary_local_opt(theta, beta: float, spec: PenaltySpec, data: Datas
     """Necessary condition: non-strict inclusion at kinks, and curvature floor
     lowered by ||X||^2 / (4*beta) at smooth coordinates."""
     beta, tol = _check_beta(beta, spec), _check_tolerance("tol", tol)
-    norm = spectral_norm(data)
-    theta, grad = _point_and_gradient(theta, data)
-    return _is_local_opt(theta, *_conditions(theta, grad, beta, spec), spec, tol,
-                         curvature_floor=_necessary_floor(beta, spec, norm), strict_kinks=False)
+    return _verdicts(theta, beta, spec, data, tol).necessary
 
 
-def _point_and_gradient(theta, data: Dataset):
-    """theta as a finite float array of the data's width, and its loss gradient."""
+# one pass at a point: theta as checked, its loss gradient, and the critical,
+# sufficient and necessary verdicts at one additive slack
+_Verdicts = namedtuple("_Verdicts", "theta grad critical sufficient necessary")
+
+
+def _verdicts(theta, beta: float, spec: PenaltySpec, data: Dataset, tol: float) -> _Verdicts:
+    """The pass behind every verdict: theta checked, one loss gradient, one
+    inclusion violation and one pair of one-sided curvatures H''."""
     theta = _check_theta(theta, data.n_features)
-    return theta, loss_gradient(theta, data)
-
-
-def _necessary_floor(beta, spec, norm) -> float:
-    return 2.0 * spec.zeta - 0.25 * norm * norm / beta
-
-
-def _is_critical(violation, tol) -> bool:
-    return bool(np.all(violation <= tol))
-
-
-def _is_local_opt(theta, target, lo, hi, spec, tol, curvature_floor, strict_kinks) -> bool:
-    cl, cr = convexified_second_derivatives(theta, spec)
+    grad = loss_gradient(theta, data)
+    target, lo, hi = _conditions(theta, grad, beta, spec)
     violation = _violation(target, lo, hi)
-    if strict_kinks:
-        kink_ok = (lo < target) & (target < hi)
-    else:
-        kink_ok = violation <= tol
-    # written as failures, so that a NaN comparison passes as it does
-    # coordinatewise; at a smooth coordinate lo = hi, so the violation is |target - lo|
-    smooth_fails = (violation > tol) | (cl < curvature_floor) | (cr < curvature_floor)
-    # the penalty's one kink is at 0
-    return not np.any(np.where(theta == 0.0, ~kink_ok, smooth_fails))
+    cl, cr = convexified_second_derivatives(theta, spec)
+    norm = spectral_norm(data)
+
+    def holds(kink_fails, floor) -> bool:
+        # written as failures, so that a NaN comparison passes as it does
+        # coordinatewise; at a smooth coordinate lo = hi, so the violation is
+        # |target - lo|; the penalty's one kink is at 0
+        smooth_fails = (violation > tol) | (cl < floor) | (cr < floor)
+        return not np.any(np.where(theta == 0.0, kink_fails, smooth_fails))
+
+    return _Verdicts(theta, grad, critical=bool(np.all(violation <= tol)),
+                     sufficient=holds(~((lo < target) & (target < hi)), 2.0 * spec.zeta),
+                     necessary=holds(~(violation <= tol),
+                                     2.0 * spec.zeta - 0.25 * norm * norm / beta))
 
 
 def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
                         grad_tol: float | None = None,
                         margin: float | None = None) -> CertificateReport:
     """Classify every coordinate against the exact MCP characterization and
-    build the full certificate report.
+    build the full certificate report, whose critical, sufficient and
+    necessary verdicts take the slack ``grad_tol / beta``.
 
     Defaults: ``grad_tol = 1e-6 * (1 + ||X||)`` for treating an active
     coordinate's gradient as zero, ``margin = 1e-9 * beta`` for calling a
@@ -251,47 +253,33 @@ def check_mcp_local_opt(theta, beta: float, spec: PenaltySpec, data: Dataset,
     norm = spectral_norm(data)
     grad_tol = 1e-6 * (1.0 + norm) if grad_tol is None else _check_tolerance("grad_tol", grad_tol)
     margin = 1e-9 * beta if margin is None else _check_tolerance("margin", margin)
-    theta, grad = _point_and_gradient(theta, data)
-    kink_radius = spec.plateau_start
+    found = _verdicts(theta, beta, spec, data, grad_tol / beta)
 
-    rows = []
-    for j, (ta, ga) in enumerate(zip(np.abs(theta).tolist(), np.abs(grad).tolist())):
-        if ta == 0.0:
-            if ga < beta - margin:
-                case, ok = CASE_ZERO_STRICT, True
-            elif ga <= beta + margin:
-                case, ok = CASE_ZERO_BOUNDARY, False
-            else:
-                case, ok = CASE_GRADIENT_NONZERO, False
-        elif ta > kink_radius:
-            if ga <= grad_tol:
-                case, ok = CASE_ACTIVE_ABOVE_KINK, True
-            else:
-                case, ok = CASE_GRADIENT_NONZERO, False
-        else:
-            case, ok = CASE_INNER_REGION, False
-        rows.append(CoordinateVerdict(j, case, ta, ga, ok))
-
+    # each coordinate takes the case of the first condition it meets; a NaN
+    # gradient meets no gradient test, so at a zero or active coordinate it
+    # reads gradient_nonzero
+    ta, ga = np.abs(found.theta), np.abs(found.grad)
+    zero, active = ta == 0.0, ta > spec.plateau_start
+    strict, settled = zero & (ga < beta - margin), active & (ga <= grad_tol)
+    cases = np.select([strict, zero & (ga <= beta + margin), settled, zero | active],
+                      [CASE_ZERO_STRICT, CASE_ZERO_BOUNDARY, CASE_ACTIVE_ABOVE_KINK,
+                       CASE_GRADIENT_NONZERO], CASE_INNER_REGION)
+    passes = strict | settled
+    rows = [CoordinateVerdict(j, *row) for j, row in
+            enumerate(zip(cases.tolist(), ta.tolist(), ga.tolist(), passes.tolist()))]
     applicable = beta * spec.zeta > 0.125 * norm * norm
-    verdict = all(r.passes for r in rows) if applicable else None
-    slack = grad_tol / beta
 
     why_no = why_no_threshold(data)
     threshold = None if why_no is not None else beta_threshold(data, spec)
-
-    conditions = _conditions(theta, grad, beta, spec)
     with np.errstate(over="ignore"):  # a norm beyond the float range reads inf
-        escape = bool(np.linalg.norm(theta) > SEPARABLE_ESCAPE_NORM)
+        escape = bool(np.linalg.norm(found.theta) > SEPARABLE_ESCAPE_NORM)
     return CertificateReport(
         per_coordinate=rows,
-        is_critical_point=_is_critical(_violation(*conditions), slack),
-        satisfies_sufficient=_is_local_opt(theta, *conditions, spec, slack,
-                                           curvature_floor=2.0 * spec.zeta, strict_kinks=True),
-        satisfies_necessary=_is_local_opt(theta, *conditions, spec, slack,
-                                          curvature_floor=_necessary_floor(beta, spec, norm),
-                                          strict_kinks=False),
+        is_critical_point=found.critical,
+        satisfies_sufficient=found.sufficient,
+        satisfies_necessary=found.necessary,
         mcp_iff_applicable=applicable,
-        mcp_iff_verdict=verdict,
+        mcp_iff_verdict=bool(passes.all()) if applicable else None,
         beta_threshold=threshold,
         why_no_threshold=why_no,
         problem_nonconvex=is_problem_nonconvex(data),

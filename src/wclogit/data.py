@@ -392,10 +392,7 @@ def load_csv(path, label_column=None, add_intercept: bool = False,
     parsed = _read_table(path, label_column, header, labeled) if label_map is None else None
     if parsed is None:
         parsed = _read_rows(path, label_column, label_map, header, labeled)
-    X, y = parsed
-    if add_intercept:
-        X = np.hstack([X, np.ones((X.shape[0], 1))])
-    return Dataset(X, y, has_intercept=add_intercept)
+    return _loaded(*parsed, add_intercept)
 
 
 def _read_table(path, label_column, header: str, labeled: bool):
@@ -532,9 +529,15 @@ def load_sparse_classification_format(path, add_intercept: bool = False,
     for i, row in enumerate(entries):
         for idx, val in row.items():
             X[i, idx - 1] = val
+    return _loaded(X, np.asarray(labels), add_intercept)
+
+
+def _loaded(X, y, add_intercept: bool) -> Dataset:
+    """The dataset a loader read, with a column of ones appended to the
+    features where ``add_intercept`` asks for one."""
     if add_intercept:
         X = np.hstack([X, np.ones((X.shape[0], 1))])
-    return Dataset(X, np.asarray(labels), has_intercept=add_intercept)
+    return Dataset(X, y, has_intercept=add_intercept)
 
 
 def save_csv(data: Dataset, path) -> None:

@@ -250,23 +250,21 @@ def reproduce_noise_table(out_dir: Path, repeats: int, max_iters: int,
     _check_integer("max_iters", max_iters, 1)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "table3.csv"
-    grids = []
-
-    def rows():
-        """Each noise level's grid, printed, and its row of best errors."""
-        for level, sigma in enumerate((0.01, 0.03, 0.05, 0.1, 0.3, 0.5)):
-            base = dataclasses.replace(_ERROR_GRID_SPEC, noise_sigma=sigma)
-            error_grid = run_cv_grid(grid, synthetic_pairs(base, 3000 + 100 * level),
-                                     max_iters=max_iters)
-            grids.append(error_grid)
-            l1 = error_grid.best_row(l1=True)
-            wc = error_grid.best_row(l1=False)
-            if not quiet:
-                print(f"noise {sigma:g}: l1 error {l1.mean_test_error:.4f}, "
-                      f"weakly convex error {wc.mean_test_error:.4f}")
-            yield sigma, l1.mean_test_error, wc.mean_test_error
-
-    _write_csv(path, ["noise_level", "l1_error", "weakly_convex_error"], rows())
+    # every level is computed and printed before the file is opened, so a run
+    # that fails on the way leaves an earlier table as it was
+    grids, rows = [], []
+    for level, sigma in enumerate((0.01, 0.03, 0.05, 0.1, 0.3, 0.5)):
+        base = dataclasses.replace(_ERROR_GRID_SPEC, noise_sigma=sigma)
+        error_grid = run_cv_grid(grid, synthetic_pairs(base, 3000 + 100 * level),
+                                 max_iters=max_iters)
+        grids.append(error_grid)
+        l1 = error_grid.best_row(l1=True)
+        wc = error_grid.best_row(l1=False)
+        if not quiet:
+            print(f"noise {sigma:g}: l1 error {l1.mean_test_error:.4f}, "
+                  f"weakly convex error {wc.mean_test_error:.4f}")
+        rows.append((sigma, l1.mean_test_error, wc.mean_test_error))
+    _write_csv(path, ["noise_level", "l1_error", "weakly_convex_error"], rows)
     if not quiet:
         print(f"table written to {path}")
         _notify_unconverged(grids, max_iters)

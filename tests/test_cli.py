@@ -426,14 +426,21 @@ def test_a_closed_stdout_is_a_file_error(synth, tmp_path, capsys, monkeypatch):
     model = tmp_path / "m.txt"
     assert run("train", synth["train"], "--beta", 0.3, "--zeta", 0.5, "--center",
                "--out", model, "--quiet") == 0
+    # table3 prints every level before it opens its file: a run cut at its
+    # first line leaves an earlier complete table as it was
+    table3 = ["reproduce", "table3", "--repeats", 1, "--max-iters", 5, "--out-dir",
+              tmp_path / "t3"]
+    assert run(*table3, "--quiet") == 0
+    table = (tmp_path / "t3" / "table3.csv").read_bytes()
     capsys.readouterr()
     monkeypatch.setattr("sys.stdout", _ClosedStdout())
     for argv in (["certify", model, synth["train"]],
-                 ["reproduce", "fig1", "--max-iters", 20, "--out-dir", tmp_path / "r"]):
+                 ["reproduce", "fig1", "--max-iters", 20, "--out-dir", tmp_path / "r"], table3):
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err == "error: [Errno 32] Broken pipe\n", err
     assert list((tmp_path / "r").iterdir()) == []
+    assert (tmp_path / "t3" / "table3.csv").read_bytes() == table
 
 
 def test_train_sparse_and_pm1_labels(tmp_path):
@@ -1341,6 +1348,23 @@ def test_cv_and_fig3_share_one_draw_path(tmp_path, capsys):
     assert cv.err == fig3.err and "notice:" in cv.err
     # the same best rows, after the line that names the output path
     assert cv.out.splitlines()[1:] == fig3.out.splitlines()[1:]
+
+
+def test_reproduce_noise_table_prints_each_level_then_the_path(tmp_path, capsys):
+    # each noise level's line, with the errors its row holds, then the path;
+    # the unconverged notice goes to stderr
+    assert run("reproduce", "table3", "--repeats", 1, "--max-iters", 5, "--out-dir",
+               tmp_path) == 0
+    out, err = capsys.readouterr()
+    with open(tmp_path / "table3.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert out.splitlines() == [
+        *(f"noise {float(r['noise_level']):g}: l1 error {float(r['l1_error']):.4f}, "
+          f"weakly convex error {float(r['weakly_convex_error']):.4f}" for r in rows),
+        f"table written to {tmp_path / 'table3.csv'}"]
+    assert [r["noise_level"] for r in rows] == ["0.01", "0.03", "0.05", "0.1", "0.3", "0.5"]
+    assert err == ("notice: 252 of 252 grid cells never converged within max_iters=5 on any "
+                   "repeat; their errors are those of truncated iterates\n")
 
 
 def test_reproduce_noise_table_preset(tmp_path):

@@ -231,6 +231,17 @@ def test_convexified_derivatives_monotone():
         assert np.all(np.diff(merged) >= -1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    penalty_value, penalty_total, lambda t, spec: prox_vector(t, 0.5, spec),
+    penalty_derivatives, convexified_derivatives, convexified_second_derivatives],
+    ids=["penalty_value", "penalty_total", "prox_vector", "penalty_derivatives",
+         "convexified_derivatives", "convexified_second_derivatives"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_penalty_refuses_a_non_finite_input(call, bad):
+    with pytest.raises(ValueError, match="^penalty input must be finite$"):
+        call(np.array([0.5, bad, 0.0]), PenaltySpec(zeta=0.1))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         PenaltySpec(zeta=-0.1)
